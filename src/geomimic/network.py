@@ -8,8 +8,28 @@ relevance score. Forward and reverse passes are written out by hand in
 numpy; the reverse pass is checked against finite differences in the test
 suite rather than relying on an autodiff framework.
 
-All functions are pure and single-threaded, so results do not depend on
-worker count or call order.
+Batches use a node-major layout: ``forward_batch`` scores B graphs that
+share one wiring, and keeps node states as (n*B, H) matrices whose row
+i*B + b holds node i of graph b. Every per-node linear map is then one
+GEMM over the whole batch:
+
+- The four (H, H) blocks that read the node state h (the message MLP's
+  src and dst halves, the update gate's and the reset gate's h halves)
+  run as one stacked matmul on h; the three that read the aggregate (the
+  update, reset and candidate gates' aggregate halves) as one on it.
+- Message projections are computed per node and moved onto edges by a
+  fixed 0/1 (E, 2n) incidence GEMM, and first-layer message activations
+  are summed into their destination nodes by an (n, E) one. The second
+  message layer is linear, so it runs per node after that sum. The
+  reverse pass applies the transposed incidences.
+
+A ``Workspace`` holds every array of one batch shape: the forward cache,
+the reverse-pass temporaries and the gradient. Training builds one and
+passes it to every epoch, which then writes into it instead of
+allocating; one-off calls such as inference get a fresh one.
+
+Apart from writing into the workspace they are given, the functions are
+pure, so results do not depend on call order.
 """
 
 from __future__ import annotations
@@ -209,17 +229,17 @@ def load_params(path: str) -> NetParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 * tanh(x / 2) + 0.5, computed in place in x."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
-# Single-sample building blocks. The batched engine below repeats the
-# same formulas; tests assert that composing these by hand reproduces
-# forward() exactly.
+# Single-sample building blocks. The batched engine below computes the
+# same formulas in another layout and summation order; tests check that
+# composing these by hand matches forward() to 1e-12.
 
 
 def embed(encoding: np.ndarray, params: NetParams) -> np.ndarray:
@@ -251,49 +271,104 @@ def gru_update(h: np.ndarray, m: np.ndarray, params: NetParams) -> np.ndarray:
     return (1.0 - z) * h + z * h_cand
 
 
-@dataclass
-class _StepCache:
-    h_prev: np.ndarray
-    cat: np.ndarray
-    z1_mask: np.ndarray
-    a1: np.ndarray
-    agg: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    h_cand: np.ndarray
+def _h_side(p: NetParams) -> tuple[np.ndarray, ...]:
+    """(H, H) blocks that read the node state: message src and dst halves,
+    update gate, reset gate."""
+    k = p.hidden
+    return p.w_msg1[:, :k], p.w_msg1[:, k:], p.w_z[:, :k], p.w_r[:, :k]
 
 
-@dataclass
-class _ForwardCache:
-    nodes: np.ndarray
-    edges: np.ndarray
-    h0: np.ndarray
-    steps: list[_StepCache]
-    pooled: np.ndarray
-    read_act: np.ndarray
+def _agg_side(p: NetParams) -> tuple[np.ndarray, ...]:
+    """(H, H) blocks that read the aggregate: update, reset, candidate."""
+    k = p.hidden
+    return p.w_z[:, k:], p.w_r[:, k:], p.w_h[:, k:]
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w.T + b with the batch dims flattened into one GEMM."""
-    lead = x.shape[:-1]
-    out = x.reshape(-1, x.shape[-1]) @ w.T
-    out += b
-    return out.reshape(*lead, w.shape[0])
+def _sum_blocks(stack: np.ndarray, out: np.ndarray) -> None:
+    """out = stack[0] + stack[1] + ...; faster than np.sum over axis 0."""
+    np.add(stack[0], stack[1], out=out)
+    for block in stack[2:]:
+        out += block
 
 
-def _weight_grad(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient for w in _affine, summed over all batch dims."""
-    return d_out.reshape(-1, d_out.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+class Workspace:
+    """Every array one batch shape needs: forward cache, reverse-pass
+    temporaries and the gradient.
 
+    States are node-major (n*B, H) matrices: row i*B + b holds node i of
+    graph b. The shape (B, n, F, H, rounds) and the wiring fix every array
+    size, so one workspace serves any number of forward_batch and
+    backward_batch calls on such batches, with results bit-identical to
+    calls on fresh workspaces. Each call overwrites what the previous call
+    returned from it (scores, gradient).
+    """
 
-def _apply_linear(d_out: np.ndarray, w: np.ndarray) -> np.ndarray:
-    lead = d_out.shape[:-1]
-    return (d_out.reshape(-1, d_out.shape[-1]) @ w).reshape(*lead, w.shape[1])
+    def __init__(
+        self,
+        batch: int,
+        n_nodes: int,
+        input_dim: int,
+        edges: np.ndarray,
+        hidden: int,
+        rounds: int,
+    ) -> None:
+        edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+        b, n, k, r, e = batch, n_nodes, hidden, rounds, len(edges)
+        nb = n * b
+        self.key = (b, n, input_dim, k, r)
+        self.edges = edges.copy()
+        # 0/1 incidence. Row e of `gather` adds edge e's src projection
+        # (column src) to its dst projection (column n + dst).
+        self.gather = np.zeros((e, 2 * n))
+        self.gather[np.arange(e), edges[:, 0]] = 1.0
+        self.gather[np.arange(e), n + edges[:, 1]] = 1.0
+        self.from_dst = np.ascontiguousarray(self.gather[:, n:])
+        self.into_src = np.ascontiguousarray(self.gather[:, :n].T)
+        self.into_dst = np.ascontiguousarray(self.from_dst.T)
+        # Per state row: 1, and the in-degree of its node.
+        self.ones = np.ones(nb)
+        self.in_degree = np.repeat(self.into_dst.sum(axis=1), b)
+        # Weight stacks, refilled from the params on every call:
+        # transposed in the forward pass, as stored in the reverse pass.
+        self.w_on_h = np.empty((4, k, k))
+        self.w_on_agg = np.empty((3, k, k))
+        self.b_zr = np.empty((2, 1, k))
+        self.b_agg = np.empty((nb, k))
+        # Forward cache; h[0] is the embedding, h[t + 1] the state after round t.
+        self.x = np.empty((n, b, input_dim))
+        self.h = np.empty((r + 1, nb, k))
+        self.a1 = np.empty((r, e, b * k))
+        self.a1_in = np.empty((r, nb, k))
+        self.agg = np.empty((r, nb, k))
+        self.zr = np.empty((r, 2, nb, k))
+        self.rh = np.empty((r, nb, k))
+        self.h_cand = np.empty((r, nb, k))
+        self.pooled = np.empty((b, k))
+        self.read_act = np.empty((b, k))
+        self.scores = np.empty(b)
+        # Products of the stacked weights, then reverse-pass temporaries.
+        self.proj_h = np.empty((4, nb, k))
+        self.proj_agg = np.empty((3, nb, k))
+        # Pre-activation gradients of one round: message src half, dst
+        # half, update, reset, candidate.
+        self.du = np.empty((5, nb, k))
+        self.d_agg = np.empty((nb, k))
+        self.d_a1 = np.empty((e, b * k))
+        self.live = np.empty((e, b * k), dtype=bool)
+        self.dh, self.dh_next, self.t1, self.t2 = (np.empty((nb, k)) for _ in range(4))
+        self.d_pre = np.empty((b, k))
+        self.g_round = np.empty((9, k, k))
+        self.g_bias = np.empty((5, k))
+        self.grads = NetParams.zeros(k, input_dim)
 
 
 def forward_batch(
-    nodes: np.ndarray, edges: np.ndarray, params: NetParams, rounds: int = DEFAULT_ROUNDS
-) -> tuple[np.ndarray, _ForwardCache]:
+    nodes: np.ndarray,
+    edges: np.ndarray,
+    params: NetParams,
+    rounds: int = DEFAULT_ROUNDS,
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, Workspace]:
     """Score a batch of graphs sharing one edge topology.
 
     Args:
@@ -301,9 +376,13 @@ def forward_batch(
         edges: (E, 2) directed edge list shared by the whole batch.
         params: network weights.
         rounds: number of synchronous message-passing rounds.
+        workspace: arrays to compute in, from an earlier call on a batch
+            of the same shape and wiring; a fresh one when None.
 
     Returns:
-        (B,) scores and the cache needed by backward_batch.
+        (B,) scores and the workspace, which caches what backward_batch
+        needs. The scores live in the workspace, so the next call with it
+        overwrites them.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 3:
@@ -311,111 +390,155 @@ def forward_batch(
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    b_sz, n, _ = nodes.shape
+    b_sz, n, f = nodes.shape
     p = params
-    hdim = p.hidden
+    k = p.hidden
+    ws = workspace
+    if ws is None:
+        ws = Workspace(b_sz, n, f, edges, k, rounds)
+    elif ws.key != (b_sz, n, f, k, rounds) or not np.array_equal(ws.edges, edges):
+        raise ValueError("workspace was built for another batch shape or wiring")
+    for dst, w in zip(ws.w_on_h, _h_side(p)):
+        np.copyto(dst, w.T)
+    for dst, w in zip(ws.w_on_agg, _agg_side(p)):
+        np.copyto(dst, w.T)
+    ws.b_zr[0, 0], ws.b_zr[1, 0] = p.b_z, p.b_r
+    np.multiply(ws.in_degree[:, None], p.b_msg2, out=ws.b_agg)
 
-    h = np.tanh(_affine(nodes, p.w_in, p.b_in))
-    h0 = h
-    steps: list[_StepCache] = []
-    for _ in range(rounds):
-        cat = np.concatenate([h[:, edges[:, 0], :], h[:, edges[:, 1], :]], axis=-1)
-        z1 = _affine(cat, p.w_msg1, p.b_msg1)
-        z1_mask = z1 > 0.0
-        a1 = np.where(z1_mask, z1, 0.0)
-        msg = _affine(a1, p.w_msg2, p.b_msg2)
-        agg = np.zeros((b_sz, n, hdim))
-        for e, (_, dst) in enumerate(edges):
-            agg[:, dst, :] += msg[:, e, :]
-        cat_g = np.concatenate([h, agg], axis=-1)
-        z = _sigmoid(_affine(cat_g, p.w_z, p.b_z))
-        r = _sigmoid(_affine(cat_g, p.w_r, p.b_r))
-        cat_c = np.concatenate([r * h, agg], axis=-1)
-        h_cand = np.tanh(_affine(cat_c, p.w_h, p.b_h))
-        steps.append(_StepCache(h, cat, z1_mask, a1, agg, z, r, h_cand))
-        h = (1.0 - z) * h + z * h_cand
+    np.copyto(ws.x, nodes.transpose(1, 0, 2))
+    h0 = ws.h[0]
+    np.matmul(ws.x.reshape(-1, f), p.w_in.T, out=h0)
+    h0 += p.b_in
+    np.tanh(h0, out=h0)
+    proj, proj_agg = ws.proj_h, ws.proj_agg
+    src_dst = proj[:2].reshape(2 * n, -1)
+    for t in range(rounds):
+        h, h_next, a1, a1_in, agg = ws.h[t], ws.h[t + 1], ws.a1[t], ws.a1_in[t], ws.agg[t]
+        zr, rh, h_cand = ws.zr[t], ws.rh[t], ws.h_cand[t]
+        np.matmul(h, ws.w_on_h, out=proj)
+        np.matmul(ws.gather, src_dst, out=a1)
+        a1_rows = a1.reshape(-1, k)
+        a1_rows += p.b_msg1
+        np.maximum(a1, 0.0, out=a1)
+        # The second message layer is linear, so it runs once per node on
+        # the summed first-layer activations.
+        np.matmul(ws.into_dst, a1, out=a1_in.reshape(n, -1))
+        np.matmul(a1_in, p.w_msg2.T, out=agg)
+        agg += ws.b_agg
+        np.matmul(agg, ws.w_on_agg, out=proj_agg)
+        np.add(proj[2:], proj_agg[:2], out=zr)
+        zr += ws.b_zr
+        z, r = _sigmoid(zr)
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, p.w_h[:, :k].T, out=h_cand)
+        h_cand += proj_agg[2]
+        h_cand += p.b_h
+        np.tanh(h_cand, out=h_cand)
+        np.subtract(h_cand, h, out=h_next)
+        h_next *= z
+        h_next += h
 
-    pooled = h.sum(axis=1)
-    read_act = np.tanh(_affine(pooled, p.w_read1, p.b_read1))
-    scores = _affine(read_act, p.w_read2, p.b_read2)[:, 0]
-    cache = _ForwardCache(nodes, edges, h0, steps, pooled, read_act)
-    return scores, cache
+    np.sum(ws.h[rounds].reshape(n, b_sz, k), axis=0, out=ws.pooled)
+    np.matmul(ws.pooled, p.w_read1.T, out=ws.read_act)
+    ws.read_act += p.b_read1
+    np.tanh(ws.read_act, out=ws.read_act)
+    np.matmul(ws.read_act, p.w_read2[0], out=ws.scores)
+    ws.scores += p.b_read2[0]
+    return ws.scores, ws
 
 
-def backward_batch(
-    cache: _ForwardCache, params: NetParams, upstream: np.ndarray
-) -> NetParams:
+def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) -> NetParams:
     """Exact reverse pass of forward_batch.
 
     Args:
-        cache: the forward cache for the same params.
+        cache: the workspace of a forward_batch call with the same params.
         upstream: (B,) gradient of the objective w.r.t. each score.
 
     Returns:
-        Parameter gradients, summed over the batch.
+        Parameter gradients, summed over the batch. They live in the
+        workspace, so the next backward_batch call with it overwrites them.
     """
-    p = params
-    g = NetParams.zeros(p.hidden, p.input_dim)
-    hdim = p.hidden
-    edges = cache.edges
-    n = cache.nodes.shape[1]
+    ws, p = cache, params
+    b_sz, n, f, k, rounds = ws.key
+    g = ws.grads
+    for dst, w in zip(ws.w_on_h, _h_side(p)):
+        np.copyto(dst, w)
+    for dst, w in zip(ws.w_on_agg, _agg_side(p)):
+        np.copyto(dst, w)
 
-    d_score = np.asarray(upstream, dtype=float)[:, None]
-    g.w_read2 += _weight_grad(d_score, cache.read_act)
-    g.b_read2 += d_score.sum(axis=0)
-    d_act = d_score @ p.w_read2
-    d_pre = d_act * (1.0 - cache.read_act**2)
-    g.w_read1 += _weight_grad(d_pre, cache.pooled)
-    g.b_read1 += d_pre.sum(axis=0)
-    d_pool = d_pre @ p.w_read1
-    dh = np.broadcast_to(d_pool[:, None, :], (d_pool.shape[0], n, hdim)).copy()
+    d_score = np.asarray(upstream, dtype=float)
+    np.matmul(d_score, ws.read_act, out=g.w_read2[0])
+    g.b_read2[0] = d_score.sum()
+    d_pre = ws.d_pre
+    np.multiply(ws.read_act, ws.read_act, out=d_pre)
+    np.subtract(1.0, d_pre, out=d_pre)
+    d_pre *= d_score[:, None]
+    d_pre *= p.w_read2[0]
+    np.matmul(d_pre.T, ws.pooled, out=g.w_read1)
+    np.sum(d_pre, axis=0, out=g.b_read1)
+    dh, dh_next, t1, t2, t4 = ws.dh, ws.dh_next, ws.t1, ws.t2, ws.proj_h
+    dh_nodes = dh.reshape(n, b_sz, k)
+    np.matmul(d_pre, p.w_read1, out=dh_nodes[0])
+    dh_nodes[1:] = dh_nodes[0]
 
-    for step in reversed(cache.steps):
-        h_prev = step.h_prev
-        dz = dh * (step.h_cand - h_prev)
-        dh_cand = dh * step.z
-        dh_prev = dh * (1.0 - step.z)
+    du, d_agg, d_a1, g_round = ws.du, ws.d_agg, ws.d_a1, ws.g_round
+    w_hh = p.w_h[:, :k]
+    # Weight gradients every round adds to, in g_round's order.
+    w_grads = (*_h_side(g), *_agg_side(g), g.w_h[:, :k], g.w_msg2)
+    for grad in (*w_grads, g.b_msg1, g.b_z, g.b_r, g.b_h, g.b_msg2):
+        grad[...] = 0.0
+    for t in reversed(range(rounds)):
+        h, (z, r), h_cand = ws.h[t], ws.zr[t], ws.h_cand[t]
+        np.multiply(dh, z, out=t1)  # into the candidate
+        np.multiply(h_cand, h_cand, out=t2)
+        np.subtract(1.0, t2, out=t2)
+        np.multiply(t1, t2, out=du[4])
+        np.subtract(dh, t1, out=dh_next)  # dh * (1 - z)
+        np.subtract(h_cand, h, out=t1)
+        t1 *= dh
+        np.subtract(1.0, z, out=t2)
+        t2 *= z
+        np.multiply(t1, t2, out=du[2])
+        np.matmul(du[4], w_hh, out=t1)  # into r * h
+        np.multiply(t1, r, out=t2)
+        dh_next += t2
+        t1 *= h
+        np.subtract(1.0, r, out=t2)
+        t2 *= r
+        np.multiply(t1, t2, out=du[3])
+        np.matmul(du[2:], ws.w_on_agg, out=t4[:3])
+        _sum_blocks(t4[:3], out=d_agg)
+        np.matmul(d_agg, p.w_msg2, out=t1)  # into a1_in, per node
+        np.matmul(ws.from_dst, t1.reshape(n, -1), out=d_a1)
+        np.greater(ws.a1[t], 0.0, out=ws.live)
+        np.multiply(d_a1, ws.live, out=d_a1)
+        np.matmul(ws.into_src, d_a1, out=du[0].reshape(n, -1))
+        np.matmul(ws.into_dst, d_a1, out=du[1].reshape(n, -1))
+        np.matmul(du[:4], ws.w_on_h, out=t4)
+        _sum_blocks(t4, out=t2)
+        dh_next += t2
+        dh, dh_next = dh_next, dh
 
-        du_c = dh_cand * (1.0 - step.h_cand**2)
-        cat_c = np.concatenate([step.r * h_prev, step.agg], axis=-1)
-        g.w_h += _weight_grad(du_c, cat_c)
-        g.b_h += du_c.sum(axis=(0, 1))
-        d_cat_c = _apply_linear(du_c, p.w_h)
-        d_rh = d_cat_c[..., :hdim]
-        d_agg = d_cat_c[..., hdim:]
-        dr = d_rh * h_prev
-        dh_prev += d_rh * step.r
+        np.matmul(du[:4].transpose(0, 2, 1), h, out=g_round[:4])
+        np.matmul(du[2:].transpose(0, 2, 1), ws.agg[t], out=g_round[4:7])
+        np.matmul(du[4].T, ws.rh[t], out=g_round[7])
+        np.matmul(d_agg.T, ws.a1_in[t], out=g_round[8])
+        for grad, part in zip(w_grads, g_round):
+            grad += part
+        np.matmul(ws.ones, du, out=ws.g_bias)
+        # Each edge adds b_msg1 once, as it adds its src projection once;
+        # b_msg2 enters each node once per incoming edge.
+        g.b_msg1 += ws.g_bias[0]
+        g.b_z += ws.g_bias[2]
+        g.b_r += ws.g_bias[3]
+        g.b_h += ws.g_bias[4]
+        g.b_msg2 += ws.in_degree @ d_agg
 
-        cat_g = np.concatenate([h_prev, step.agg], axis=-1)
-        du_r = dr * step.r * (1.0 - step.r)
-        g.w_r += _weight_grad(du_r, cat_g)
-        g.b_r += du_r.sum(axis=(0, 1))
-        du_z = dz * step.z * (1.0 - step.z)
-        g.w_z += _weight_grad(du_z, cat_g)
-        g.b_z += du_z.sum(axis=(0, 1))
-        d_cat_g = _apply_linear(du_r, p.w_r) + _apply_linear(du_z, p.w_z)
-        dh_prev += d_cat_g[..., :hdim]
-        d_agg = d_agg + d_cat_g[..., hdim:]
-
-        if len(edges):
-            d_msg = np.stack([d_agg[:, dst, :] for _, dst in edges], axis=1)
-        else:
-            d_msg = np.zeros_like(step.a1)
-        g.w_msg2 += _weight_grad(d_msg, step.a1)
-        g.b_msg2 += d_msg.sum(axis=(0, 1))
-        d_a1 = _apply_linear(d_msg, p.w_msg2)
-        d_z1 = np.where(step.z1_mask, d_a1, 0.0)
-        g.w_msg1 += _weight_grad(d_z1, step.cat)
-        g.b_msg1 += d_z1.sum(axis=(0, 1))
-        d_cat = _apply_linear(d_z1, p.w_msg1)
-        for e, (src, dst) in enumerate(edges):
-            dh_prev[:, src, :] += d_cat[:, e, :hdim]
-            dh_prev[:, dst, :] += d_cat[:, e, hdim:]
-        dh = dh_prev
-
-    du0 = dh * (1.0 - cache.h0**2)
-    g.w_in += _weight_grad(du0, cache.nodes)
-    g.b_in += du0.sum(axis=(0, 1))
+    np.multiply(ws.h[0], ws.h[0], out=t1)
+    np.subtract(1.0, t1, out=t1)
+    t1 *= dh
+    np.matmul(t1.T, ws.x.reshape(-1, f), out=g.w_in)
+    np.sum(t1, axis=0, out=g.b_in)
     return g
 
 

@@ -844,20 +844,27 @@ def demo_to_json_dict(demo: DemoSequence) -> dict:
     return payload
 
 
+def _observation_from_json(entry: dict, frame_index: int) -> FeatureObservation:
+    """One stored observation; non-finite pixels or descriptors are rejected."""
+    obs = FeatureObservation(
+        id=entry["id"],
+        pixel=ImagePoint(entry["u"], entry["v"]),
+        descriptor=np.array(entry["descriptor"], dtype=float),
+        visible=entry["visible"],
+        feature_class=FeatureClass(entry["feature_class"]),
+    )
+    if not (math.isfinite(obs.pixel.u) and math.isfinite(obs.pixel.v)):
+        raise SceneError(f"frame {frame_index}, feature {obs.id}: non-finite pixel")
+    if not np.isfinite(obs.descriptor).all():
+        raise SceneError(f"frame {frame_index}, feature {obs.id}: non-finite descriptor")
+    return obs
+
+
 def demo_from_json_dict(payload: dict) -> DemoSequence:
     config = DemoConfig.from_json_dict(payload["config"]) if "config" in payload else None
     frames = [
-        [
-            FeatureObservation(
-                id=entry["id"],
-                pixel=ImagePoint(entry["u"], entry["v"]),
-                descriptor=np.array(entry["descriptor"], dtype=float),
-                visible=entry["visible"],
-                feature_class=FeatureClass(entry["feature_class"]),
-            )
-            for entry in frame
-        ]
-        for frame in payload["frames"]
+        [_observation_from_json(entry, t) for entry in frame]
+        for t, frame in enumerate(payload["frames"])
     ]
     kind = config.kernel_kind if config else KernelKind.P2P
     return DemoSequence(

@@ -282,7 +282,8 @@ class _Pack:
     nodes: np.ndarray  # (B, n, F)
     edges: np.ndarray
     cand_index: np.ndarray  # (B,)
-    frame_members: list[np.ndarray]  # per frame: batch rows visible there
+    frame_row: np.ndarray  # (B,) row of each instance in the dense score matrix
+    n_score_rows: int  # frames where at least one candidate is visible
     gcr_pairs: np.ndarray  # (P, 2) batch rows of consecutive usable frames
     quality: np.ndarray  # (m,)
     n_frames: int
@@ -304,7 +305,7 @@ def _pack_candidates(
     )
     rows: list[np.ndarray] = []
     cand_index: list[int] = []
-    frame_members: list[list[int]] = [[] for _ in range(n_frames)]
+    frame_index: list[int] = []
     gcr_pairs: list[tuple[int, int]] = []
     edges = None
     for j, cand in enumerate(candidates):
@@ -317,17 +318,19 @@ def _pack_candidates(
             row = len(rows)
             rows.append(graph.nodes)
             cand_index.append(j)
-            frame_members[t].append(row)
+            frame_index.append(t)
             if prev_row is not None:
                 gcr_pairs.append((prev_row, row))
             prev_row = row
     if not rows:
         raise NoVisibleCandidatesError("no candidate is visible on any frame")
+    live_frames, frame_row = np.unique(frame_index, return_inverse=True)
     return _Pack(
         nodes=np.stack(rows),
         edges=edges,
         cand_index=np.array(cand_index, dtype=int),
-        frame_members=[np.array(m, dtype=int) for m in frame_members],
+        frame_row=frame_row,
+        n_score_rows=len(live_frames),
         gcr_pairs=np.array(gcr_pairs, dtype=int).reshape(-1, 2),
         quality=quality,
         n_frames=n_frames,
@@ -344,27 +347,37 @@ class LossBreakdown:
 
 
 def _loss_packed(
-    pack: _Pack, params: NetParams, config: TrainConfig
+    pack: _Pack,
+    params: NetParams,
+    config: TrainConfig,
+    workspace: network.Workspace | None = None,
 ) -> tuple[LossBreakdown, NetParams]:
-    scores, cache = network.forward_batch(pack.nodes, pack.edges, params, pack.rounds)
-    d_scores = np.zeros_like(scores)
+    scores, cache = network.forward_batch(
+        pack.nodes, pack.edges, params, pack.rounds, workspace
+    )
     alpha = config.alpha_conf
+    q = pack.quality
 
-    expected_quality = 0.0
-    rsw = 0.0
-    for members in pack.frame_members:
-        if members.size == 0:
-            continue
-        g, _ = select_out(scores[members], alpha)
-        q = pack.quality[pack.cand_index[members]]
-        gq = float(g @ q)
-        expected_quality += gq
-        # d(-sum g q)/db_k = -(g_k (q_k - g.q)) / alpha
-        d_scores[members] += -(g * (q - gq)) / alpha
-        sum_g2 = float(g @ g)
-        rsw += 1.0 - sum_g2
-        # d(1 - sum g^2)/db_k = -(2/alpha) g_k (g_k - sum g^2)
-        d_scores[members] += -config.alpha_rsw * (2.0 / alpha) * g * (g - sum_g2)
+    # select_out on every frame at once: one row per frame, one column
+    # per candidate, and candidates not visible on a frame score -inf.
+    # Row-wise dot products and frame-by-frame running sums keep the
+    # summation order of a per-frame loop, so frames where every candidate
+    # is visible give that loop's exact bits.
+    g = np.full((pack.n_score_rows, q.size), -np.inf)
+    g[pack.frame_row, pack.cand_index] = scores / alpha
+    g -= g.max(axis=1, keepdims=True)
+    np.exp(g, out=g)
+    g /= g.sum(axis=1, keepdims=True)
+    g_rows = g[:, None, :]
+    gq = np.matmul(g_rows, q[:, None])[:, 0, 0]
+    sum_g2 = np.matmul(g_rows, g[:, :, None])[:, 0, 0]
+    expected_quality = float(np.cumsum(gq)[-1])
+    rsw = float(np.cumsum(1.0 - sum_g2)[-1])
+    # d(-sum g q)/db_k = -(g_k (q_k - g.q)) / alpha
+    # d(1 - sum g^2)/db_k = -(2/alpha) g_k (g_k - sum g^2)
+    d_g = -(g * (q - gq[:, None])) / alpha
+    d_g -= config.alpha_rsw * (2.0 / alpha) * g * (g - sum_g2[:, None])
+    d_scores = d_g[pack.frame_row, pack.cand_index]
 
     gcr = 0.0
     if pack.gcr_pairs.size:
@@ -471,15 +484,18 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     size = demo.config.image_size if demo.config else IMAGE_SIZE
     candidates = prepare_candidates(demo, kind, size)
     pack = _pack_candidates(candidates, config)
-    input_dim = pack.nodes.shape[2]
+    b_sz, n_nodes, input_dim = pack.nodes.shape
     rng = np.random.default_rng([config.seed, 51])
     params = NetParams.init_random(config.hidden, input_dim, rng)
+    workspace = network.Workspace(
+        b_sz, n_nodes, input_dim, pack.edges, config.hidden, config.rounds
+    )
 
     trace = np.empty((config.epochs, 5))
     best_loss = math.inf
     best_params = params.copy()
     for epoch in range(config.epochs):
-        breakdown, grads = _loss_packed(pack, params, config)
+        breakdown, grads = _loss_packed(pack, params, config, workspace)
         if breakdown.value < best_loss:
             best_loss = breakdown.value
             best_params = params.copy()
@@ -518,8 +534,10 @@ def infer(
     """Select the most task-relevant association on a single frame.
 
     Only visible features take part. The result is flagged low-confidence
-    when the winning weight stays below 2/m (barely above the uniform
-    1/m), e.g. while the demonstrated features are occluded.
+    when the winning weight stays below min(2/m, 0.5 + 0.5/m) for m usable
+    candidates: barely above the uniform 1/m, e.g. while the demonstrated
+    features are occluded. The second bound only matters for m <= 2, where
+    2/m would distrust even a certain winner; a lone candidate is trusted.
     """
     visible = [o for o in features if o.visible]
     if not visible:
@@ -538,11 +556,12 @@ def infer(
     )
     g, winner = select_out(scores, trained.config.alpha_conf)
     cand = usable[winner]
+    m = len(usable)
     return InferenceResult(
         winner_ids=cand.id_set,
         winner_entities=cand.entities,
         weights=g,
         candidates=usable,
         error=cand.errors[0],
-        low_confidence=float(g[winner]) < 2.0 / len(usable),
+        low_confidence=float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m),
     )

@@ -8,8 +8,10 @@ from geomimic.network import (
     GraphStructureError,
     KernelGraph,
     NetParams,
+    Workspace,
     aggregate,
     backward,
+    backward_batch,
     embed,
     forward,
     forward_batch,
@@ -163,7 +165,7 @@ class TestForward:
             assert forward(random_graph(kind, rng), params) == 0.0
 
     @pytest.mark.parametrize("kind", list(KernelKind))
-    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
     def test_matches_composed_building_blocks(self, kind, rounds):
         rng = np.random.default_rng(6)
         params = random_params(rng)
@@ -279,6 +281,15 @@ class TestBackward:
             worst = max(worst, max_rel_error(grads, numeric))
         assert worst < 1e-4
 
+    def test_zero_rounds_gradcheck(self):
+        # no message passing: readout of the embeddings only
+        rng = np.random.default_rng(20)
+        params = random_params(rng)
+        g = random_graph(KernelKind.P2C, rng)
+        grads = backward(g, params, 1.0, rounds=0)
+        numeric = fd_gradients(lambda p: forward(g, p, rounds=0), params, 3, rng)
+        assert max_rel_error(grads, numeric) < 1e-4
+
     def test_upstream_scales_linearly(self):
         rng = np.random.default_rng(15)
         params = random_params(rng)
@@ -297,6 +308,70 @@ class TestBackward:
         grads = backward(g, params, 1.0)
         numeric = fd_gradients(lambda p: forward(g, p), params, 3, rng)
         assert max_rel_error(grads, numeric) < 1e-4
+
+
+def edge_free_graph(rng):
+    # one entity: its nodes share no edge, so messages never flow
+    return graph_from_entities(KernelKind.P2L, [rng.normal(size=(3, DIM))], strict=False)
+
+
+def duplicate_edge_graph(rng):
+    # edge (0, 1) listed twice: node 1 receives the same message twice
+    g = random_graph(KernelKind.P2L, rng)
+    return KernelGraph(g.kernel_kind, g.nodes, np.vstack([g.edges, g.edges[:1]]), g.grouping)
+
+
+class TestDegenerateWiring:
+    @pytest.mark.parametrize("make", [edge_free_graph, duplicate_edge_graph])
+    def test_forward_matches_building_blocks(self, make):
+        rng = np.random.default_rng(30)
+        params = random_params(rng)
+        g = make(rng)
+        assert forward(g, params) == pytest.approx(reference_forward(g, params, 3), abs=1e-12)
+
+    @pytest.mark.parametrize("make", [edge_free_graph, duplicate_edge_graph])
+    def test_gradcheck(self, make):
+        rng = np.random.default_rng(31)
+        params = random_params(rng)
+        g = make(rng)
+        grads = backward(g, params, 1.0)
+        numeric = fd_gradients(lambda p: forward(g, p), params, 3, rng)
+        assert max_rel_error(grads, numeric) < 1e-4
+
+
+class TestWorkspace:
+    def batch(self, rng):
+        graphs = [random_graph(KernelKind.P2C, rng) for _ in range(5)]
+        return np.stack([g.nodes for g in graphs]), graphs[0].edges
+
+    def test_reuse_is_bit_identical_to_fresh_calls(self):
+        rng = np.random.default_rng(33)
+        nodes, edges = self.batch(rng)
+        params = random_params(rng)
+        upstream = rng.normal(size=len(nodes))
+        ws = Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, 3)
+        for _ in range(2):
+            scores, cache = forward_batch(nodes, edges, params, 3, ws)
+            assert cache is ws
+            grads = backward_batch(cache, params, upstream)
+            fresh_scores, fresh_cache = forward_batch(nodes, edges, params, 3)
+            fresh_grads = backward_batch(fresh_cache, params, upstream)
+            assert np.array_equal(scores, fresh_scores)
+            assert np.array_equal(grads.flat(), fresh_grads.flat())
+            # a gradient step between calls, as in training
+            params.add_scaled(grads, -0.1)
+
+    def test_shape_or_wiring_mismatch_rejected(self):
+        rng = np.random.default_rng(34)
+        nodes, edges = self.batch(rng)
+        params = random_params(rng)
+        ws = Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, 3)
+        with pytest.raises(ValueError):
+            forward_batch(nodes[:4], edges, params, 3, ws)
+        with pytest.raises(ValueError):
+            forward_batch(nodes, edges, params, 2, ws)
+        with pytest.raises(ValueError):
+            forward_batch(nodes, edges[::-1], params, 3, ws)
 
 
 class TestParamsIO:

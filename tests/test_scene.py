@@ -304,6 +304,23 @@ class TestDemoJson:
         u_in = demo.frames[0][0].pixel.u
         assert payload["frames"][0][0]["u"] == u_in  # repr round-trips exactly
 
+    @pytest.mark.parametrize("field", ["u", "v", "descriptor"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected_at_load(self, tmp_path, field, bad):
+        # json writes NaN and Infinity tokens and reads them back, so a
+        # corrupted file must fail at load, naming the frame and feature
+        demo = gen_demo(DemoConfig(seed=15, n_frames=3))
+        payload = demo_to_json_dict(demo)
+        entry = payload["frames"][2][1]
+        if field == "descriptor":
+            entry["descriptor"][0] = bad
+        else:
+            entry[field] = bad
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SceneError, match=f"frame 2, feature {entry['id']}: non-finite"):
+            load_demo(str(path))
+
 
 class TestServoWorld:
     @pytest.mark.parametrize("kind", list(KernelKind))

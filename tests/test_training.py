@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from geomimic import network
 from geomimic.geometry import ErrorSignal, KernelKind
 from geomimic.network import NetParams
 from geomimic.scene import FeatureClass
@@ -12,6 +13,7 @@ from geomimic.training import (
     NoVisibleCandidatesError,
     TooFewFeaturesError,
     TrainConfig,
+    TrainedKernel,
     TrainingError,
     build_candidates,
     candidate_error,
@@ -24,6 +26,7 @@ from geomimic.training import (
     select_out,
     train,
 )
+from geomimic.training import _loss_packed, _pack_candidates
 
 from conftest import make_point, toy_demo
 
@@ -174,8 +177,6 @@ class TestLoss:
     def test_uniform_selection_value(self, toy_candidates):
         # zero params give uniform weights, so the expected quality per
         # frame is the plain mean over candidates
-        from geomimic.training import _pack_candidates
-
         config = TrainConfig(alpha_gcr=0.0, alpha_rsw=0.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
         breakdown, _ = loss(toy_candidates, params, config)
@@ -219,6 +220,66 @@ class TestLoss:
                 ana = grads.blocks()[name].reshape(-1)[k]
                 worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
         assert worst < 1e-4
+
+
+def reference_loss(candidates, params, config):
+    """Per-frame select_out loop: the objective written frame by frame."""
+    pack = _pack_candidates(candidates, config)
+    frame_members = [[] for _ in range(pack.n_frames)]
+    row = 0
+    for cand in candidates:
+        for t, graph in enumerate(cand.graphs):
+            if graph is not None:
+                frame_members[t].append(row)
+                row += 1
+    scores, cache = network.forward_batch(pack.nodes, pack.edges, params, pack.rounds)
+    scores = scores.copy()
+    d_scores = np.zeros_like(scores)
+    alpha = config.alpha_conf
+    expected_quality = rsw = 0.0
+    for members in map(np.array, frame_members):
+        if members.size == 0:
+            continue
+        g, _ = select_out(scores[members], alpha)
+        q = pack.quality[pack.cand_index[members]]
+        gq = float(g @ q)
+        expected_quality += gq
+        d_scores[members] += -(g * (q - gq)) / alpha
+        sum_g2 = float(g @ g)
+        rsw += 1.0 - sum_g2
+        d_scores[members] += -config.alpha_rsw * (2.0 / alpha) * g * (g - sum_g2)
+    prev_rows, next_rows = pack.gcr_pairs[:, 0], pack.gcr_pairs[:, 1]
+    diffs = scores[next_rows] - scores[prev_rows]
+    gcr = float(diffs @ diffs)
+    np.add.at(d_scores, next_rows, 2.0 * config.alpha_gcr * diffs)
+    np.add.at(d_scores, prev_rows, -2.0 * config.alpha_gcr * diffs)
+    value = -expected_quality + config.alpha_gcr * gcr + config.alpha_rsw * rsw
+    grads = network.backward_batch(cache, params, d_scores)
+    return (value, expected_quality, gcr, rsw), grads
+
+
+class TestVectorizedLoss:
+    def test_matches_per_frame_reference(self):
+        # frame 3 shows only points 0 and 1 (one candidate), frame 6
+        # shows nothing; both must match the per-frame formula
+        demo = toy_demo(n_frames=10)
+        for t, keep in ((3, {0, 1}), (6, set())):
+            demo.frames[t] = [
+                make_point(o.id, o.pixel.u, o.pixel.v, o.descriptor, visible=o.id in keep)
+                for o in demo.frames[t]
+            ]
+        cands = prepare_candidates(demo, KernelKind.P2P)
+        assert sum(c.graphs[3] is not None for c in cands) == 1
+        assert all(c.graphs[6] is None for c in cands)
+        config = TrainConfig(alpha_conf=0.7)
+        params = NetParams.init_random(8, cands[0].graphs[0].nodes.shape[1],
+                                       np.random.default_rng(23))
+        breakdown, grads = _loss_packed(_pack_candidates(cands, config), params, config)
+        ref_terms, ref_grads = reference_loss(cands, params, config)
+        terms = (breakdown.value, breakdown.expected_quality, breakdown.gcr_term,
+                 breakdown.rsw_term)
+        assert terms == pytest.approx(ref_terms, abs=1e-12)
+        assert grads.flat() == pytest.approx(ref_grads.flat(), abs=1e-12)
 
 
 class TestTrain:
@@ -268,6 +329,43 @@ class TestTrain:
         assert np.array_equal(loaded.params.flat(), toy_trained.params.flat())
         assert loaded.config == toy_trained.config
         assert np.array_equal(loaded.loss_trace, toy_trained.loss_trace)
+
+
+def p2l_frame(n_segments):
+    """One point against n_segments segments: n_segments candidates."""
+    rng = np.random.default_rng(24)
+    feats = [make_point(0, 320.0, 240.0, rng.uniform(0, 1, 8))]
+    for s in range(n_segments):
+        for end in range(2):
+            feats.append(make_point(10 + 2 * s + end, 100.0 + 80.0 * s, 100.0 + 150.0 * end,
+                                    rng.uniform(0, 1, 8), cls=FeatureClass.SEGMENT_ENDPOINT))
+    return feats
+
+
+class TestInferConfidence:
+    # Threshold min(2/m, 0.5 + 0.5/m): 1 for m = 1, 0.75 for m = 2, 2/m from m = 3.
+    @pytest.mark.parametrize(
+        "weights, low",
+        [
+            ([1.0], False),
+            ([0.8, 0.2], False),
+            ([0.7, 0.3], True),
+            ([0.5, 0.5], True),
+            ([0.7, 0.2, 0.1], False),
+            ([0.6, 0.3, 0.1], True),
+            ([0.55, 0.15, 0.15, 0.15], False),
+            ([0.45, 0.35, 0.1, 0.1], True),
+        ],
+    )
+    def test_threshold(self, monkeypatch, weights, low):
+        scores = np.log(weights)
+        monkeypatch.setattr(network, "forward_batch", lambda nodes, *a, **kw: (scores, None))
+        trained = TrainedKernel(KernelKind.P2L, NetParams.zeros(4, 10), TrainConfig(),
+                                np.zeros((0, 5)))
+        result = infer(p2l_frame(len(weights)), trained)
+        assert len(result.candidates) == len(weights)
+        assert result.weights == pytest.approx(weights, abs=1e-12)
+        assert result.low_confidence is low
 
 
 class TestInfer:
