@@ -4,13 +4,22 @@ Error signals are the raw control quantities consumed by training and by
 the servo loop: pixel offsets for point coincidence, signed point-line
 distances, endpoint residuals for line alignment, and algebraic conic
 residuals.
+
+Every construction and error exists once, in batched form over K rows of
+(K, 2) pixel arrays: ``lines_through``, ``conics_through`` and the
+``p2*_errors`` functions. Degenerate rows do not raise there; they come
+back as NaN with False in a mask, so one bad candidate cannot fail a
+whole frame. The scalar ``line_through``, ``conic_through`` and
+``p2*_error`` functions and the ``HomLine`` and ``Conic`` constructors
+run the same code on one row and raise ``GeometryError`` where a row is
+degenerate. Scalar and batched results are bit-identical.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +27,7 @@ import numpy as np
 # Below this pixel distance two points cannot define a line.
 COINCIDENT_TOL_PX = 1e-9
 _DEGENERATE_NORM = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 class KernelKind(str, enum.Enum):
@@ -53,11 +63,28 @@ class ImagePoint:
     u: float
     v: float
 
-    def homogeneous(self) -> np.ndarray:
-        return np.array([self.u, self.v, 1.0])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v])
+
+
+def _rows(*points: ImagePoint) -> np.ndarray:
+    """(K, 2) pixel array of K image points."""
+    return np.array([[p.u, p.v] for p in points])
+
+
+def _unit_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale (K, 3) line coefficients to a^2 + b^2 = 1, sign-fixed.
+
+    The first nonzero of (a, b) becomes positive. Also returns each row's
+    norm hypot(a, b); rows with a ~zero norm come back as NaN or inf.
+    ``math.hypot`` is correctly rounded, ``np.hypot`` is not always.
+    """
+    norm = np.array([math.hypot(a, b) for a, b, _ in raw.tolist()]).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        unit = raw / norm[:, None]
+    lead = np.where(np.abs(unit[:, 0]) > _DEGENERATE_NORM, unit[:, 0], unit[:, 1])
+    np.negative(unit, out=unit, where=(lead < 0)[:, None])
+    return unit, norm
 
 
 @dataclass(frozen=True)
@@ -75,22 +102,51 @@ class HomLine:
     c: float
 
     def __post_init__(self) -> None:
-        norm = math.hypot(self.a, self.b)
-        if norm < _DEGENERATE_NORM:
+        unit, norm = _unit_lines(np.array([[self.a, self.b, self.c]], dtype=float))
+        if norm[0] < _DEGENERATE_NORM:
             raise GeometryError("degenerate line: a and b are both ~0")
-        a, b, c = self.a / norm, self.b / norm, self.c / norm
-        lead = a if abs(a) > _DEGENERATE_NORM else b
-        if lead < 0:
-            a, b, c = -a, -b, -c
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "c", float(c))
+        a, b, c = unit[0].tolist()
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def _of_unit(cls, coeffs: np.ndarray) -> "HomLine":
+        """A line from coefficients ``_unit_lines`` already normalized;
+        normalizing them again could move their last bits."""
+        line = object.__new__(cls)
+        for name, value in zip("abc", coeffs.tolist()):
+            object.__setattr__(line, name, value)
+        return line
 
     def coeffs(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 
     def normal(self) -> np.ndarray:
         return np.array([self.a, self.b])
+
+
+def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrize (K, 3, 3) conic matrices, scale to unit Frobenius norm
+    and make each one's entry of largest magnitude positive.
+
+    Also returns a (K,) mask of the inputs that were symmetric to
+    rounding, and each symmetrized matrix's norm.
+    """
+    mt = m.transpose(0, 2, 1)
+    atol = 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    # np.allclose(m, m.T, atol=atol), one matrix per row.
+    symmetric = (np.abs(m - mt) <= atol[:, None, None] + 1e-5 * np.abs(mt)).all(axis=(1, 2))
+    sym = 0.5 * (m + mt)
+    flat = sym.reshape(-1, 9)
+    # A stacked (1, 9) @ (9, 1) matmul is the BLAS dot np.linalg.norm uses.
+    norm = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        unit = sym / norm[:, None, None]
+    flat = unit.reshape(-1, 9)
+    lead = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    np.negative(unit, out=unit, where=(lead < 0)[:, None, None])
+    return unit, symmetric, norm
 
 
 @dataclass(frozen=True)
@@ -107,16 +163,12 @@ class Conic:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise GeometryError(f"conic matrix must be 3x3, got {m.shape}")
-        if not np.allclose(m, m.T, atol=1e-9 * max(1.0, float(np.abs(m).max()))):
+        unit, symmetric, norm = _unit_conics(m[None])
+        if not symmetric[0]:
             raise GeometryError("conic matrix must be symmetric")
-        m = 0.5 * (m + m.T)
-        norm = float(np.linalg.norm(m))
-        if norm < _DEGENERATE_NORM:
+        if norm[0] < _DEGENERATE_NORM:
             raise GeometryError("degenerate conic: zero matrix")
-        m = m / norm
-        flat_idx = int(np.argmax(np.abs(m)))
-        if m.flat[flat_idx] < 0:
-            m = -m
+        m = unit[0]
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -144,68 +196,162 @@ class ErrorSignal:
         return float(np.linalg.norm(self.values))
 
 
+def distinct_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(K,) mask: row k of p and of q are not within COINCIDENT_TOL_PX."""
+    gap = [math.hypot(du, dv) for du, dv in (p - q).tolist()]
+    return ~(np.array(gap).reshape(-1) < COINCIDENT_TOL_PX)
+
+
+def lines_through(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized lines through K point pairs at once.
+
+    Args:
+        p, q: (K, 2) pixel arrays.
+
+    Returns:
+        (K, 3) line coefficients (a, b, c), normalized as ``HomLine``
+        normalizes them, and the (K,) ``distinct_points`` mask. Rows whose
+        points coincide are NaN.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    # Homogeneous cross product (u1, v1, 1) x (u2, v2, 1), written out:
+    # np.cross computes exactly these products and differences.
+    raw = np.empty((len(p), 3))
+    np.subtract(p[:, 1], q[:, 1], out=raw[:, 0])
+    np.subtract(q[:, 0], p[:, 0], out=raw[:, 1])
+    np.subtract(p[:, 0] * q[:, 1], p[:, 1] * q[:, 0], out=raw[:, 2])
+    ok = distinct_points(p, q)
+    unit, _ = _unit_lines(raw)
+    unit[~ok] = np.nan
+    return unit, ok
+
+
 def line_through(p: ImagePoint, q: ImagePoint) -> HomLine:
     """Line through two distinct image points via the homogeneous cross product.
 
     Raises:
         CoincidentPointsError: if the points are closer than COINCIDENT_TOL_PX.
     """
-    if math.hypot(p.u - q.u, p.v - q.v) < COINCIDENT_TOL_PX:
+    coeffs, ok = lines_through(_rows(p), _rows(q))
+    if not ok[0]:
         raise CoincidentPointsError(f"cannot build a line through coincident points {p} and {q}")
-    a, b, c = np.cross(p.homogeneous(), q.homogeneous())
-    return HomLine(float(a), float(b), float(c))
+    return HomLine._of_unit(coeffs[0])
+
+
+# Why _fit_conics rejects a row, by code.
+_CONIC_FAULTS = {
+    1: "conic points are all coincident",
+    2: "points do not determine a unique conic",
+    3: "conic points must be finite",
+}
+
+
+def _fit_conics(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized conic matrices through (K, 5, 2) point sets.
+
+    Points are shifted and scaled before solving so the fit stays
+    well-conditioned at pixel scale; each conic is mapped back
+    afterwards. Returns the (K, 3, 3) matrices and a (K,) fault code,
+    0 where the fit is valid (see _CONIC_FAULTS).
+    """
+    pts = np.asarray(points, dtype=float)
+    k = len(pts)
+    center = pts.mean(axis=1)
+    spread = np.sqrt(((pts - center[:, None, :]) ** 2).sum(axis=2).mean(axis=1))
+    fault = np.zeros(k, dtype=int)
+    coincident = spread < _DEGENERATE_NORM
+    fault[coincident] = 1
+    scale = _SQRT2 / np.where(coincident, 1.0, spread)
+    x = scale[:, None] * (pts[:, :, 0] - center[:, None, 0])
+    y = scale[:, None] * (pts[:, :, 1] - center[:, None, 1])
+    design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=2)
+    finite = np.isfinite(design).all(axis=(1, 2))
+    fault[~finite] = 3
+    design[~finite] = 0.0
+    _, svals, vt = np.linalg.svd(design)
+    # Rank < 5 means several conics fit (e.g. repeated or collinear points).
+    fault[(fault == 0) & (svals[:, -1] < 1e-9 * svals[:, 0])] = 2
+    av, bv, cv, dv, ev, fv = vt[:, -1].T
+    normed = np.stack(
+        [av, bv / 2.0, dv / 2.0, bv / 2.0, cv, ev / 2.0, dv / 2.0, ev / 2.0, fv], axis=1
+    ).reshape(k, 3, 3)
+    # Undo the normalizing similarity: C = T^T C' T with x' = T x.
+    t = np.zeros((k, 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = scale
+    t[:, 0, 2] = -scale * center[:, 0]
+    t[:, 1, 2] = -scale * center[:, 1]
+    t[:, 2, 2] = 1.0
+    return np.matmul(np.matmul(t.transpose(0, 2, 1), normed), t), fault
+
+
+def conics_through(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized conics through K sets of five points at once.
+
+    Args:
+        points: (K, 5, 2) pixel arrays.
+
+    Returns:
+        (K, 3, 3) conic matrices, normalized as ``Conic`` normalizes them,
+        and a (K,) mask of the point sets that determine a unique conic.
+        Other rows are NaN.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[1:] != (5, 2):
+        raise GeometryError(f"conic construction needs (K, 5, 2) points, got {pts.shape}")
+    raw, fault = _fit_conics(pts)
+    unit, symmetric, norm = _unit_conics(raw)
+    ok = (fault == 0) & symmetric & (norm >= _DEGENERATE_NORM)
+    unit[~ok] = np.nan
+    return unit, ok
 
 
 def conic_through(points: Sequence[ImagePoint]) -> Conic:
-    """Conic through exactly five points in general position.
-
-    Points are shifted and scaled before solving so the fit stays
-    well-conditioned at pixel scale; the conic is mapped back afterwards.
-    """
+    """Conic through exactly five points in general position."""
     if len(points) != 5:
         raise GeometryError(f"conic construction needs exactly 5 points, got {len(points)}")
-    pts = np.array([[p.u, p.v] for p in points], dtype=float)
-    center = pts.mean(axis=0)
-    spread = float(np.sqrt(((pts - center) ** 2).sum(axis=1).mean()))
-    if spread < _DEGENERATE_NORM:
-        raise GeometryError("conic points are all coincident")
-    scale = math.sqrt(2.0) / spread
-    x, y = (scale * (pts[:, 0] - center[0]), scale * (pts[:, 1] - center[1]))
-    design = np.stack([x * x, x * y, y * y, x, y, np.ones(5)], axis=1)
-    _, svals, vt = np.linalg.svd(design)
-    # Rank < 5 means several conics fit (e.g. repeated or collinear points).
-    if svals[-1] < 1e-9 * svals[0]:
-        raise GeometryError("points do not determine a unique conic")
-    av, bv, cv, dv, ev, fv = vt[-1]
-    normed = np.array(
-        [
-            [av, bv / 2.0, dv / 2.0],
-            [bv / 2.0, cv, ev / 2.0],
-            [dv / 2.0, ev / 2.0, fv],
-        ]
-    )
-    # Undo the normalizing similarity: C = T^T C' T with x' = T x.
-    t = np.array(
-        [
-            [scale, 0.0, -scale * center[0]],
-            [0.0, scale, -scale * center[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return Conic(t.T @ normed @ t)
+    raw, fault = _fit_conics(_rows(*points)[None])
+    if fault[0]:
+        raise GeometryError(_CONIC_FAULTS[int(fault[0])])
+    return Conic(raw[0])
+
+
+def p2p_errors(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """(K, 2) pixel offsets p1 - p2 of K point pairs."""
+    return np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)
+
+
+def p2l_errors(p: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """(K,) signed distances of K points from K normalized lines."""
+    return lines[:, 0] * p[:, 0] + lines[:, 1] * p[:, 1] + lines[:, 2]
+
+
+def l2l_errors(p: np.ndarray, q: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """(K, 2) signed distances of K segments' endpoints from K lines.
+
+    Whether the endpoints are distinct, which a residual that really
+    constrains an alignment needs, is ``distinct_points(p, q)``.
+    """
+    return np.stack([p2l_errors(p, lines), p2l_errors(q, lines)], axis=1)
+
+
+def p2c_errors(p: np.ndarray, conics: np.ndarray) -> np.ndarray:
+    """(K,) algebraic residuals x^T C x of K points against K conics."""
+    x = np.ones((len(p), 3))
+    x[:, :2] = p
+    # Stacked matmuls make the same BLAS calls, item by item, as x @ C @ x.
+    return np.matmul(np.matmul(x[:, None, :], conics), x[:, :, None])[:, 0, 0]
 
 
 def p2p_error(p1: ImagePoint, p2: ImagePoint, frame_index: int = 0) -> ErrorSignal:
     """Pixel offset (du, dv) between two points; zero iff they coincide."""
-    return ErrorSignal(
-        KernelKind.P2P, np.array([p1.u - p2.u, p1.v - p2.v]), frame_index
-    )
+    return ErrorSignal(KernelKind.P2P, p2p_errors(_rows(p1), _rows(p2))[0], frame_index)
 
 
 def p2l_error(p: ImagePoint, line: HomLine, frame_index: int = 0) -> ErrorSignal:
     """Signed perpendicular distance of a point from a normalized line."""
-    value = line.a * p.u + line.b * p.v + line.c
-    return ErrorSignal(KernelKind.P2L, np.array([value]), frame_index)
+    values = p2l_errors(_rows(p), line.coeffs()[None])
+    return ErrorSignal(KernelKind.P2L, values, frame_index)
 
 
 def l2l_error(
@@ -216,16 +362,12 @@ def l2l_error(
     Zero iff the segment lies on the line. The endpoints must be distinct
     so the residual really constrains an alignment.
     """
-    p, q = segment
-    if math.hypot(p.u - q.u, p.v - q.v) < COINCIDENT_TOL_PX:
+    p, q = _rows(segment[0]), _rows(segment[1])
+    if not distinct_points(p, q)[0]:
         raise CoincidentPointsError("segment endpoints coincide")
-    d1 = line.a * p.u + line.b * p.v + line.c
-    d2 = line.a * q.u + line.b * q.v + line.c
-    return ErrorSignal(KernelKind.L2L, np.array([d1, d2]), frame_index)
+    return ErrorSignal(KernelKind.L2L, l2l_errors(p, q, line.coeffs()[None])[0], frame_index)
 
 
 def p2c_error(p: ImagePoint, conic: Conic, frame_index: int = 0) -> ErrorSignal:
     """Algebraic residual x^T C x of a point against a normalized conic."""
-    x = p.homogeneous()
-    value = float(x @ conic.matrix @ x)
-    return ErrorSignal(KernelKind.P2C, np.array([value]), frame_index)
+    return ErrorSignal(KernelKind.P2C, p2c_errors(_rows(p), conic.matrix[None]), frame_index)

@@ -152,8 +152,9 @@ def save_report(report: EvalReport, path: str, config_echo: dict | None = None) 
     payload = report.to_json_dict()
     if config_echo is not None:
         payload["config"] = config_echo
+    text = json.dumps(payload)
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def write_frame_csv(report: EvalReport, path: str, config_echo: dict | None = None) -> None:

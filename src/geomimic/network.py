@@ -34,6 +34,7 @@ pure, so results do not depend on call order.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -75,6 +76,22 @@ class KernelGraph:
         return self.nodes.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def entity_wiring(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Edge list and node grouping of every graph whose entities have these node counts.
+
+    Edges run in both directions between every pair of nodes that belong
+    to different entities, sorted by (src, dst). The edge array is shared
+    by every caller, so it is read-only.
+    """
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    edges = np.stack(np.nonzero(group[:, None] != group[None, :]), axis=1)
+    edges.flags.writeable = False
+    starts = np.cumsum((0,) + sizes[:-1])
+    grouping = tuple(tuple(range(int(s), int(s) + n)) for s, n in zip(starts, sizes))
+    return edges, grouping
+
+
 def graph_from_entities(
     kind: KernelKind, entities: Sequence[np.ndarray], strict: bool = True
 ) -> KernelGraph:
@@ -82,7 +99,8 @@ def graph_from_entities(
 
     Edges run in both directions between every pair of nodes that belong
     to different entities; nodes inside one entity share no edge, so the
-    wiring itself encodes how features are grouped into primitives.
+    wiring itself encodes how features are grouped into primitives
+    (``entity_wiring``).
 
     With ``strict`` the node count must match the kernel kind (2 for p2p,
     3 for p2l, 4 for l2l, >= 5 for p2c). Non-strict graphs support
@@ -94,20 +112,6 @@ def graph_from_entities(
     if len(widths) != 1:
         raise GraphStructureError(f"inconsistent node encoding widths: {sorted(widths)}")
     nodes = np.vstack([np.asarray(e, dtype=float) for e in entities])
-    grouping: list[tuple[int, ...]] = []
-    start = 0
-    for ent in entities:
-        grouping.append(tuple(range(start, start + ent.shape[0])))
-        start += ent.shape[0]
-    edges = []
-    for gi in range(len(grouping)):
-        for gj in range(len(grouping)):
-            if gi == gj:
-                continue
-            for i in grouping[gi]:
-                for j in grouping[gj]:
-                    edges.append((i, j))
-    edges_arr = np.array(sorted(edges), dtype=int).reshape(-1, 2)
     if strict:
         n = nodes.shape[0]
         if kind in _EXACT_NODE_COUNT and n != _EXACT_NODE_COUNT[kind]:
@@ -118,7 +122,8 @@ def graph_from_entities(
             raise GraphStructureError(
                 f"{kind.value} graph needs at least {_MIN_NODE_COUNT[kind]} nodes, got {n}"
             )
-    return KernelGraph(kind, nodes, edges_arr, tuple(grouping))
+    edges, grouping = entity_wiring(tuple(e.shape[0] for e in entities))
+    return KernelGraph(kind, nodes, edges, grouping)
 
 
 @dataclass
@@ -205,7 +210,7 @@ class NetParams:
 
     def to_json_dict(self) -> dict:
         return {
-            name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in self.blocks().items()
         }
 
@@ -219,8 +224,9 @@ class NetParams:
 
 
 def save_params(params: NetParams, path: str) -> None:
+    text = json.dumps(params.to_json_dict())
     with open(path, "w") as fh:
-        json.dump(params.to_json_dict(), fh)
+        fh.write(text)
 
 
 def load_params(path: str) -> NetParams:

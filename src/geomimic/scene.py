@@ -111,8 +111,8 @@ class CameraModel:
             "f": self.f,
             "cu": self.cu,
             "cv": self.cv,
-            "rotation": [[float(x) for x in row] for row in self.rotation],
-            "translation": [float(x) for x in self.translation],
+            "rotation": self.rotation.tolist(),
+            "translation": self.translation.tolist(),
         }
 
     @classmethod
@@ -831,7 +831,7 @@ def demo_to_json_dict(demo: DemoSequence) -> dict:
                     "u": float(obs.pixel.u),
                     "v": float(obs.pixel.v),
                     "visible": bool(obs.visible),
-                    "descriptor": [float(x) for x in obs.descriptor],
+                    "descriptor": obs.descriptor.tolist(),
                     "feature_class": obs.feature_class.value,
                 }
                 for obs in frame
@@ -878,8 +878,10 @@ def demo_from_json_dict(payload: dict) -> DemoSequence:
 
 
 def save_demo(demo: DemoSequence, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump would run the Python one.
+    text = json.dumps(demo_to_json_dict(demo))
     with open(path, "w") as fh:
-        json.dump(demo_to_json_dict(demo), fh)
+        fh.write(text)
 
 
 def load_demo(path: str) -> DemoSequence:

@@ -11,13 +11,23 @@ entropy-style regularizer).
 Gradients of the full objective are assembled analytically: the softmax
 and regularizer parts in closed form here, the network part through
 ``network.backward_batch``.
+
+One frame becomes arrays in one place, ``_frame_batch``: every observation
+is encoded once, every line or conic entity is fitted once, and all
+candidates' errors come from one batched ``geometry`` call. Candidates are
+grouped into entities from all of a frame's observations and count on the
+frame only if every member is visible and the geometry is non-degenerate.
+``attach_frame`` turns the arrays into the per-frame graphs training packs;
+``infer`` scores them in one forward pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -25,19 +35,25 @@ import numpy as np
 
 from . import network
 from .geometry import (
-    ERROR_DIM,
     ErrorSignal,
-    GeometryError,
-    ImagePoint,
     KernelKind,
     conic_through,
+    conics_through,
+    distinct_points,
     l2l_error,
+    l2l_errors,
     line_through,
+    lines_through,
     p2c_error,
+    p2c_errors,
     p2l_error,
+    p2l_errors,
     p2p_error,
+    p2p_errors,
 )
-from .network import KernelGraph, NetParams, graph_from_entities
+# graph_from_entities stays importable from here: tooling that times
+# graph assembly binds it by this module's name.
+from .network import KernelGraph, NetParams, entity_wiring, graph_from_entities  # noqa: F401
 from .scene import DemoSequence, FeatureClass, FeatureObservation, IMAGE_SIZE
 
 QUALITY_EPS = 1e-6
@@ -117,11 +133,13 @@ class CandidateInstance:
 
 def _group_entities(
     features: Sequence[FeatureObservation],
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Split features into point, segment and conic entities.
 
     Segment endpoints pair up on consecutive ids and conic samples form
     runs of five consecutive ids, matching the generator's allocation.
+    Callers pass every observation of a frame, visible or not, so a hidden
+    endpoint or sample cannot shift the pairing of the others.
     """
     points = sorted(o.id for o in features if o.feature_class is FeatureClass.POINT)
     endpoints = sorted(o.id for o in features if o.feature_class is FeatureClass.SEGMENT_ENDPOINT)
@@ -142,7 +160,67 @@ def _group_entities(
         if run[-1] != run[0] + 4:
             raise TrainingError(f"conic sample ids {run} are not consecutive")
         conics.append(run)
-    return [(p,) for p in points], segments, conics
+    return tuple((p,) for p in points), tuple(segments), tuple(conics)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A candidate list as arrays: everything that stays fixed from frame to frame.
+
+    members:   (C, n) feature ids of each candidate, entity by entity.
+    fitted:    (U, k) feature ids of each distinct last entity, the one
+               p2l, l2l and p2c fit a line or conic through.
+    fitted_of: (C,) row of ``fitted`` each candidate is measured against.
+    """
+
+    kind: KernelKind
+    sizes: tuple[int, ...]
+    members: np.ndarray
+    fitted: np.ndarray
+    fitted_of: np.ndarray
+
+
+def _layout(kind: KernelKind, entities: Sequence[tuple[tuple[int, ...], ...]]) -> _Layout:
+    """Layout of candidates given as entity tuples; they must share entity sizes."""
+    sizes = tuple(len(e) for e in entities[0])
+    if any(tuple(len(e) for e in ents) != sizes for ents in entities):
+        raise TrainingError("candidates of one batch must share entity sizes")
+    slots: dict[tuple[int, ...], int] = {}
+    fitted_of = [slots.setdefault(ents[-1], len(slots)) for ents in entities]
+    arrays = (
+        np.array([sum(ents, ()) for ents in entities], dtype=int),
+        np.array(list(slots), dtype=int),
+        np.array(fitted_of, dtype=int),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Layout(kind, sizes, *arrays)
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerate(
+    kind: KernelKind,
+    points: tuple[tuple[int, ...], ...],
+    segments: tuple[tuple[int, ...], ...],
+    conics: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], _Layout]:
+    """Every candidate of one entity grouping, sorted, and its layout.
+
+    Frames of one scene share their grouping, so per-frame inference
+    finds both here after its first frame.
+    """
+    if kind is KernelKind.P2P:
+        combos = [tuple(sorted(pair)) for pair in itertools.combinations(points, 2)]
+    elif kind is KernelKind.P2L:
+        combos = [(p, s) for p in points for s in segments]
+    elif kind is KernelKind.L2L:
+        combos = [tuple(sorted(pair)) for pair in itertools.combinations(segments, 2)]
+    else:
+        combos = [(p, c) for p in points for c in conics]
+    if not combos:
+        raise TooFewFeaturesError(f"no {kind.value} candidates can be built")
+    combos.sort()
+    return tuple(combos), _layout(kind, combos)
 
 
 def build_candidates(
@@ -155,24 +233,8 @@ def build_candidates(
     returned in a deterministic id order.
     """
     kind = KernelKind(kind)
-    points, segments, conics = _group_entities(features)
-    if kind is KernelKind.P2P:
-        combos = [tuple(sorted(pair)) for pair in itertools.combinations(points, 2)]
-    elif kind is KernelKind.P2L:
-        combos = [(p, s) for p in points for s in segments]
-    elif kind is KernelKind.L2L:
-        combos = [tuple(sorted(pair)) for pair in itertools.combinations(segments, 2)]
-    else:
-        combos = [(p, c) for p in points for c in conics]
-    if not combos:
-        raise TooFewFeaturesError(f"no {kind.value} candidates can be built")
-    return [CandidateInstance(kind, tuple(ent)) for ent in sorted(combos)]
-
-
-def encode_node(obs: FeatureObservation, image_size: tuple[int, int] = IMAGE_SIZE) -> np.ndarray:
-    """Node encoding: appearance descriptor plus normalized pixel coords."""
-    w, h = image_size
-    return np.concatenate([obs.descriptor, [obs.pixel.u / w, obs.pixel.v / h]])
+    combos, _ = _enumerate(kind, *_group_entities(features))
+    return [CandidateInstance(kind, ent) for ent in combos]
 
 
 def candidate_error(
@@ -184,6 +246,7 @@ def candidate_error(
 
     For l2l the first entity's endpoints are measured against the line
     through the second entity (entities are ordered by smallest id).
+    Raises ``GeometryError`` where the geometry degenerates.
     """
     kind = candidate.kernel_kind
     ents = candidate.entities
@@ -204,6 +267,80 @@ def candidate_error(
     return p2c_error(p, conic, frame_index)
 
 
+@dataclass
+class _FrameBatch:
+    """Every candidate of one frame as arrays, in candidate order.
+
+    encodings: (N, F) one encoding per observation of the frame.
+    rows:      (C, n) each candidate's members as rows of ``encodings``.
+    errors:    (C, d) geometric error of each candidate.
+    usable:    (C,) every member present and visible, and the geometry
+               non-degenerate with a finite error. Other rows of
+               ``errors`` hold no meaningful value.
+    """
+
+    encodings: np.ndarray
+    rows: np.ndarray
+    errors: np.ndarray
+    usable: np.ndarray
+
+
+def _frame_batch(
+    layout: _Layout, frame: Sequence[FeatureObservation], image_size: tuple[int, int]
+) -> _FrameBatch:
+    """Encode each observation once, fit each line or conic entity once
+    and compute every candidate's error in one array op.
+
+    A node encoding is the observation's appearance descriptor plus its
+    pixel coordinates divided by the image size. The frame must hold at
+    least one observation.
+    """
+    ids = np.array([o.id for o in frame], dtype=int)
+    visible = np.array([o.visible for o in frame], dtype=bool)
+    pixels = np.array([(o.pixel.u, o.pixel.v) for o in frame], dtype=float)
+    widths = {o.descriptor.shape[0] for o in frame}
+    if len(widths) != 1:
+        raise TrainingError(f"one frame mixes descriptor lengths {sorted(widths)}")
+    w, h = image_size
+    encodings = np.empty((len(frame), widths.pop() + 2))
+    encodings[:, :-2] = [o.descriptor for o in frame]
+    encodings[:, -2] = pixels[:, 0] / w
+    encodings[:, -1] = pixels[:, 1] / h
+
+    order = np.argsort(ids, kind="stable")
+
+    def rows_of(wanted: np.ndarray) -> np.ndarray:
+        """Frame rows of feature ids; a missing id gets some row, masked below."""
+        return order[np.searchsorted(ids[order], wanted).clip(max=len(ids) - 1)]
+
+    rows = rows_of(layout.members)
+    usable = ((ids[rows] == layout.members) & visible[rows]).all(axis=1)
+
+    kind = layout.kind
+    px = pixels[rows]
+    if kind is KernelKind.P2P:
+        errors = p2p_errors(px[:, 0], px[:, 1])
+    else:
+        # Each distinct line or conic entity is fitted once, from its
+        # members' pixels (missing members are masked out above).
+        fit_px = pixels[rows_of(layout.fitted)]
+        if kind is KernelKind.P2C:
+            fits, ok = conics_through(fit_px)
+        else:
+            fits, ok = lines_through(fit_px[:, 0], fit_px[:, 1])
+        fits = fits[layout.fitted_of]
+        usable &= ok[layout.fitted_of]
+        if kind is KernelKind.P2L:
+            errors = p2l_errors(px[:, 0], fits)[:, None]
+        elif kind is KernelKind.L2L:
+            errors = l2l_errors(px[:, 0], px[:, 1], fits)
+            usable &= distinct_points(px[:, 0], px[:, 1])
+        else:
+            errors = p2c_errors(px[:, 0], fits)[:, None]
+    usable &= np.isfinite(errors).all(axis=1)
+    return _FrameBatch(encodings, rows, errors, usable)
+
+
 def attach_frame(
     candidates: Sequence[CandidateInstance],
     frame: Sequence[FeatureObservation],
@@ -213,26 +350,30 @@ def attach_frame(
     """Append one frame's graphs and errors to every candidate.
 
     A candidate is skipped (None entries) when any member is missing or
-    invisible, or its geometry degenerates on this frame.
+    invisible, or its geometry degenerates on this frame. Candidates must
+    share one kind and entity sizes, as ``build_candidates`` returns them.
     """
-    by_id = {o.id: o for o in frame if o.visible}
-    for cand in candidates:
-        if not all(fid in by_id for fid in cand.feature_ids):
+    if not candidates:
+        return
+    kind = candidates[0].kernel_kind
+    if any(c.kernel_kind is not kind for c in candidates):
+        raise TrainingError("candidates of one batch must share one kind")
+    layout = _layout(kind, [c.entities for c in candidates])
+    if not frame:
+        for cand in candidates:
             cand.graphs.append(None)
             cand.errors.append(None)
-            continue
-        try:
-            err = candidate_error(cand, by_id, frame_index)
-        except GeometryError:
+        return
+    batch = _frame_batch(layout, frame, image_size)
+    nodes = batch.encodings[batch.rows]
+    edges, grouping = entity_wiring(layout.sizes)
+    for cand, ok, graph_nodes, err in zip(candidates, batch.usable, nodes, batch.errors):
+        if ok:
+            cand.graphs.append(KernelGraph(kind, graph_nodes, edges, grouping))
+            cand.errors.append(ErrorSignal(kind, err, frame_index))
+        else:
             cand.graphs.append(None)
             cand.errors.append(None)
-            continue
-        entities = [
-            np.stack([encode_node(by_id[fid], image_size) for fid in ent])
-            for ent in cand.entities
-        ]
-        cand.graphs.append(graph_from_entities(cand.kernel_kind, entities))
-        cand.errors.append(err)
 
 
 def quality_score(
@@ -300,6 +441,22 @@ def _pack_candidates(
         raise TrainingError("candidates disagree on frame count")
     if n_frames == 0:
         raise TrainingError("candidates carry no frames; call attach_frame first")
+    # quality_score needs two usable frames; a candidate seen on fewer
+    # cannot be scored, so it leaves the training set.
+    seen = [sum(g is not None for g in c.graphs) for c in candidates]
+    dropped = [c.feature_ids for c, k in zip(candidates, seen) if k < 2]
+    if len(dropped) == len(candidates):
+        raise NoVisibleCandidatesError(
+            f"no candidate is usable on at least 2 of {n_frames} frames, "
+            "so no demonstration quality can be scored"
+        )
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} candidate(s) usable on fewer than 2 frames "
+            f"(feature ids {', '.join(map(str, dropped))})",
+            stacklevel=2,
+        )
+        candidates = [c for c, k in zip(candidates, seen) if k >= 2]
     quality = np.array(
         [quality_score(c.errors, config.lambda_dec, config.lambda_smooth) for c in candidates]
     )
@@ -322,8 +479,6 @@ def _pack_candidates(
             if prev_row is not None:
                 gcr_pairs.append((prev_row, row))
             prev_row = row
-    if not rows:
-        raise NoVisibleCandidatesError("no candidate is visible on any frame")
     live_frames, frame_row = np.unique(frame_index, return_inverse=True)
     return _Pack(
         nodes=np.stack(rows),
@@ -421,7 +576,7 @@ class TrainedKernel:
             "params": self.params.to_json_dict(),
             "config": self.config.to_json_dict(),
             "image_size": list(self.image_size),
-            "loss_trace": [[float(x) for x in row] for row in self.loss_trace],
+            "loss_trace": self.loss_trace.tolist(),
         }
 
     @classmethod
@@ -436,8 +591,9 @@ class TrainedKernel:
 
 
 def save_trained(trained: TrainedKernel, path: str) -> None:
+    text = json.dumps(trained.to_json_dict())
     with open(path, "w") as fh:
-        json.dump(trained.to_json_dict(), fh)
+        fh.write(text)
 
 
 def load_trained(path: str) -> TrainedKernel:
@@ -518,6 +674,13 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
 
 @dataclass
 class InferenceResult:
+    """The selection on one frame.
+
+    candidates are the usable candidates, in the order of ``weights``.
+    They carry no graphs or errors: only the winner's ``error`` is
+    computed as an ErrorSignal.
+    """
+
     winner_ids: frozenset[int]
     winner_entities: tuple[tuple[int, ...], ...]
     weights: np.ndarray
@@ -533,35 +696,41 @@ def infer(
 ) -> InferenceResult:
     """Select the most task-relevant association on a single frame.
 
-    Only visible features take part. The result is flagged low-confidence
-    when the winning weight stays below min(2/m, 0.5 + 0.5/m) for m usable
-    candidates: barely above the uniform 1/m, e.g. while the demonstrated
-    features are occluded. The second bound only matters for m <= 2, where
-    2/m would distrust even a certain winner; a lone candidate is trusted.
+    Entities are grouped from all of the frame's observations, and a
+    candidate takes part only if every member is visible and its geometry
+    is non-degenerate. All of them are scored in one forward pass. The
+    result is flagged low-confidence when the winning weight stays below
+    min(2/m, 0.5 + 0.5/m) for m usable candidates: barely above the
+    uniform 1/m, e.g. while the demonstrated features are occluded. The
+    second bound only matters for m <= 2, where 2/m would distrust even a
+    certain winner; a lone candidate is trusted.
     """
-    visible = [o for o in features if o.visible]
-    if not visible:
+    if not any(o.visible for o in features):
         raise NoVisibleCandidatesError("no visible features on this frame")
+    kind = trained.kernel_kind
     try:
-        candidates = build_candidates(visible, trained.kernel_kind)
-    except (TooFewFeaturesError, TrainingError) as exc:
+        combos, layout = _enumerate(kind, *_group_entities(features))
+    except TrainingError as exc:
         raise NoVisibleCandidatesError(str(exc)) from exc
-    attach_frame(candidates, visible, frame_index, trained.image_size)
-    usable = [c for c in candidates if c.graphs[0] is not None]
-    if not usable:
-        raise NoVisibleCandidatesError("all candidates degenerate on this frame")
-    nodes = np.stack([c.graphs[0].nodes for c in usable])
+    batch = _frame_batch(layout, features, trained.image_size)
+    usable = np.flatnonzero(batch.usable)
+    if usable.size == 0:
+        raise NoVisibleCandidatesError(
+            "no candidate has every member visible and non-degenerate geometry"
+        )
+    edges, _ = entity_wiring(layout.sizes)
     scores, _ = network.forward_batch(
-        nodes, usable[0].graphs[0].edges, trained.params, trained.config.rounds
+        batch.encodings[batch.rows[usable]], edges, trained.params, trained.config.rounds
     )
     g, winner = select_out(scores, trained.config.alpha_conf)
-    cand = usable[winner]
-    m = len(usable)
+    candidates = [CandidateInstance(kind, combos[j]) for j in usable]
+    cand = candidates[winner]
+    m = usable.size
     return InferenceResult(
         winner_ids=cand.id_set,
         winner_entities=cand.entities,
         weights=g,
-        candidates=usable,
-        error=cand.errors[0],
+        candidates=candidates,
+        error=ErrorSignal(kind, batch.errors[usable[winner]], frame_index),
         low_confidence=float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m),
     )

@@ -1,0 +1,161 @@
+"""Reference copies of the per-candidate scalar code that batched
+geometry and array inference replaced.
+
+The tests compare the production code against these bit for bit. They
+return raw numpy values rather than library objects, so nothing here
+runs production geometry.
+"""
+
+import math
+
+import numpy as np
+
+from geomimic import network
+from geomimic.geometry import COINCIDENT_TOL_PX, KernelKind
+from geomimic.training import build_candidates, select_out
+
+_DEGENERATE_NORM = 1e-12
+
+
+class Degenerate(Exception):
+    """The reference construction rejected its input; ``args[0]`` names why."""
+
+
+def unit_line(a, b, c):
+    """HomLine's normalization: a^2 + b^2 = 1, first nonzero of (a, b) positive."""
+    norm = math.hypot(a, b)
+    if norm < _DEGENERATE_NORM:
+        raise Degenerate("degenerate line")
+    a, b, c = a / norm, b / norm, c / norm
+    lead = a if abs(a) > _DEGENERATE_NORM else b
+    if lead < 0:
+        a, b, c = -a, -b, -c
+    return np.array([float(a), float(b), float(c)])
+
+
+def line_through(p, q):
+    """(3,) unit line through pixels p, q, via np.cross."""
+    if math.hypot(p[0] - q[0], p[1] - q[1]) < COINCIDENT_TOL_PX:
+        raise Degenerate("coincident")
+    a, b, c = np.cross([p[0], p[1], 1.0], [q[0], q[1], 1.0])
+    return unit_line(float(a), float(b), float(c))
+
+
+def unit_conic(m):
+    """Conic's normalization: symmetric, unit Frobenius norm, largest entry positive."""
+    m = np.asarray(m, dtype=float)
+    if not np.allclose(m, m.T, atol=1e-9 * max(1.0, float(np.abs(m).max()))):
+        raise Degenerate("asymmetric")
+    m = 0.5 * (m + m.T)
+    norm = float(np.linalg.norm(m))
+    if norm < _DEGENERATE_NORM:
+        raise Degenerate("zero")
+    m = m / norm
+    if m.flat[int(np.argmax(np.abs(m)))] < 0:
+        m = -m
+    return m
+
+
+def conic_through(points):
+    """(3, 3) unit conic through five (u, v) pixels."""
+    pts = np.array(points, dtype=float)
+    center = pts.mean(axis=0)
+    spread = float(np.sqrt(((pts - center) ** 2).sum(axis=1).mean()))
+    if spread < _DEGENERATE_NORM:
+        raise Degenerate("coincident")
+    scale = math.sqrt(2.0) / spread
+    x, y = (scale * (pts[:, 0] - center[0]), scale * (pts[:, 1] - center[1]))
+    design = np.stack([x * x, x * y, y * y, x, y, np.ones(5)], axis=1)
+    _, svals, vt = np.linalg.svd(design)
+    if svals[-1] < 1e-9 * svals[0]:
+        raise Degenerate("rank")
+    av, bv, cv, dv, ev, fv = vt[-1]
+    normed = np.array(
+        [[av, bv / 2.0, dv / 2.0], [bv / 2.0, cv, ev / 2.0], [dv / 2.0, ev / 2.0, fv]]
+    )
+    t = np.array(
+        [
+            [scale, 0.0, -scale * center[0]],
+            [0.0, scale, -scale * center[1]],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    return unit_conic(t.T @ normed @ t)
+
+
+def p2l(p, line):
+    return np.array([line[0] * p[0] + line[1] * p[1] + line[2]])
+
+
+def p2c(p, conic):
+    x = np.array([p[0], p[1], 1.0])
+    return np.array([float(x @ conic @ x)])
+
+
+def candidate_error(kind, entities, px):
+    """Error values of one candidate; px maps feature id -> (u, v)."""
+    if kind is KernelKind.P2P:
+        (a,), (b,) = entities
+        return np.array([px[a][0] - px[b][0], px[a][1] - px[b][1]])
+    if kind is KernelKind.P2L:
+        return p2l(px[entities[0][0]], line_through(*(px[f] for f in entities[1])))
+    if kind is KernelKind.L2L:
+        line = line_through(*(px[f] for f in entities[1]))
+        p, q = (px[f] for f in entities[0])
+        if math.hypot(p[0] - q[0], p[1] - q[1]) < COINCIDENT_TOL_PX:
+            raise Degenerate("coincident")
+        return np.concatenate([p2l(p, line), p2l(q, line)])
+    return p2c(px[entities[0][0]], conic_through([px[f] for f in entities[1]]))
+
+
+def encode_node(obs, image_size):
+    """Node encoding: appearance descriptor plus normalized pixel coords."""
+    w, h = image_size
+    return np.concatenate([obs.descriptor, [obs.pixel.u / w, obs.pixel.v / h]])
+
+
+def edges_between(entities):
+    """Both directions between every pair of nodes of different entities, sorted."""
+    groups, start = [], 0
+    for ent in entities:
+        groups.append(range(start, start + len(ent)))
+        start += len(ent)
+    edges = [
+        (i, j)
+        for gi, a in enumerate(groups)
+        for gj, b in enumerate(groups)
+        if gi != gj
+        for i in a
+        for j in b
+    ]
+    return np.array(sorted(edges), dtype=int).reshape(-1, 2)
+
+
+def infer(features, trained):
+    """Per-candidate inference: candidates from the visible features only,
+    one error and one graph per candidate, then one forward over them.
+
+    Returns (usable entity tuples, weights, winner index, winner error
+    values, low-confidence flag).
+    """
+    kind = trained.kernel_kind
+    visible = [o for o in features if o.visible]
+    by_id = {o.id: o for o in visible}
+    px = {o.id: (o.pixel.u, o.pixel.v) for o in visible}
+    usable, errors, graphs = [], [], []
+    for cand in build_candidates(visible, kind):
+        try:
+            err = candidate_error(kind, cand.entities, px)
+        except Degenerate:
+            continue
+        usable.append(cand.entities)
+        errors.append(err)
+        graphs.append(np.stack([encode_node(by_id[f], trained.image_size)
+                                for f in cand.feature_ids]))
+    scores, _ = network.forward_batch(
+        np.stack(graphs), edges_between(cand.entities), trained.params, trained.config.rounds
+    )
+    g, winner = select_out(scores, trained.config.alpha_conf)
+    m = len(usable)
+    low = float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m)
+    return usable, g, winner, errors[winner], low

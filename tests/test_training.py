@@ -1,20 +1,31 @@
 """Candidate enumeration, quality scoring, selection, loss and training."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import reference
 from geomimic import network
-from geomimic.geometry import ErrorSignal, KernelKind
+from geomimic.geometry import ErrorSignal, ImagePoint, KernelKind
+from geomimic.metrics import evaluate, save_report
 from geomimic.network import NetParams
-from geomimic.scene import FeatureClass
+from geomimic.scene import (
+    DemoConfig,
+    FeatureClass,
+    FeatureObservation,
+    demo_to_json_dict,
+    gen_demo,
+    save_demo,
+)
 from geomimic.training import (
     NoVisibleCandidatesError,
     TooFewFeaturesError,
     TrainConfig,
     TrainedKernel,
     TrainingError,
+    attach_frame,
     build_candidates,
     candidate_error,
     infer,
@@ -408,3 +419,161 @@ class TestInfer:
         ]
         with pytest.raises(NoVisibleCandidatesError):
             infer(frame, toy_trained)
+
+
+def hide(frame, ids):
+    """The frame with the given feature ids made invisible."""
+    return [
+        FeatureObservation(o.id, o.pixel, o.descriptor, False, o.feature_class)
+        if o.id in ids else o
+        for o in frame
+    ]
+
+
+def move(frame, targets):
+    """The frame with feature id -> (u, v) pixels replaced."""
+    return [
+        FeatureObservation(o.id, ImagePoint(*targets[o.id]), o.descriptor, o.visible,
+                           o.feature_class) if o.id in targets else o
+        for o in frame
+    ]
+
+
+def random_kernel(kind, frame):
+    """An untrained scorer: weights that give distinct, uneven scores."""
+    input_dim = frame[0].descriptor.shape[0] + 2
+    params = NetParams.init_random(8, input_dim, np.random.default_rng(0))
+    return TrainedKernel(KernelKind(kind), params, TrainConfig(hidden=8), np.zeros((0, 5)))
+
+
+def scene_frame(kind):
+    """Frame 1 of a generated demo with three distractors."""
+    config = DemoConfig(kernel_kind=KernelKind(kind), seed=0, n_frames=3, n_distractors=3)
+    return gen_demo(config).frames[1]
+
+
+def pixel_of(frame, fid):
+    obs = next(o for o in frame if o.id == fid)
+    return obs.pixel.u, obs.pixel.v
+
+
+def frame_variants(kind):
+    """A plain frame, one with occluded members and one with degenerate geometry.
+
+    Occlusion hides whole entities here, so grouping the visible features
+    alone (what the reference does) still pairs every segment correctly.
+    """
+    frame = scene_frame(kind)
+    if kind == "p2p":
+        return [frame, hide(frame, {2}), hide(frame, {0, 3})]
+    if kind == "p2l":
+        degenerate = move(frame, {9: pixel_of(frame, 8)})
+        return [frame, hide(frame, {3, 6, 7}), degenerate]
+    if kind == "l2l":
+        degenerate = move(frame, {7: pixel_of(frame, 6)})
+        return [frame, hide(frame, {4, 5}), degenerate]
+    samples = [o.id for o in frame if o.feature_class is FeatureClass.CONIC_SAMPLE]
+    collinear = {fid: (100.0 + 10.0 * i, 50.0 + 20.0 * i) for i, fid in enumerate(samples[5:10])}
+    return [frame, hide(frame, {6, *samples[5:10]}), move(frame, collinear)]
+
+
+class TestInferAgainstReference:
+    # Array inference against the per-candidate loop it replaced
+    # (tests/reference.py): same candidates in the same order, the same
+    # weights, winner, error bits and confidence flag.
+    @pytest.mark.parametrize("kind", ["p2p", "p2l", "l2l", "p2c"])
+    def test_bit_identical(self, kind):
+        for frame in frame_variants(kind):
+            trained = random_kernel(kind, frame)
+            result = infer(frame, trained, frame_index=4)
+            usable, weights, winner, error, low = reference.infer(frame, trained)
+            assert [c.entities for c in result.candidates] == usable
+            assert np.array_equal(result.weights, weights)
+            assert result.winner_entities == usable[winner]
+            assert result.winner_ids == frozenset(i for e in usable[winner] for i in e)
+            assert np.array_equal(result.error.values, error)
+            assert result.error.frame_index == 4
+            assert result.low_confidence is low
+
+    def test_degenerate_candidate_left_out(self):
+        frame = frame_variants("l2l")[2]
+        result = infer(frame, random_kernel("l2l", frame))
+        assert all((6, 7) not in c.entities for c in result.candidates)
+        assert len(result.candidates) == 6  # C(4, 2) of the five segments
+
+
+class TestInferPartlyHiddenEntities:
+    # Entities are grouped from every observation, visible or not, so a
+    # hidden endpoint or sample removes only the candidates it belongs to.
+    def test_l2l_one_hidden_endpoint(self):
+        frame = hide(scene_frame("l2l"), {4})
+        result = infer(frame, random_kernel("l2l", frame))
+        segments = [(0, 1), (2, 3), (6, 7), (8, 9)]
+        expect = [(a, b) for i, a in enumerate(segments) for b in segments[i + 1:]]
+        assert [c.entities for c in result.candidates] == expect
+
+    def test_l2l_no_bogus_segments(self):
+        frame = hide(scene_frame("l2l"), {4, 9})
+        result = infer(frame, random_kernel("l2l", frame))
+        entities = {e for c in result.candidates for e in c.entities}
+        assert entities == {(0, 1), (2, 3), (6, 7)}
+
+    def test_p2l_one_hidden_endpoint(self):
+        frame = hide(scene_frame("p2l"), {7})
+        result = infer(frame, random_kernel("p2l", frame))
+        assert len(result.candidates) == 4 * 2  # 4 points x segments (1, 2), (8, 9)
+        assert all(c.entities[1] != (6, 7) for c in result.candidates)
+
+    def test_p2c_one_hidden_sample(self):
+        frame = scene_frame("p2c")
+        samples = [o.id for o in frame if o.feature_class is FeatureClass.CONIC_SAMPLE]
+        frame = hide(frame, {samples[7]})
+        result = infer(frame, random_kernel("p2c", frame))
+        conics = {c.entities[1] for c in result.candidates}
+        assert tuple(samples[5:10]) not in conics
+        assert tuple(samples[:5]) in conics
+
+    def test_every_candidate_masked(self):
+        frame = hide(scene_frame("l2l"), {1, 3, 5, 7, 9})
+        with pytest.raises(NoVisibleCandidatesError, match="every member visible"):
+            infer(frame, random_kernel("l2l", frame))
+
+
+def test_attach_frame_skips_absent_members():
+    demo = toy_demo(n_frames=3)
+    cands = prepare_candidates(demo, KernelKind.P2P)
+    attach_frame(cands, [o for o in demo.frames[0] if o.id != 2], 3)
+    assert [c.graphs[3] is not None for c in cands] == [True, False, False]
+    attach_frame(cands, [], 4)
+    assert all(c.graphs[4] is None and c.errors[4] is None for c in cands)
+
+
+class TestShortLivedCandidates:
+    def test_dropped_with_a_warning(self):
+        demo = toy_demo(n_frames=8)
+        demo.frames[1:] = [hide(f, {2}) for f in demo.frames[1:]]
+        with pytest.warns(UserWarning, match=r"2 candidate.*\(0, 2\), \(1, 2\)"):
+            trained = train(demo, KernelKind.P2P, TrainConfig(epochs=5))
+        assert infer(demo.frames[3], trained).winner_ids == frozenset({0, 1})
+
+    def test_none_left(self):
+        demo = toy_demo(n_frames=8)
+        demo.frames[1:] = [hide(f, {0, 1, 2}) for f in demo.frames[1:]]
+        with pytest.raises(NoVisibleCandidatesError, match="at least 2 of 8 frames"):
+            train(demo, KernelKind.P2P, TrainConfig(epochs=5))
+
+
+def test_json_writers_use_one_dumps(tmp_path, toy_trained):
+    # Writers emit exactly json.dumps of their payload (the C encoder).
+    demo = toy_demo(n_frames=4)
+    report = evaluate(demo, toy_trained)
+    cases = [
+        (save_demo, demo, demo_to_json_dict(demo)),
+        (save_trained, toy_trained, toy_trained.to_json_dict()),
+        (save_report, report, report.to_json_dict()),
+        (network.save_params, toy_trained.params, toy_trained.params.to_json_dict()),
+    ]
+    for save, obj, payload in cases:
+        path = tmp_path / "out.json"
+        save(obj, str(path))
+        assert path.read_text() == json.dumps(payload)
