@@ -15,18 +15,34 @@ GEMM over the whole batch:
 
 - The four (H, H) blocks that read the node state h (the message MLP's
   src and dst halves, the update gate's and the reset gate's h halves)
-  run as one stacked matmul on h; the three that read the aggregate (the
-  update, reset and candidate gates' aggregate halves) as one on it.
+  run as one stacked matmul on h.
 - Message projections are computed per node and moved onto edges by a
   fixed 0/1 (E, 2n) incidence GEMM, and first-layer message activations
-  are summed into their destination nodes by an (n, E) one. The second
-  message layer is linear, so it runs per node after that sum. The
+  A are summed into their destination nodes by an (n, E) one. The
   reverse pass applies the transposed incidences.
+- The message MLP's second layer is linear, so it is folded into the
+  gates and the aggregate agg = A W2^T + d b2^T (d: in-degree) is never
+  formed. Each gate g reads agg W_g^T = A (W2^T W_g^T) + d (W_g b2)^T: one
+  stacked (3, H, H) matmul on A, with the products built once per call
+  and the bias one row per node. The reverse pass sums du_g^T A and
+  du_g^T d over all rounds and turns them into the gradients of W_g, W2
+  and b2 with H x H products after the loop.
+
+Gate arithmetic: the forward copies of the update and reset gate weights
+and biases are negated, so the sigmoid is 1 / (1 + exp(u)) on u = -x;
+exp is cheaper than tanh, and negation is exact. b_msg1 is added to each
+node's dst projection instead of to every edge, h_cand - h is kept for the
+reverse pass, and both gates' sigmoid slopes come from one call. Each
+round's (H, H) weight gradients go into one contiguous stack that sums
+over the rounds and is written into the parameter blocks once per call.
+
+``NetParams`` keeps every block as a view into one flat float64 vector,
+so a gradient step, the clip norm and a snapshot are one vector op each.
 
 A ``Workspace`` holds every array of one batch shape: the forward cache,
 the reverse-pass temporaries and the gradient. Training builds one and
 passes it to every epoch, which then writes into it instead of
-allocating; one-off calls such as inference get a fresh one.
+allocating; inference keeps a few forward-only ones per trained kernel.
 
 Apart from writing into the workspace they are given, the functions are
 pure, so results do not depend on call order.
@@ -134,6 +150,12 @@ class NetParams:
     w_msg*/b_msg*:  two-layer message MLP on concat(h_src, h_dst).
     w_z, w_r, w_h:  GRU update/reset/candidate gates on concat(h, m).
     w_read*/b_read*: readout MLP on the summed final node states.
+
+    Every block is a view into one float64 vector, ``vector``, laid out in
+    field order and row-major within a block, so a whole-model update is
+    one vector op. Construction copies the given arrays into a new vector;
+    write blocks in place, since assigning a new array to a field detaches
+    it from the vector.
     """
 
     w_in: np.ndarray
@@ -152,6 +174,14 @@ class NetParams:
     b_read1: np.ndarray
     w_read2: np.ndarray
     b_read2: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = [np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)]
+        self.vector = np.concatenate([a.ravel() for a in arrays])
+        offset = 0
+        for f, a in zip(fields(self), arrays):
+            setattr(self, f.name, self.vector[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
 
     @property
     def hidden(self) -> int:
@@ -198,15 +228,14 @@ class NetParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def copy(self) -> "NetParams":
-        return NetParams(**{k: v.copy() for k, v in self.blocks().items()})
+        return NetParams(**self.blocks())
 
     def add_scaled(self, other: "NetParams", scale: float) -> None:
         """In-place self += scale * other, used for gradient steps."""
-        for name, arr in self.blocks().items():
-            arr += scale * getattr(other, name)
+        self.vector += scale * other.vector
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.blocks().values()])
+        return self.vector.copy()
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,67 +263,22 @@ def load_params(path: str) -> NetParams:
         return NetParams.from_json_dict(json.load(fh))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as 0.5 * tanh(x / 2) + 0.5, computed in place in x."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x *= 0.5
-    x += 0.5
-    return x
-
-
-# Single-sample building blocks. The batched engine below computes the
-# same formulas in another layout and summation order; tests check that
-# composing these by hand matches forward() to 1e-12.
-
-
-def embed(encoding: np.ndarray, params: NetParams) -> np.ndarray:
-    """Initial node state h0 = tanh(W_in x + b_in)."""
-    return np.tanh(params.w_in @ np.asarray(encoding, dtype=float) + params.b_in)
-
-
-def message(h_src: np.ndarray, h_dst: np.ndarray, params: NetParams) -> np.ndarray:
-    """Directed message from src to dst: MLP on the concatenated states."""
-    cat = np.concatenate([h_src, h_dst])
-    a1 = np.maximum(params.w_msg1 @ cat + params.b_msg1, 0.0)
-    return params.w_msg2 @ a1 + params.b_msg2
-
-
-def aggregate(messages: np.ndarray) -> np.ndarray:
-    """Elementwise sum of incoming messages, (k, H) -> (H,); empty sums to 0."""
-    msgs = np.asarray(messages, dtype=float)
-    if msgs.ndim != 2:
-        raise ValueError(f"expected a (k, H) message stack, got shape {msgs.shape}")
-    return msgs.sum(axis=0)
-
-
-def gru_update(h: np.ndarray, m: np.ndarray, params: NetParams) -> np.ndarray:
-    """Gated state update; with zero aggregate and zero-ish gates h carries over."""
-    cat = np.concatenate([h, m])
-    z = _sigmoid(params.w_z @ cat + params.b_z)
-    r = _sigmoid(params.w_r @ cat + params.b_r)
-    h_cand = np.tanh(params.w_h @ np.concatenate([r * h, m]) + params.b_h)
-    return (1.0 - z) * h + z * h_cand
-
-
-def _h_side(p: NetParams) -> tuple[np.ndarray, ...]:
-    """(H, H) blocks that read the node state: message src and dst halves,
-    update gate, reset gate."""
+def _halves(p: NetParams) -> tuple[np.ndarray, ...]:
+    """The (H, H) weight blocks the engine stacks, in workspace order:
+    message src and dst halves, update and reset gates on h, candidate
+    gate on r * h, then update, reset and candidate gates on the
+    aggregate."""
     k = p.hidden
-    return p.w_msg1[:, :k], p.w_msg1[:, k:], p.w_z[:, :k], p.w_r[:, :k]
+    return (
+        p.w_msg1[:, :k], p.w_msg1[:, k:], p.w_z[:, :k], p.w_r[:, :k], p.w_h[:, :k],
+        p.w_z[:, k:], p.w_r[:, k:], p.w_h[:, k:],
+    )
 
 
-def _agg_side(p: NetParams) -> tuple[np.ndarray, ...]:
-    """(H, H) blocks that read the aggregate: update, reset, candidate."""
-    k = p.hidden
-    return p.w_z[:, k:], p.w_r[:, k:], p.w_h[:, k:]
-
-
-def _sum_blocks(stack: np.ndarray, out: np.ndarray) -> None:
-    """out = stack[0] + stack[1] + ...; faster than np.sum over axis 0."""
-    np.add(stack[0], stack[1], out=out)
-    for block in stack[2:]:
-        out += block
+# Forward copies of the update and reset gate weights are negated, so the
+# engine computes sigmoid(x) as 1 / (1 + exp(u)) on u = -x; negation is
+# exact.
+_FORWARD_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0])[:, None, None]
 
 
 class Workspace:
@@ -306,7 +290,9 @@ class Workspace:
     size, so one workspace serves any number of forward_batch and
     backward_batch calls on such batches, with results bit-identical to
     calls on fresh workspaces. Each call overwrites what the previous call
-    returned from it (scores, gradient).
+    returned from it (scores, gradient). The reverse-pass arrays and the
+    gradient are allocated by the first backward_batch call, so a
+    workspace that only scores holds the forward arrays alone.
     """
 
     def __init__(
@@ -328,44 +314,61 @@ class Workspace:
         self.gather = np.zeros((e, 2 * n))
         self.gather[np.arange(e), edges[:, 0]] = 1.0
         self.gather[np.arange(e), n + edges[:, 1]] = 1.0
+        self.scatter = np.ascontiguousarray(self.gather.T)
         self.from_dst = np.ascontiguousarray(self.gather[:, n:])
-        self.into_src = np.ascontiguousarray(self.gather[:, :n].T)
         self.into_dst = np.ascontiguousarray(self.from_dst.T)
-        # Per state row: 1, and the in-degree of its node.
-        self.ones = np.ones(nb)
-        self.in_degree = np.repeat(self.into_dst.sum(axis=1), b)
-        # Weight stacks, refilled from the params on every call:
-        # transposed in the forward pass, as stored in the reverse pass.
-        self.w_on_h = np.empty((4, k, k))
+        self.in_degree = self.into_dst.sum(axis=1)
+        # Weights, refilled from the params on every call: the _halves
+        # blocks, transposed and signed in the forward pass, as stored in
+        # the reverse pass; and the products of the aggregate-side gate
+        # blocks with the second message layer.
+        self.w_blocks = np.empty((8, k, k))
         self.w_on_agg = np.empty((3, k, k))
-        self.b_zr = np.empty((2, 1, k))
-        self.b_agg = np.empty((nb, k))
-        # Forward cache; h[0] is the embedding, h[t + 1] the state after round t.
+        self.agg_bias = np.empty((3, k))
+        self.b_gates = np.empty((3, 1, 1, k))
+        self.gate_bias = np.empty((3, n, 1, k))
+        # Forward cache; h[0] is the embedding, h[t + 1] the state after
+        # round t, step[t] = h_cand[t] - h[t].
         self.x = np.empty((n, b, input_dim))
         self.h = np.empty((r + 1, nb, k))
         self.a1 = np.empty((r, e, b * k))
         self.a1_in = np.empty((r, nb, k))
-        self.agg = np.empty((r, nb, k))
         self.zr = np.empty((r, 2, nb, k))
         self.rh = np.empty((r, nb, k))
         self.h_cand = np.empty((r, nb, k))
+        self.step = np.empty((r, nb, k))
         self.pooled = np.empty((b, k))
         self.read_act = np.empty((b, k))
+        # Readout before b_read2 is added. Objectives that ignore a uniform
+        # shift of the scores read this, so b_read2 drops out of them exactly.
+        self.raw_scores = np.empty(b)
         self.scores = np.empty(b)
-        # Products of the stacked weights, then reverse-pass temporaries.
+        # Products of the stacked weights; the reverse pass reuses them as
+        # temporaries.
         self.proj_h = np.empty((4, nb, k))
         self.proj_agg = np.empty((3, nb, k))
+        self.grads: NetParams | None = None
+
+    def _allocate_reverse(self) -> None:
+        b, n, f, k, r = self.key
+        nb, e = n * b, len(self.edges)
         # Pre-activation gradients of one round: message src half, dst
         # half, update, reset, candidate.
         self.du = np.empty((5, nb, k))
-        self.d_agg = np.empty((nb, k))
+        # Row weights of the bias sums: 1, and the in-degree of the row's node.
+        self.row_weights = np.stack([np.ones(nb), np.repeat(self.in_degree, b)])
+        # Sums over the rounds, in _halves order: the weight gradients of
+        # the h-side blocks and of the candidate's r * h block, then
+        # P_g = sum du_g^T a1_in for the aggregate-side gates; and the
+        # bias sums. The *_round arrays hold one round's share.
+        self.g_sum, self.g_round = np.empty((8, k, k)), np.empty((8, k, k))
+        self.bias_sum, self.bias_round = np.empty((5, 2, k)), np.empty((5, 2, k))
+        self.d_a1_in = np.empty((nb, k))
         self.d_a1 = np.empty((e, b * k))
         self.live = np.empty((e, b * k), dtype=bool)
         self.dh, self.dh_next, self.t1, self.t2 = (np.empty((nb, k)) for _ in range(4))
         self.d_pre = np.empty((b, k))
-        self.g_round = np.empty((9, k, k))
-        self.g_bias = np.empty((5, k))
-        self.grads = NetParams.zeros(k, input_dim)
+        self.grads = NetParams.zeros(k, f)
 
 
 def forward_batch(
@@ -402,14 +405,22 @@ def forward_batch(
     ws = workspace
     if ws is None:
         ws = Workspace(b_sz, n, f, edges, k, rounds)
-    elif ws.key != (b_sz, n, f, k, rounds) or not np.array_equal(ws.edges, edges):
+    elif ws.key != (b_sz, n, f, k, rounds) or ws.edges.tobytes() != edges.tobytes():
         raise ValueError("workspace was built for another batch shape or wiring")
-    for dst, w in zip(ws.w_on_h, _h_side(p)):
-        np.copyto(dst, w.T)
-    for dst, w in zip(ws.w_on_agg, _agg_side(p)):
-        np.copyto(dst, w.T)
-    ws.b_zr[0, 0], ws.b_zr[1, 0] = p.b_z, p.b_r
-    np.multiply(ws.in_degree[:, None], p.b_msg2, out=ws.b_agg)
+    w = ws.w_blocks
+    for dst, block in zip(w, _halves(p)):
+        np.copyto(dst, block.T)
+    w *= _FORWARD_SIGNS
+    w_on_h, w_hh, w_agg = w[:4], w[4], w[5:]
+    # The second message layer is linear, so it folds into the gates:
+    # agg W_g^T = a1_in (W2^T W_g^T) + d (W_g b2)^T for in-degree d.
+    np.matmul(p.w_msg2.T, w_agg, out=ws.w_on_agg)
+    np.matmul(p.b_msg2, w_agg, out=ws.agg_bias)
+    np.multiply(ws.in_degree[:, None, None], ws.agg_bias[:, None, None, :], out=ws.gate_bias)
+    np.negative(p.b_z, out=ws.b_gates[0, 0, 0])
+    np.negative(p.b_r, out=ws.b_gates[1, 0, 0])
+    np.copyto(ws.b_gates[2, 0, 0], p.b_h)
+    ws.gate_bias += ws.b_gates
 
     np.copyto(ws.x, nodes.transpose(1, 0, 2))
     h0 = ws.h[0]
@@ -418,38 +429,39 @@ def forward_batch(
     np.tanh(h0, out=h0)
     proj, proj_agg = ws.proj_h, ws.proj_agg
     src_dst = proj[:2].reshape(2 * n, -1)
-    for t in range(rounds):
-        h, h_next, a1, a1_in, agg = ws.h[t], ws.h[t + 1], ws.a1[t], ws.a1_in[t], ws.agg[t]
-        zr, rh, h_cand = ws.zr[t], ws.rh[t], ws.h_cand[t]
-        np.matmul(h, ws.w_on_h, out=proj)
-        np.matmul(ws.gather, src_dst, out=a1)
-        a1_rows = a1.reshape(-1, k)
-        a1_rows += p.b_msg1
-        np.maximum(a1, 0.0, out=a1)
-        # The second message layer is linear, so it runs once per node on
-        # the summed first-layer activations.
-        np.matmul(ws.into_dst, a1, out=a1_in.reshape(n, -1))
-        np.matmul(a1_in, p.w_msg2.T, out=agg)
-        agg += ws.b_agg
-        np.matmul(agg, ws.w_on_agg, out=proj_agg)
-        np.add(proj[2:], proj_agg[:2], out=zr)
-        zr += ws.b_zr
-        z, r = _sigmoid(zr)
-        np.multiply(r, h, out=rh)
-        np.matmul(rh, p.w_h[:, :k].T, out=h_cand)
-        h_cand += proj_agg[2]
-        h_cand += p.b_h
-        np.tanh(h_cand, out=h_cand)
-        np.subtract(h_cand, h, out=h_next)
-        h_next *= z
-        h_next += h
+    per_node_agg = proj_agg.reshape(3, n, b_sz, k)
+    # exp(u) overflows to inf for u > 709, which gives a gate of exactly 0.
+    with np.errstate(over="ignore"):
+        for t in range(rounds):
+            h, h_next, a1, a1_in = ws.h[t], ws.h[t + 1], ws.a1[t], ws.a1_in[t]
+            zr, rh, h_cand, step = ws.zr[t], ws.rh[t], ws.h_cand[t], ws.step[t]
+            np.matmul(h, w_on_h, out=proj)
+            # Every edge adds its dst projection once, so b_msg1 rides on it.
+            proj[1] += p.b_msg1
+            np.matmul(ws.gather, src_dst, out=a1)
+            np.maximum(a1, 0.0, out=a1)
+            np.matmul(ws.into_dst, a1, out=a1_in.reshape(n, -1))
+            np.matmul(a1_in, ws.w_on_agg, out=proj_agg)
+            per_node_agg += ws.gate_bias
+            np.add(proj[2:], proj_agg[:2], out=zr)
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.reciprocal(zr, out=zr)
+            z, r = zr
+            np.multiply(r, h, out=rh)
+            np.matmul(rh, w_hh, out=h_cand)
+            h_cand += proj_agg[2]
+            np.tanh(h_cand, out=h_cand)
+            np.subtract(h_cand, h, out=step)
+            np.multiply(z, step, out=h_next)
+            h_next += h
 
     np.sum(ws.h[rounds].reshape(n, b_sz, k), axis=0, out=ws.pooled)
     np.matmul(ws.pooled, p.w_read1.T, out=ws.read_act)
     ws.read_act += p.b_read1
     np.tanh(ws.read_act, out=ws.read_act)
-    np.matmul(ws.read_act, p.w_read2[0], out=ws.scores)
-    ws.scores += p.b_read2[0]
+    np.matmul(ws.read_act, p.w_read2[0], out=ws.raw_scores)
+    np.add(ws.raw_scores, p.b_read2[0], out=ws.scores)
     return ws.scores, ws
 
 
@@ -466,11 +478,14 @@ def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) ->
     """
     ws, p = cache, params
     b_sz, n, f, k, rounds = ws.key
+    if ws.grads is None:
+        ws._allocate_reverse()
     g = ws.grads
-    for dst, w in zip(ws.w_on_h, _h_side(p)):
-        np.copyto(dst, w)
-    for dst, w in zip(ws.w_on_agg, _agg_side(p)):
-        np.copyto(dst, w)
+    w = ws.w_blocks
+    for dst, block in zip(w, _halves(p)):
+        np.copyto(dst, block)
+    w_on_h, w_hh, w_agg = w[:4], w[4], w[5:]
+    np.matmul(w_agg, p.w_msg2, out=ws.w_on_agg)
 
     d_score = np.asarray(upstream, dtype=float)
     np.matmul(d_score, ws.read_act, out=g.w_read2[0])
@@ -482,63 +497,71 @@ def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) ->
     d_pre *= p.w_read2[0]
     np.matmul(d_pre.T, ws.pooled, out=g.w_read1)
     np.sum(d_pre, axis=0, out=g.b_read1)
-    dh, dh_next, t1, t2, t4 = ws.dh, ws.dh_next, ws.t1, ws.t2, ws.proj_h
+    dh, dh_next, t1, t2 = ws.dh, ws.dh_next, ws.t1, ws.t2
     dh_nodes = dh.reshape(n, b_sz, k)
     np.matmul(d_pre, p.w_read1, out=dh_nodes[0])
     dh_nodes[1:] = dh_nodes[0]
 
-    du, d_agg, d_a1, g_round = ws.du, ws.d_agg, ws.d_a1, ws.g_round
-    w_hh = p.w_h[:, :k]
-    # Weight gradients every round adds to, in g_round's order.
-    w_grads = (*_h_side(g), *_agg_side(g), g.w_h[:, :k], g.w_msg2)
-    for grad in (*w_grads, g.b_msg1, g.b_z, g.b_r, g.b_h, g.b_msg2):
-        grad[...] = 0.0
+    du, d_a1_in, d_a1 = ws.du, ws.d_a1_in, ws.d_a1
+    g_sum, g_round, bias_sum = ws.g_sum, ws.g_round, ws.bias_sum
+    g_sum[...] = 0.0
+    bias_sum[...] = 0.0
+    # Temporaries in the forward pass's projection arrays: both gates'
+    # sigmoid slopes and their inputs, then the GEMM products.
+    slope, gate_in = ws.proj_agg[:2], ws.proj_h[:2]
+    t3, t4 = ws.proj_agg, ws.proj_h
     for t in reversed(range(rounds)):
-        h, (z, r), h_cand = ws.h[t], ws.zr[t], ws.h_cand[t]
+        h, zr, h_cand = ws.h[t], ws.zr[t], ws.h_cand[t]
+        z, r = zr
+        np.subtract(1.0, zr, out=slope)
+        slope *= zr
         np.multiply(dh, z, out=t1)  # into the candidate
         np.multiply(h_cand, h_cand, out=t2)
         np.subtract(1.0, t2, out=t2)
         np.multiply(t1, t2, out=du[4])
         np.subtract(dh, t1, out=dh_next)  # dh * (1 - z)
-        np.subtract(h_cand, h, out=t1)
-        t1 *= dh
-        np.subtract(1.0, z, out=t2)
-        t2 *= z
-        np.multiply(t1, t2, out=du[2])
+        np.multiply(dh, ws.step[t], out=gate_in[0])  # into z
         np.matmul(du[4], w_hh, out=t1)  # into r * h
         np.multiply(t1, r, out=t2)
         dh_next += t2
-        t1 *= h
-        np.subtract(1.0, r, out=t2)
-        t2 *= r
-        np.multiply(t1, t2, out=du[3])
-        np.matmul(du[2:], ws.w_on_agg, out=t4[:3])
-        _sum_blocks(t4[:3], out=d_agg)
-        np.matmul(d_agg, p.w_msg2, out=t1)  # into a1_in, per node
-        np.matmul(ws.from_dst, t1.reshape(n, -1), out=d_a1)
+        np.multiply(t1, h, out=gate_in[1])  # into r
+        np.multiply(gate_in, slope, out=du[2:4])
+        # Through the folded layer: d a1_in = sum_g du_g (W_g W2).
+        np.matmul(du[2:], ws.w_on_agg, out=t3)
+        np.add(t3[0], t3[1], out=d_a1_in)
+        d_a1_in += t3[2]
+        np.matmul(ws.from_dst, d_a1_in.reshape(n, -1), out=d_a1)
         np.greater(ws.a1[t], 0.0, out=ws.live)
         np.multiply(d_a1, ws.live, out=d_a1)
-        np.matmul(ws.into_src, d_a1, out=du[0].reshape(n, -1))
-        np.matmul(ws.into_dst, d_a1, out=du[1].reshape(n, -1))
-        np.matmul(du[:4], ws.w_on_h, out=t4)
-        _sum_blocks(t4, out=t2)
-        dh_next += t2
-        dh, dh_next = dh_next, dh
+        np.matmul(ws.scatter, d_a1, out=du[:2].reshape(2 * n, -1))
+        np.matmul(du[:4], w_on_h, out=t4)
+        for part in t4:
+            dh_next += part
 
         np.matmul(du[:4].transpose(0, 2, 1), h, out=g_round[:4])
-        np.matmul(du[2:].transpose(0, 2, 1), ws.agg[t], out=g_round[4:7])
-        np.matmul(du[4].T, ws.rh[t], out=g_round[7])
-        np.matmul(d_agg.T, ws.a1_in[t], out=g_round[8])
-        for grad, part in zip(w_grads, g_round):
-            grad += part
-        np.matmul(ws.ones, du, out=ws.g_bias)
-        # Each edge adds b_msg1 once, as it adds its src projection once;
-        # b_msg2 enters each node once per incoming edge.
-        g.b_msg1 += ws.g_bias[0]
-        g.b_z += ws.g_bias[2]
-        g.b_r += ws.g_bias[3]
-        g.b_h += ws.g_bias[4]
-        g.b_msg2 += ws.in_degree @ d_agg
+        np.matmul(du[4].T, ws.rh[t], out=g_round[4])
+        np.matmul(du[2:].transpose(0, 2, 1), ws.a1_in[t], out=g_round[5:])
+        g_sum += g_round
+        np.matmul(ws.row_weights, du, out=ws.bias_round)
+        bias_sum += ws.bias_round
+        dh, dh_next = dh_next, dh
+
+    grad_w = _halves(g)
+    for grad, part in zip(grad_w[:5], g_sum[:5]):
+        np.copyto(grad, part)
+    # Folded layer: with P_g = sum du_g^T a1_in and s_g = sum du_g^T d,
+    # dW_g = P_g W2^T + s_g b2^T, dW2 = sum_g W_g^T P_g, db2 = sum_g W_g^T s_g.
+    p_agg, s_agg = g_sum[5:], bias_sum[2:, 1]
+    g_agg = g_round[5:]
+    np.multiply(s_agg[:, :, None], p.b_msg2, out=g_agg)
+    g_agg += np.matmul(p_agg, p.w_msg2.T)
+    for grad, part in zip(grad_w[5:], g_agg):
+        np.copyto(grad, part)
+    w_agg_t = w_agg.reshape(3 * k, k).T
+    np.matmul(w_agg_t, p_agg.reshape(3 * k, k), out=g.w_msg2)
+    np.matmul(w_agg_t, s_agg.ravel(), out=g.b_msg2)
+    for grad, s in zip((g.b_msg1, g.b_z, g.b_r, g.b_h), bias_sum[1:, 0]):
+        np.copyto(grad, s)
 
     np.multiply(ws.h[0], ws.h[0], out=t1)
     np.subtract(1.0, t1, out=t1)

@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -507,9 +508,11 @@ def _loss_packed(
     config: TrainConfig,
     workspace: network.Workspace | None = None,
 ) -> tuple[LossBreakdown, NetParams]:
-    scores, cache = network.forward_batch(
-        pack.nodes, pack.edges, params, pack.rounds, workspace
-    )
+    _, cache = network.forward_batch(pack.nodes, pack.edges, params, pack.rounds, workspace)
+    # The objective ignores a uniform shift of the scores, so it reads them
+    # before b_read2 is added: b_read2 then drops out exactly, not only up
+    # to rounding.
+    scores = cache.raw_scores
     alpha = config.alpha_conf
     q = pack.quality
 
@@ -560,15 +563,29 @@ def loss(
     return _loss_packed(_pack_candidates(candidates, config), params, config)
 
 
+# Forward-only network workspaces ``infer`` keeps per trained kernel, one
+# per batch shape: frames of one scene share their wiring and, unless
+# features are hidden, their number of usable candidates.
+INFER_WORKSPACES = 4
+
+
 @dataclass
 class TrainedKernel:
-    """A trained scorer plus everything needed to reuse it."""
+    """A trained scorer plus everything needed to reuse it.
+
+    ``infer`` keeps up to INFER_WORKSPACES forward-only network workspaces
+    on the kernel and reuses them across frames, so one TrainedKernel must
+    not serve two threads at once.
+    """
 
     kernel_kind: KernelKind
     params: NetParams
     config: TrainConfig
     loss_trace: np.ndarray  # columns: epoch, loss, gcr_term, rsw_term, expected_quality
     image_size: tuple[int, int] = IMAGE_SIZE
+    _workspaces: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     def to_json_dict(self) -> dict:
         return {
@@ -611,12 +628,34 @@ def write_loss_csv(trained: TrainedKernel, path: str) -> None:
             fh.write(f"{epoch},{cells}\n")
 
 
+def _observed_features(frames: Sequence[Sequence[FeatureObservation]]) -> list[FeatureObservation]:
+    """One observation per feature id seen on any frame.
+
+    A feature absent from some frames still yields candidates; a feature
+    id observed with two feature classes is rejected.
+    """
+    first: dict[int, FeatureObservation] = {}
+    for frame in frames:
+        for obs in frame:
+            seen = first.setdefault(obs.id, obs)
+            if seen.feature_class is not obs.feature_class:
+                raise TrainingError(
+                    f"feature id {obs.id} is observed both as {seen.feature_class.value} "
+                    f"and as {obs.feature_class.value}"
+                )
+    return list(first.values())
+
+
 def prepare_candidates(
     demo: DemoSequence, kind: KernelKind, image_size: tuple[int, int] | None = None
 ) -> list[CandidateInstance]:
-    """Candidates with graphs and errors attached for every demo frame."""
+    """Candidates with graphs and errors attached for every demo frame.
+
+    Candidates are enumerated from the features of all frames, so a
+    feature missing from the first frame still takes part.
+    """
     size = image_size or (demo.config.image_size if demo.config else IMAGE_SIZE)
-    candidates = build_candidates(demo.frames[0], kind)
+    candidates = build_candidates(_observed_features(demo.frames), kind)
     for t, frame in enumerate(demo.frames):
         attach_frame(candidates, frame, t, size)
     return candidates
@@ -654,8 +693,8 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
         breakdown, grads = _loss_packed(pack, params, config, workspace)
         if breakdown.value < best_loss:
             best_loss = breakdown.value
-            best_params = params.copy()
-        gnorm = float(np.linalg.norm(grads.flat()))
+            np.copyto(best_params.vector, params.vector)
+        gnorm = float(np.linalg.norm(grads.vector))
         scale = -config.lr
         if gnorm > GRAD_CLIP_NORM:
             scale *= GRAD_CLIP_NORM / gnorm
@@ -689,6 +728,24 @@ class InferenceResult:
     low_confidence: bool
 
 
+def _infer_workspace(
+    trained: TrainedKernel, nodes: np.ndarray, edges: np.ndarray
+) -> network.Workspace:
+    """The kernel's workspace for this batch shape and wiring; the least
+    recently used one makes room when the cache is full."""
+    b_sz, n_nodes, input_dim = nodes.shape
+    hidden, rounds = trained.params.hidden, trained.config.rounds
+    key = (b_sz, n_nodes, input_dim, edges.tobytes(), hidden, rounds)
+    cache = trained._workspaces
+    workspace = cache.pop(key, None)
+    if workspace is None:
+        workspace = network.Workspace(b_sz, n_nodes, input_dim, edges, hidden, rounds)
+        if len(cache) >= INFER_WORKSPACES:
+            cache.popitem(last=False)
+    cache[key] = workspace
+    return workspace
+
+
 def infer(
     features: Sequence[FeatureObservation],
     trained: TrainedKernel,
@@ -719,8 +776,9 @@ def infer(
             "no candidate has every member visible and non-degenerate geometry"
         )
     edges, _ = entity_wiring(layout.sizes)
+    nodes = batch.encodings[batch.rows[usable]]
     scores, _ = network.forward_batch(
-        batch.encodings[batch.rows[usable]], edges, trained.params, trained.config.rounds
+        nodes, edges, trained.params, trained.config.rounds, _infer_workspace(trained, nodes, edges)
     )
     g, winner = select_out(scores, trained.config.alpha_conf)
     candidates = [CandidateInstance(kind, combos[j]) for j in usable]

@@ -1,9 +1,11 @@
 """Reference copies of the per-candidate scalar code that batched
-geometry and array inference replaced.
+geometry and array inference replaced, and the single-sample building
+blocks of the scorer.
 
-The tests compare the production code against these bit for bit. They
-return raw numpy values rather than library objects, so nothing here
-runs production geometry.
+The tests compare the production geometry and inference against these
+bit for bit, and the batched scorer against the composed building blocks
+to 1e-12. They return raw numpy values rather than library objects, so
+nothing here runs production geometry.
 """
 
 import math
@@ -159,3 +161,40 @@ def infer(features, trained):
     m = len(usable)
     low = float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m)
     return usable, g, winner, errors[winner], low
+
+
+# Single-sample scorer building blocks: the formulas network.forward_batch
+# computes in a batched layout and another summation order.
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def embed(encoding, params):
+    """Initial node state h0 = tanh(W_in x + b_in)."""
+    return np.tanh(params.w_in @ np.asarray(encoding, dtype=float) + params.b_in)
+
+
+def message(h_src, h_dst, params):
+    """Directed message from src to dst: MLP on the concatenated states."""
+    cat = np.concatenate([h_src, h_dst])
+    a1 = np.maximum(params.w_msg1 @ cat + params.b_msg1, 0.0)
+    return params.w_msg2 @ a1 + params.b_msg2
+
+
+def aggregate(messages):
+    """Elementwise sum of incoming messages, (k, H) -> (H,); empty sums to 0."""
+    msgs = np.asarray(messages, dtype=float)
+    if msgs.ndim != 2:
+        raise ValueError(f"expected a (k, H) message stack, got shape {msgs.shape}")
+    return msgs.sum(axis=0)
+
+
+def gru_update(h, m, params):
+    """Gated state update; with zero aggregate and zero-ish gates h carries over."""
+    cat = np.concatenate([h, m])
+    z = sigmoid(params.w_z @ cat + params.b_z)
+    r = sigmoid(params.w_r @ cat + params.b_r)
+    h_cand = np.tanh(params.w_h @ np.concatenate([r * h, m]) + params.b_h)
+    return (1.0 - z) * h + z * h_cand

@@ -9,18 +9,15 @@ from geomimic.network import (
     KernelGraph,
     NetParams,
     Workspace,
-    aggregate,
     backward,
     backward_batch,
-    embed,
     forward,
     forward_batch,
     graph_from_entities,
-    gru_update,
     load_params,
-    message,
     save_params,
 )
+from reference import aggregate, embed, gru_update, message
 
 HIDDEN = 8
 DIM = 6

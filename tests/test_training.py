@@ -20,6 +20,7 @@ from geomimic.scene import (
     save_demo,
 )
 from geomimic.training import (
+    INFER_WORKSPACES,
     NoVisibleCandidatesError,
     TooFewFeaturesError,
     TrainConfig,
@@ -267,6 +268,26 @@ def reference_loss(candidates, params, config):
     value = -expected_quality + config.alpha_gcr * gcr + config.alpha_rsw * rsw
     grads = network.backward_batch(cache, params, d_scores)
     return (value, expected_quality, gcr, rsw), grads
+
+
+def test_loss_ignores_b_read2_bit_for_bit():
+    # The objective ignores a uniform shift of the scores, so its exact
+    # b_read2 gradient is 0. It reads the scores before b_read2 is added,
+    # so a finite-difference probe (gate 2's p2p setup) sees bit-equal
+    # losses instead of a rounding flip.
+    for seed in range(20):
+        demo = gen_demo(DemoConfig(kernel_kind=KernelKind.P2P, seed=seed, n_frames=8,
+                                   n_distractors=4, noise_px=0.5))
+        cands = prepare_candidates(demo, KernelKind.P2P)
+        config = TrainConfig(seed=seed)
+        params = NetParams.init_random(config.hidden, cands[0].graphs[0].nodes.shape[1],
+                                       np.random.default_rng(seed + 200))
+        values = []
+        for shift in (1e-6, -1e-6):
+            shifted = params.copy()
+            shifted.b_read2[0] += shift
+            values.append(loss(cands, shifted, config)[0].value)
+        assert values[0] == values[1], f"seed {seed}"
 
 
 class TestVectorizedLoss:
@@ -537,6 +558,73 @@ class TestInferPartlyHiddenEntities:
         frame = hide(scene_frame("l2l"), {1, 3, 5, 7, 9})
         with pytest.raises(NoVisibleCandidatesError, match="every member visible"):
             infer(frame, random_kernel("l2l", frame))
+
+
+class TestCandidatesFromAllFrames:
+    def test_feature_missing_from_frame_0(self):
+        # ground-truth point 0 is absent from frame 0's observation list
+        demo = toy_demo(n_frames=10)
+        demo.frames[0] = [o for o in demo.frames[0] if o.id != 0]
+        cands = prepare_candidates(demo, KernelKind.P2P)
+        assert [c.entities for c in cands] == [((0,), (1,)), ((0,), (2,)), ((1,), (2,))]
+        assert cands[0].graphs[0] is None and cands[0].graphs[1] is not None
+        trained = train(demo, KernelKind.P2P, TrainConfig(epochs=60))
+        assert infer(demo.frames[5], trained).winner_ids == frozenset({0, 1})
+
+    def test_id_with_two_classes_rejected(self):
+        demo = toy_demo(n_frames=4)
+        demo.frames[2] = [
+            FeatureObservation(o.id, o.pixel, o.descriptor, o.visible,
+                               FeatureClass.CONIC_SAMPLE if o.id == 2 else o.feature_class)
+            for o in demo.frames[2]
+        ]
+        with pytest.raises(TrainingError, match="feature id 2 "):
+            prepare_candidates(demo, KernelKind.P2P)
+
+    def test_unchanged_when_every_frame_lists_every_feature(self):
+        for kind, n_frames in (("p2p", 20), ("l2l", 12), ("p2c", 12)):
+            demo = gen_demo(DemoConfig(kernel_kind=KernelKind(kind), seed=0, n_frames=n_frames,
+                                       n_distractors=2))
+            from_first = build_candidates(demo.frames[0], KernelKind(kind))
+            cands = prepare_candidates(demo, KernelKind(kind))
+            assert [c.entities for c in cands] == [c.entities for c in from_first]
+
+
+class TestInferWorkspaces:
+    def results(self, trained, frames):
+        return [(r.weights, r.winner_entities) for r in (infer(f, trained) for f in frames)]
+
+    def test_reuse_is_bit_identical_to_fresh(self):
+        frame = scene_frame("l2l")
+        # the second frame hides a segment: another batch shape
+        frames = [frame, hide(frame, {4, 5}), frame]
+        trained = random_kernel("l2l", frame)
+        for _ in range(2):
+            reused = self.results(trained, frames)
+            fresh = [
+                self.results(TrainedKernel(trained.kernel_kind, trained.params.copy(),
+                                           trained.config, trained.loss_trace), [f])[0]
+                for f in frames
+            ]
+            for (w, win), (w_fresh, win_fresh) in zip(reused, fresh):
+                assert np.array_equal(w, w_fresh) and win == win_fresh
+            assert len(trained._workspaces) == 2
+            # new params, same workspaces
+            trained.params.vector[:] += np.random.default_rng(1).normal(
+                0.0, 0.1, trained.params.vector.shape
+            )
+
+    def test_cache_stays_bounded_and_forward_only(self):
+        # hiding 0, 1, 2, ... of 8 points gives as many usable-candidate counts
+        config = DemoConfig(kernel_kind=KernelKind.P2P, seed=0, n_frames=2, n_distractors=6)
+        frame = gen_demo(config).frames[1]
+        trained = random_kernel("p2p", frame)
+        points = sorted(o.id for o in frame)
+        assert len(points) - 1 > INFER_WORKSPACES
+        for n_hidden in range(len(points) - 1):
+            infer(hide(frame, set(points[:n_hidden])), trained)
+        assert len(trained._workspaces) == INFER_WORKSPACES
+        assert all(ws.grads is None for ws in trained._workspaces.values())
 
 
 def test_attach_frame_skips_absent_members():
