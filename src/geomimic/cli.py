@@ -38,16 +38,33 @@ class CliError(Exception):
     """User-facing command failure."""
 
 
+def _load(loader, path: str, what: str):
+    """Read a config, demo or model file with `loader`.
+
+    A file that is missing, is not JSON or lacks a required field becomes
+    a CliError that names it.
+    """
+    try:
+        return loader(path)
+    except FileNotFoundError as exc:
+        raise CliError(f"{what} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise CliError(f"{what} file {path} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{what} file {path} is invalid: {exc}") from exc
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CliError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
+    payload = _load(_read_json, path, "config")
     if not isinstance(payload, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return payload
@@ -99,10 +116,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "hidden": args.hidden,
     }
     config = _merged_config(TrainConfig, _read_config_file(args.config), overrides)
-    try:
-        demo = load_demo(args.demo)
-    except FileNotFoundError as exc:
-        raise CliError(f"demo file not found: {args.demo}") from exc
+    demo = _load(load_demo, args.demo, "demo")
     kind = KernelKind(args.kernel) if args.kernel else demo.kernel_kind
     trained = train(demo, kind, config)
     save_trained(trained, args.out)
@@ -114,14 +128,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        demo = load_demo(args.demo)
-    except FileNotFoundError as exc:
-        raise CliError(f"demo file not found: {args.demo}") from exc
-    try:
-        trained = load_trained(args.model)
-    except FileNotFoundError as exc:
-        raise CliError(f"model file not found: {args.model}") from exc
+    demo = _load(load_demo, args.demo, "demo")
+    trained = _load(load_trained, args.model, "model")
     report = evaluate(demo, trained)
     echo = {
         "demo": args.demo,
@@ -149,10 +157,7 @@ def _cmd_servo(args: argparse.Namespace) -> int:
     trained = None
     association = None
     if args.model:
-        try:
-            trained = load_trained(args.model)
-        except FileNotFoundError as exc:
-            raise CliError(f"model file not found: {args.model}") from exc
+        trained = _load(load_trained, args.model, "model")
         kind = trained.kernel_kind
     else:
         kind = KernelKind(args.kernel or "p2p")

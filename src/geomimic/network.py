@@ -51,7 +51,6 @@ pure, so results do not depend on call order.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -250,17 +249,6 @@ class NetParams:
             entry = payload[f.name]
             kwargs[f.name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
         return cls(**kwargs)
-
-
-def save_params(params: NetParams, path: str) -> None:
-    text = json.dumps(params.to_json_dict())
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def load_params(path: str) -> NetParams:
-    with open(path) as fh:
-        return NetParams.from_json_dict(json.load(fh))
 
 
 def _halves(p: NetParams) -> tuple[np.ndarray, ...]:

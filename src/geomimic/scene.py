@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import ImagePoint, KernelKind
+from .geometry import ImagePoint, KernelKind, conic_through, p2c_error
 
 IMAGE_SIZE = (640, 480)
 DEFAULT_FOCAL = 800.0
@@ -350,16 +350,76 @@ def _px_to_world(track_px: np.ndarray, camera: CameraModel, depth: float) -> np.
     return out
 
 
+# Pixel sizes shared by demo layouts and servo worlds: the border that
+# wandering features keep from the image edge, the half length of every
+# segment, and the semi-axes of the target conic.
+_MARGIN_PX = 60.0
+_HALF_LEN = 75.0
+_CONIC_AXES = (70.0, 45.0)
+
+
+def _bounds(image_size: tuple[int, int], inset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Box keeping a feature `_MARGIN_PX + inset` pixels inside the image."""
+    w, h = image_size
+    pad = _MARGIN_PX + inset
+    return np.array([pad, pad]), np.array([w - pad, h - pad])
+
+
 @dataclass
 class _Layout:
-    """Noise-free pixel tracks plus entity bookkeeping."""
+    """Noise-free pixel tracks of one scene, built up id by id.
 
-    tracks_px: dict[int, np.ndarray]
-    classes: dict[int, FeatureClass]
-    ground_truth: tuple[int, ...]
-    mover_ids: tuple[int, ...]
-    target_ids: tuple[int, ...]
-    distractor_ids: tuple[int, ...]
+    Ids count up from 0 in the order tracks are added: the mover's, then
+    the target's, then the distractors'. A distractor starts away from
+    every (position, distance) in `keep_away` and from earlier distractors.
+    """
+
+    n_frames: int
+    image_size: tuple[int, int]
+    keep_away: list[tuple[np.ndarray, float]]
+    tracks_px: dict[int, np.ndarray] = field(default_factory=dict)
+    classes: dict[int, FeatureClass] = field(default_factory=dict)
+    mover_ids: tuple[int, ...] = ()
+    target_ids: tuple[int, ...] = ()
+
+    @property
+    def ground_truth(self) -> tuple[int, ...]:
+        return self.mover_ids + self.target_ids
+
+    def add_task(
+        self,
+        mover_class: FeatureClass,
+        movers: Sequence[np.ndarray],
+        target_class: FeatureClass,
+        targets: Sequence[np.ndarray],
+    ) -> None:
+        self.mover_ids = self.add(mover_class, *movers)
+        self.target_ids = self.add(target_class, *targets)
+
+    def add(self, feature_class: FeatureClass, *tracks: np.ndarray) -> tuple[int, ...]:
+        first = len(self.tracks_px)
+        for fid, track in enumerate(tracks, first):
+            self.tracks_px[fid] = track
+            self.classes[fid] = feature_class
+        return tuple(range(first, len(self.tracks_px)))
+
+    def add_points(self, rng: np.random.Generator, count: int) -> None:
+        """Wandering point distractors; a 1-frame walk draws nothing."""
+        lo, hi = _bounds(self.image_size)
+        for _ in range(count):
+            start = _place(rng, lo, hi, self.keep_away)
+            self.keep_away.append((start, 20.0))
+            self.add(FeatureClass.POINT, _walk(rng, start, self.n_frames, 2.0, lo, hi))
+
+    def add_segments(self, rng: np.random.Generator, count: int) -> None:
+        """Wandering segment distractors at random angles."""
+        lo, hi = _bounds(self.image_size, _HALF_LEN)
+        for _ in range(count):
+            center = _place(rng, lo, hi, self.keep_away)
+            self.keep_away.append((center, 30.0))
+            center_track = _walk(rng, center, self.n_frames, 2.0, lo, hi)
+            ends = _segment_tracks(center_track, rng.uniform(0.0, math.pi), _HALF_LEN)
+            self.add(FeatureClass.SEGMENT_ENDPOINT, *ends)
 
 
 def _decay_profile(config: DemoConfig, rng: np.random.Generator) -> np.ndarray:
@@ -372,25 +432,17 @@ def _decay_profile(config: DemoConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _layout_p2p(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random.Generator) -> _Layout:
     w, h = config.image_size
-    margin = 60.0
     central_lo = np.array([0.32 * w, 0.33 * h])
     central_hi = np.array([0.68 * w, 0.67 * h])
     target_track = _orbit_track(rng, config.n_frames, central_lo, central_hi)
     offsets = _decay_profile(config, rng)[:, None] * _unit(rng.uniform(0.0, 2.0 * math.pi))
     mover_track = target_track + offsets
 
-    lo = np.array([margin, margin])
-    hi = np.array([w - margin, h - margin])
-    tracks = {0: mover_track, 1: target_track}
-    keep_away: list[tuple[np.ndarray, float]] = [(target_track[0], 40.0), (mover_track[0], 30.0)]
-    for i in range(config.n_distractors):
-        start = _place(lay_rng, lo, hi, keep_away)
-        keep_away.append((start, 20.0))
-        tracks[2 + i] = _walk(lay_rng, start, config.n_frames, 2.0, lo, hi)
-    classes = {fid: FeatureClass.POINT for fid in tracks}
-    return _Layout(
-        tracks, classes, (0, 1), (0,), (1,), tuple(range(2, 2 + config.n_distractors))
-    )
+    keep_away = [(target_track[0], 40.0), (mover_track[0], 30.0)]
+    layout = _Layout(config.n_frames, config.image_size, keep_away)
+    layout.add_task(FeatureClass.POINT, [mover_track], FeatureClass.POINT, [target_track])
+    layout.add_points(lay_rng, config.n_distractors)
+    return layout
 
 
 def _segment_tracks(
@@ -400,82 +452,48 @@ def _segment_tracks(
     return center_track - arm, center_track + arm
 
 
-def _layout_p2l(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random.Generator) -> _Layout:
-    w, h = config.image_size
-    central_lo = np.array([0.35 * w, 0.35 * h])
-    central_hi = np.array([0.65 * w, 0.65 * h])
-    angle = rng.uniform(0.0, math.pi)
-    half_len = 75.0
-    center_track = _orbit_track(rng, config.n_frames, central_lo, central_hi)
-    ep_a, ep_b = _segment_tracks(center_track, angle, half_len)
-    normal = _unit(angle + math.pi / 2.0)
-    side = 1.0 if rng.uniform() < 0.5 else -1.0
-    along = rng.uniform(-0.35, 0.35) * half_len
-    base = center_track + along * _unit(angle)
-    mover_track = base + (side * _decay_profile(config, rng))[:, None] * normal
+def _target_segment(
+    config: DemoConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The orbiting target segment of p2l and l2l demos.
 
-    tracks = {0: mover_track, 1: ep_a, 2: ep_b}
-    classes = {
-        0: FeatureClass.POINT,
-        1: FeatureClass.SEGMENT_ENDPOINT,
-        2: FeatureClass.SEGMENT_ENDPOINT,
-    }
-    margin = 60.0
-    lo = np.array([margin, margin])
-    hi = np.array([w - margin, h - margin])
-    keep_away = [(center_track[0], 2.2 * half_len)]
-    next_id = 3
-    for _ in range(config.n_distractors):
-        start = _place(lay_rng, lo, hi, keep_away)
-        keep_away.append((start, 20.0))
-        tracks[next_id] = _walk(lay_rng, start, config.n_frames, 2.0, lo, hi)
-        classes[next_id] = FeatureClass.POINT
-        next_id += 1
-    for _ in range(config.n_distractor_segments):
-        seg_center = _place(lay_rng, lo + half_len, hi - half_len, keep_away)
-        keep_away.append((seg_center, 30.0))
-        seg_track = _walk(lay_rng, seg_center, config.n_frames, 2.0, lo + half_len, hi - half_len)
-        sa, sb = _segment_tracks(seg_track, lay_rng.uniform(0.0, math.pi), half_len)
-        tracks[next_id], tracks[next_id + 1] = sa, sb
-        classes[next_id] = FeatureClass.SEGMENT_ENDPOINT
-        classes[next_id + 1] = FeatureClass.SEGMENT_ENDPOINT
-        next_id += 2
-    return _Layout(tracks, classes, (0, 1, 2), (0,), (1, 2), tuple(range(3, next_id)))
+    Returns its center track, its angle, its endpoint tracks and the unit
+    normal pointing to the side the mover approaches from.
+    """
+    w, h = config.image_size
+    angle = rng.uniform(0.0, math.pi)
+    center_track = _orbit_track(
+        rng, config.n_frames, np.array([0.35 * w, 0.35 * h]), np.array([0.65 * w, 0.65 * h])
+    )
+    endpoints = _segment_tracks(center_track, angle, _HALF_LEN)
+    side = 1.0 if rng.uniform() < 0.5 else -1.0
+    return center_track, angle, endpoints, side * _unit(angle + math.pi / 2.0)
+
+
+def _layout_p2l(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random.Generator) -> _Layout:
+    center_track, angle, endpoints, normal = _target_segment(config, rng)
+    along = rng.uniform(-0.35, 0.35) * _HALF_LEN
+    base = center_track + along * _unit(angle)
+    mover_track = base + _decay_profile(config, rng)[:, None] * normal
+
+    layout = _Layout(config.n_frames, config.image_size, [(center_track[0], 2.2 * _HALF_LEN)])
+    layout.add_task(FeatureClass.POINT, [mover_track], FeatureClass.SEGMENT_ENDPOINT, endpoints)
+    layout.add_points(lay_rng, config.n_distractors)
+    layout.add_segments(lay_rng, config.n_distractor_segments)
+    return layout
 
 
 def _layout_l2l(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random.Generator) -> _Layout:
-    w, h = config.image_size
-    central_lo = np.array([0.35 * w, 0.35 * h])
-    central_hi = np.array([0.65 * w, 0.65 * h])
-    angle = rng.uniform(0.0, math.pi)
-    half_len = 75.0
-    center_track = _orbit_track(rng, config.n_frames, central_lo, central_hi)
-    tgt_a, tgt_b = _segment_tracks(center_track, angle, half_len)
-    normal = _unit(angle + math.pi / 2.0)
-    side = 1.0 if rng.uniform() < 0.5 else -1.0
+    center_track, angle, endpoints, normal = _target_segment(config, rng)
     # Both endpoints share the perpendicular offset, so the residual pair
     # has norm equal to the decay profile.
-    dist = (side * _decay_profile(config, rng) / math.sqrt(2.0))[:, None] * normal
-    base_a = center_track - 0.5 * half_len * _unit(angle)
-    base_b = center_track + 0.5 * half_len * _unit(angle)
+    dist = (_decay_profile(config, rng) / math.sqrt(2.0))[:, None] * normal
+    movers = [end + dist for end in _segment_tracks(center_track, angle, 0.5 * _HALF_LEN)]
 
-    tracks = {0: base_a + dist, 1: base_b + dist, 2: tgt_a, 3: tgt_b}
-    classes = {i: FeatureClass.SEGMENT_ENDPOINT for i in range(4)}
-    margin = 60.0
-    lo = np.array([margin + half_len, margin + half_len])
-    hi = np.array([w - margin - half_len, h - margin - half_len])
-    keep_away = [(center_track[0], 2.2 * half_len)]
-    next_id = 4
-    for _ in range(config.n_distractors):
-        seg_center = _place(lay_rng, lo, hi, keep_away)
-        keep_away.append((seg_center, 30.0))
-        seg_track = _walk(lay_rng, seg_center, config.n_frames, 2.0, lo, hi)
-        sa, sb = _segment_tracks(seg_track, lay_rng.uniform(0.0, math.pi), half_len)
-        tracks[next_id], tracks[next_id + 1] = sa, sb
-        classes[next_id] = FeatureClass.SEGMENT_ENDPOINT
-        classes[next_id + 1] = FeatureClass.SEGMENT_ENDPOINT
-        next_id += 2
-    return _Layout(tracks, classes, (0, 1, 2, 3), (0, 1), (2, 3), tuple(range(4, next_id)))
+    layout = _Layout(config.n_frames, config.image_size, [(center_track[0], 2.2 * _HALF_LEN)])
+    layout.add_task(FeatureClass.SEGMENT_ENDPOINT, movers, FeatureClass.SEGMENT_ENDPOINT, endpoints)
+    layout.add_segments(lay_rng, config.n_distractors)
+    return layout
 
 
 _CONIC_SAMPLE_ANGLES = np.deg2rad([10.0, 82.0, 154.0, 226.0, 298.0])
@@ -492,19 +510,21 @@ def _conic_sample_tracks(
     return out
 
 
-def _layout_p2c(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random.Generator) -> _Layout:
-    from .geometry import conic_through, p2c_error  # local to avoid cycle at import time
+def _inverse_sq_radius(direction: np.ndarray, axes: tuple[float, float]) -> float:
+    """1/r^2 for the radius r of an axis-aligned ellipse along a unit direction."""
+    return (direction[0] / axes[0]) ** 2 + (direction[1] / axes[1]) ** 2
 
+
+def _layout_p2c(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random.Generator) -> _Layout:
     w, h = config.image_size
     central_lo = np.array([0.4 * w, 0.42 * h])
     central_hi = np.array([0.6 * w, 0.58 * h])
-    axes = (70.0, 45.0)
     center_track = _orbit_track(rng, config.n_frames, central_lo, central_hi)
-    samples = _conic_sample_tracks(center_track, axes)
+    samples = _conic_sample_tracks(center_track, _CONIC_AXES)
 
     ray = rng.uniform(0.0, 2.0 * math.pi)
     direction = _unit(ray)
-    g = (direction[0] / axes[0]) ** 2 + (direction[1] / axes[1]) ** 2
+    g = _inverse_sq_radius(direction, _CONIC_AXES)
     r_on = 1.0 / math.sqrt(g)
     e0 = config.start_error_px if config.start_error_px is not None else rng.uniform(40.0, 80.0)
 
@@ -524,30 +544,15 @@ def _layout_p2c(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random
         r_t = math.sqrt((target_resid / abs(scale) + 1.0) / g)
         mover_track[t] = center_track[t] + r_t * direction
 
-    tracks = {0: mover_track}
-    classes = {0: FeatureClass.POINT}
-    for i, s in enumerate(samples):
-        tracks[1 + i] = s
-        classes[1 + i] = FeatureClass.CONIC_SAMPLE
-    margin = 60.0
-    lo = np.array([margin, margin])
-    hi = np.array([w - margin, h - margin])
-    keep_away = [(center_track[0], axes[0] + 60.0)]
-    next_id = 6
-    for _ in range(config.n_distractors):
-        start = _place(lay_rng, lo, hi, keep_away)
-        keep_away.append((start, 20.0))
-        tracks[next_id] = _walk(lay_rng, start, config.n_frames, 2.0, lo, hi)
-        classes[next_id] = FeatureClass.POINT
-        next_id += 1
+    layout = _Layout(config.n_frames, config.image_size, [(center_track[0], _CONIC_AXES[0] + 60.0)])
+    layout.add_task(FeatureClass.POINT, [mover_track], FeatureClass.CONIC_SAMPLE, samples)
+    layout.add_points(lay_rng, config.n_distractors)
     # One wandering distractor conic keeps the entity pairing non-trivial.
-    d_center = _place(lay_rng, lo + axes[0], hi - axes[0], keep_away)
-    d_track = _walk(lay_rng, d_center, config.n_frames, 1.0, lo + axes[0], hi - axes[0])
-    for s in _conic_sample_tracks(d_track, (55.0, 65.0)):
-        tracks[next_id] = s
-        classes[next_id] = FeatureClass.CONIC_SAMPLE
-        next_id += 1
-    return _Layout(tracks, classes, tuple(range(6)), (0,), tuple(range(1, 6)), tuple(range(6, next_id)))
+    lo, hi = _bounds(config.image_size, _CONIC_AXES[0])
+    d_center = _place(lay_rng, lo, hi, layout.keep_away)
+    d_track = _walk(lay_rng, d_center, config.n_frames, 1.0, lo, hi)
+    layout.add(FeatureClass.CONIC_SAMPLE, *_conic_sample_tracks(d_track, (55.0, 65.0)))
+    return layout
 
 
 _LAYOUTS = {
@@ -558,59 +563,85 @@ _LAYOUTS = {
 }
 
 
-def _observe_tracks(
-    world_tracks: dict[int, np.ndarray],
+def _observe(
+    points: dict[int, np.ndarray],
     classes: dict[int, FeatureClass],
     bases: dict[int, np.ndarray],
     camera: CameraModel,
-    n_frames: int,
-    noise_px: float,
-    jitter: float,
     image_size: tuple[int, int],
-    noise_rng: np.random.Generator,
+    jitter: float,
     jitter_rng: np.random.Generator,
-) -> list[list[FeatureObservation]]:
+    noise_px: float = 0.0,
+    noise_rng: np.random.Generator | None = None,
+) -> list[FeatureObservation]:
+    """One frame: every world point projected, with optional pixel noise, in id order."""
     w, h = image_size
-    frames: list[list[FeatureObservation]] = []
-    for t in range(n_frames):
-        frame: list[FeatureObservation] = []
-        for fid in sorted(world_tracks):
-            try:
-                pix = project(world_tracks[fid][t], camera)
-                u, v = pix.u, pix.v
-                in_front = True
-            except BehindCameraError:
-                u, v, in_front = -1.0, -1.0, False
-            if noise_px > 0 and in_front:
-                u += noise_rng.normal(0.0, noise_px)
-                v += noise_rng.normal(0.0, noise_px)
-            visible = in_front and 0.0 <= u < w and 0.0 <= v < h
-            frame.append(
-                FeatureObservation(
-                    id=fid,
-                    pixel=ImagePoint(float(u), float(v)),
-                    descriptor=descriptor_of(bases[fid], jitter, jitter_rng),
-                    visible=visible,
-                    feature_class=classes[fid],
-                )
+    frame: list[FeatureObservation] = []
+    for fid in sorted(points):
+        try:
+            pix = project(points[fid], camera)
+            u, v = pix.u, pix.v
+            in_front = True
+        except BehindCameraError:
+            u, v, in_front = -1.0, -1.0, False
+        if noise_px > 0 and in_front:
+            u += noise_rng.normal(0.0, noise_px)
+            v += noise_rng.normal(0.0, noise_px)
+        visible = in_front and 0.0 <= u < w and 0.0 <= v < h
+        frame.append(
+            FeatureObservation(
+                id=fid,
+                pixel=ImagePoint(float(u), float(v)),
+                descriptor=descriptor_of(bases[fid], jitter, jitter_rng),
+                visible=visible,
+                feature_class=classes[fid],
             )
-        frames.append(frame)
-    return frames
+        )
+    return frame
+
+
+def _observe_tracks(
+    world_tracks: dict[int, np.ndarray],
+    classes: dict[int, FeatureClass],
+    ground_truth: Sequence[int],
+    camera: CameraModel,
+    n_frames: int,
+    config: DemoConfig,
+    key: list[int],
+) -> list[list[FeatureObservation]]:
+    """Demo frames; pixel noise and descriptor jitter hang off the seed `key`."""
+    bases = _descriptor_bases(
+        world_tracks, ground_truth, config.descriptor_dim, config.seed, config.effective_layout_seed
+    )
+    noise_rng = np.random.default_rng([*key, _TAG_NOISE])
+    jitter_rng = np.random.default_rng([*key, _TAG_JITTER])
+    return [
+        _observe(
+            {fid: track[t] for fid, track in world_tracks.items()},
+            classes,
+            bases,
+            camera,
+            config.image_size,
+            config.descriptor_jitter,
+            jitter_rng,
+            config.noise_px,
+            noise_rng,
+        )
+        for t in range(n_frames)
+    ]
 
 
 def _descriptor_bases(
-    layout: _Layout, config: DemoConfig
+    ids: Iterable[int], ground_truth: Sequence[int], dim: int, gt_seed: int, other_seed: int
 ) -> dict[int, np.ndarray]:
-    gt = set(layout.ground_truth)
-    bases = {}
-    for fid in layout.tracks_px:
-        if fid in gt:
-            bases[fid] = base_descriptor(fid, config.descriptor_dim, config.seed, _TAG_GT_DESC)
-        else:
-            bases[fid] = base_descriptor(
-                fid, config.descriptor_dim, config.effective_layout_seed, _TAG_DISTRACTOR_DESC
-            )
-    return bases
+    """Appearance bases: ground-truth ids draw from `gt_seed`, the rest from `other_seed`."""
+    gt = set(ground_truth)
+    return {
+        fid: base_descriptor(fid, dim, gt_seed, _TAG_GT_DESC)
+        if fid in gt
+        else base_descriptor(fid, dim, other_seed, _TAG_DISTRACTOR_DESC)
+        for fid in ids
+    }
 
 
 def gen_demo(config: DemoConfig) -> DemoSequence:
@@ -632,18 +663,14 @@ def gen_demo(config: DemoConfig) -> DemoSequence:
         fid: _px_to_world(track, camera, DESK_DEPTH_M)
         for fid, track in layout.tracks_px.items()
     }
-    bases = _descriptor_bases(layout, config)
     frames = _observe_tracks(
         world_tracks,
         layout.classes,
-        bases,
+        layout.ground_truth,
         camera,
         config.n_frames,
-        config.noise_px,
-        config.descriptor_jitter,
-        config.image_size,
-        np.random.default_rng([config.seed, _TAG_NOISE]),
-        np.random.default_rng([config.seed, _TAG_JITTER]),
+        config,
+        [config.seed],
     )
     demo = DemoSequence(
         frames=frames,
@@ -661,26 +688,6 @@ def gen_demo(config: DemoConfig) -> DemoSequence:
     return demo
 
 
-def _classes_of(demo: DemoSequence) -> dict[int, FeatureClass]:
-    return {obs.id: obs.feature_class for obs in demo.frames[0]}
-
-
-def _bases_of(demo: DemoSequence) -> dict[int, np.ndarray]:
-    if demo.config is None:
-        raise SceneError("demo lacks its generation config")
-    cfg = demo.config
-    gt = set(demo.ground_truth)
-    bases = {}
-    for fid in demo.feature_ids():
-        if fid in gt:
-            bases[fid] = base_descriptor(fid, cfg.descriptor_dim, cfg.seed, _TAG_GT_DESC)
-        else:
-            bases[fid] = base_descriptor(
-                fid, cfg.descriptor_dim, cfg.effective_layout_seed, _TAG_DISTRACTOR_DESC
-            )
-    return bases
-
-
 def _reproject(
     demo: DemoSequence,
     world_tracks: dict[int, np.ndarray],
@@ -688,30 +695,11 @@ def _reproject(
     seed: int,
     tag: int,
 ) -> DemoSequence:
-    cfg = demo.config
+    classes = {obs.id: obs.feature_class for obs in demo.frames[0]}
     frames = _observe_tracks(
-        world_tracks,
-        _classes_of(demo),
-        _bases_of(demo),
-        camera,
-        demo.n_frames,
-        cfg.noise_px,
-        cfg.descriptor_jitter,
-        cfg.image_size,
-        np.random.default_rng([seed, tag, _TAG_NOISE]),
-        np.random.default_rng([seed, tag, _TAG_JITTER]),
+        world_tracks, classes, demo.ground_truth, camera, demo.n_frames, demo.config, [seed, tag]
     )
-    return DemoSequence(
-        frames=frames,
-        ground_truth=demo.ground_truth,
-        camera=camera,
-        seed=demo.seed,
-        kernel_kind=demo.kernel_kind,
-        config=cfg,
-        world_tracks=world_tracks,
-        mover_ids=demo.mover_ids,
-        target_ids=demo.target_ids,
-    )
+    return replace(demo, frames=frames, camera=camera, world_tracks=world_tracks)
 
 
 def _window(magnitude: float, n_frames: int) -> tuple[int, int]:
@@ -735,8 +723,6 @@ def apply_perturbation(
     rng = np.random.default_rng([seed, _TAG_PERTURB[kind.value]])
 
     if kind is PerturbationKind.OCCLUSION:
-        if setting.magnitude == 0:
-            return copy.deepcopy(demo)
         out = copy.deepcopy(demo)
         start, stop = _window(setting.magnitude, demo.n_frames)
         gt = set(demo.ground_truth)
@@ -911,27 +897,15 @@ class SimWorld:
     )
 
     def render(self) -> list[FeatureObservation]:
-        w, h = self.image_size
-        frame = []
-        for fid in sorted(self.positions):
-            try:
-                pix = project(self.positions[fid], self.camera)
-                visible = 0.0 <= pix.u < w and 0.0 <= pix.v < h
-            except BehindCameraError:
-                pix, visible = ImagePoint(-1.0, -1.0), False
-            frame.append(
-                FeatureObservation(
-                    id=fid,
-                    pixel=pix,
-                    descriptor=descriptor_of(self.bases[fid], self.descriptor_jitter, self.jitter_rng),
-                    visible=visible,
-                    feature_class=self.classes[fid],
-                )
-            )
-        return frame
-
-    def depth_of(self, feature_id: int) -> float:
-        return float(self.camera.world_to_camera(self.positions[feature_id])[2])
+        return _observe(
+            self.positions,
+            self.classes,
+            self.bases,
+            self.camera,
+            self.image_size,
+            self.descriptor_jitter,
+            self.jitter_rng,
+        )
 
     def move_object(self, delta_xy: np.ndarray, d_theta: float = 0.0) -> None:
         """Rigidly move the mover entity in the desk plane."""
@@ -972,96 +946,54 @@ def make_servo_world(
 
     Ground-truth entities reuse the descriptor streams of `seed`, so a
     kernel trained on ``gen_demo(DemoConfig(seed=seed))`` recognizes them.
+    The layout has its own random stream: the target is static, the
+    mover starts `start_error_px` away from it, and every distractor is
+    a point.
     """
     kind = KernelKind(kind)
     rng = np.random.default_rng([seed, _TAG_SERVO])
     w, h = image_size
     camera = CameraModel(cu=w / 2.0, cv=h / 2.0)
+    # Every track below is a single frame: (1, 2) pixels.
+    center = rng.uniform(np.array([0.35 * w, 0.35 * h]), np.array([0.65 * w, 0.65 * h]))[None]
 
-    def to_world(px: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                (px[0] - camera.cu) / camera.f * DESK_DEPTH_M,
-                (px[1] - camera.cv) / camera.f * DESK_DEPTH_M,
-                DESK_DEPTH_M,
-            ]
-        )
-
-    central_lo = np.array([0.35 * w, 0.35 * h])
-    central_hi = np.array([0.65 * w, 0.65 * h])
-    positions_px: dict[int, np.ndarray] = {}
-    classes: dict[int, FeatureClass] = {}
-
+    layout = _Layout(1, image_size, [(center[0], 170.0)])
     if kind is KernelKind.P2P:
-        target = rng.uniform(central_lo, central_hi)
         offset = start_error_px * _unit(rng.uniform(0.0, 2.0 * math.pi))
-        positions_px[0] = target + offset
-        positions_px[1] = target
-        classes[0] = classes[1] = FeatureClass.POINT
-        mover_ids, gt = (0,), (0, 1)
-        next_id, anchor = 2, target
-    elif kind is KernelKind.P2L:
-        center = rng.uniform(central_lo, central_hi)
-        angle = rng.uniform(0.0, math.pi)
-        arm = 75.0 * _unit(angle)
-        positions_px[1], positions_px[2] = center - arm, center + arm
-        positions_px[0] = center + start_error_px * _unit(angle + math.pi / 2.0)
-        classes[0] = FeatureClass.POINT
-        classes[1] = classes[2] = FeatureClass.SEGMENT_ENDPOINT
-        mover_ids, gt = (0,), (0, 1, 2)
-        next_id, anchor = 3, center
-    elif kind is KernelKind.L2L:
-        center = rng.uniform(central_lo, central_hi)
-        angle = rng.uniform(0.0, math.pi)
-        arm = 75.0 * _unit(angle)
-        normal = _unit(angle + math.pi / 2.0)
-        positions_px[2], positions_px[3] = center - arm, center + arm
-        positions_px[0] = center - 0.5 * arm + (start_error_px / math.sqrt(2.0)) * normal
-        positions_px[1] = center + 0.5 * arm + (start_error_px / math.sqrt(2.0)) * normal
-        classes = {i: FeatureClass.SEGMENT_ENDPOINT for i in range(4)}
-        mover_ids, gt = (0, 1), (0, 1, 2, 3)
-        next_id, anchor = 4, center
+        layout.add_task(FeatureClass.POINT, [center + offset], FeatureClass.POINT, [center])
+    elif kind is KernelKind.P2C:
+        direction = _unit(rng.uniform(0.0, 2.0 * math.pi))
+        radius = 1.0 / math.sqrt(_inverse_sq_radius(direction, _CONIC_AXES))
+        layout.add_task(
+            FeatureClass.POINT,
+            [center + (radius + start_error_px) * direction],
+            FeatureClass.CONIC_SAMPLE,
+            _conic_sample_tracks(center, _CONIC_AXES),
+        )
     else:
-        center = rng.uniform(central_lo, central_hi)
-        axes = (70.0, 45.0)
-        ray = rng.uniform(0.0, 2.0 * math.pi)
-        direction = _unit(ray)
-        g = (direction[0] / axes[0]) ** 2 + (direction[1] / axes[1]) ** 2
-        positions_px[0] = center + (1.0 / math.sqrt(g) + start_error_px) * direction
-        classes[0] = FeatureClass.POINT
-        for i, phi in enumerate(_CONIC_SAMPLE_ANGLES):
-            positions_px[1 + i] = center + np.array(
-                [axes[0] * math.cos(phi), axes[1] * math.sin(phi)]
-            )
-            classes[1 + i] = FeatureClass.CONIC_SAMPLE
-        mover_ids, gt = (0,), tuple(range(6))
-        next_id, anchor = 6, center
-
-    margin = 60.0
-    lo = np.array([margin, margin])
-    hi = np.array([w - margin, h - margin])
-    keep_away = [(anchor, 170.0)]
-    for _ in range(n_distractors):
-        spot = _place(rng, lo, hi, keep_away)
-        keep_away.append((spot, 20.0))
-        positions_px[next_id] = spot
-        classes[next_id] = FeatureClass.POINT
-        next_id += 1
-
-    bases = {}
-    for fid in positions_px:
-        if fid in set(gt):
-            bases[fid] = base_descriptor(fid, descriptor_dim, seed, _TAG_GT_DESC)
+        angle = rng.uniform(0.0, math.pi)
+        endpoints = _segment_tracks(center, angle, _HALF_LEN)
+        normal = _unit(angle + math.pi / 2.0)
+        if kind is KernelKind.P2L:
+            movers = [center + start_error_px * normal]
+            mover_class = FeatureClass.POINT
         else:
-            bases[fid] = base_descriptor(fid, descriptor_dim, seed, _TAG_DISTRACTOR_DESC)
+            dist = (start_error_px / math.sqrt(2.0)) * normal
+            movers = [end + dist for end in _segment_tracks(center, angle, 0.5 * _HALF_LEN)]
+            mover_class = FeatureClass.SEGMENT_ENDPOINT
+        layout.add_task(mover_class, movers, FeatureClass.SEGMENT_ENDPOINT, endpoints)
+    layout.add_points(rng, n_distractors)
 
     return SimWorld(
         camera=camera,
-        positions={fid: to_world(px) for fid, px in positions_px.items()},
-        classes=classes,
-        bases=bases,
-        mover_ids=mover_ids,
-        ground_truth=gt,
+        positions={
+            fid: _px_to_world(track, camera, DESK_DEPTH_M)[0]
+            for fid, track in layout.tracks_px.items()
+        },
+        classes=layout.classes,
+        bases=_descriptor_bases(layout.tracks_px, layout.ground_truth, descriptor_dim, seed, seed),
+        mover_ids=layout.mover_ids,
+        ground_truth=layout.ground_truth,
         kernel_kind=kind,
         image_size=image_size,
         descriptor_jitter=descriptor_jitter,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import KernelKind
 from .scene import SimWorld
-from .training import TrainedKernel, infer
+from .training import TrainedKernel, TrainingError, association_error, infer
 
 _SINGULAR_COND = 1e12
 
@@ -164,6 +164,11 @@ class LinearPlant:
         self._q = self._q + np.asarray(dq, dtype=float).ravel()
 
 
+# Distinct feature ids a fixed association of each kind names: a point is
+# one feature, a segment two endpoints, a conic five samples.
+_ASSOCIATION_SIZE = {KernelKind.P2P: 2, KernelKind.P2L: 3, KernelKind.L2L: 4, KernelKind.P2C: 6}
+
+
 class ScenePlant:
     """Adapter: render the world, infer the constraint, expose its error.
 
@@ -174,6 +179,9 @@ class ScenePlant:
     gives the analytic interaction matrix of the error. In uvs mode the
     actuator moves the mover entity in the desk plane (adding a rotation
     dof for segment alignment) and only raw pixel errors leave the plant.
+
+    A fixed association is a set of feature ids, grouped into entities as
+    ``infer`` groups a frame.
     """
 
     def __init__(
@@ -192,7 +200,15 @@ class ScenePlant:
         self.world = world
         self.trained = trained
         self.mode = mode
-        self.association = tuple(association) if association else None
+        if association is not None:
+            association = frozenset(association)
+            need = _ASSOCIATION_SIZE[world.kernel_kind]
+            if len(association) != need:
+                raise ServoError(
+                    f"a {world.kernel_kind.value} association needs {need} distinct feature "
+                    f"ids, got {sorted(association)}"
+                )
+        self.association = association
         if mode == "ibvs":
             self.dof = 6
         else:
@@ -205,8 +221,6 @@ class ScenePlant:
         return self._q.copy()
 
     def observe(self) -> np.ndarray:
-        from .training import CandidateInstance, candidate_error
-
         frame = self.world.render()
         if self.trained is not None:
             result = infer(frame, self.trained)
@@ -215,28 +229,16 @@ class ScenePlant:
             error = result.error
             entities = result.winner_entities
         else:
-            by_id = {o.id: o for o in frame if o.visible}
-            entities = self._fixed_entities()
-            cand = CandidateInstance(self.world.kernel_kind, entities)
-            missing = [fid for fid in cand.feature_ids if fid not in by_id]
-            if missing:
-                raise ServoError(f"fixed association features {missing} not visible")
-            error = candidate_error(cand, by_id)
+            try:
+                error, entities = association_error(
+                    frame, self.world.kernel_kind, self.association
+                )
+            except TrainingError as exc:
+                raise ServoError(str(exc)) from exc
         if self.world.kernel_kind is KernelKind.P2P:
             # Keep entity order: the error is p_first - p_second.
             self._pair = (entities[0][0], entities[1][0])
         return error.values.copy()
-
-    def _fixed_entities(self) -> tuple[tuple[int, ...], ...]:
-        kind = self.world.kernel_kind
-        ids = self.association
-        if kind is KernelKind.P2P:
-            return ((ids[0],), (ids[1],))
-        if kind is KernelKind.P2L:
-            return ((ids[0],), tuple(ids[1:3]))
-        if kind is KernelKind.L2L:
-            return (tuple(ids[0:2]), tuple(ids[2:4]))
-        return ((ids[0],), tuple(ids[1:6]))
 
     def interaction(self) -> np.ndarray:
         """Pixel-error interaction matrix of the current point pair."""

@@ -18,7 +18,8 @@ candidates' errors come from one batched ``geometry`` call. Candidates are
 grouped into entities from all of a frame's observations and count on the
 frame only if every member is visible and the geometry is non-degenerate.
 ``attach_frame`` turns the arrays into the per-frame graphs training packs;
-``infer`` scores them in one forward pass.
+``infer`` scores them in one forward pass, and ``association_error``
+measures one fixed association with them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,22 +39,25 @@ from . import network
 from .geometry import (
     ErrorSignal,
     KernelKind,
-    conic_through,
     conics_through,
     distinct_points,
-    l2l_error,
     l2l_errors,
-    line_through,
     lines_through,
-    p2c_error,
     p2c_errors,
-    p2l_error,
     p2l_errors,
-    p2p_error,
     p2p_errors,
 )
-# graph_from_entities stays importable from here: tooling that times
-# graph assembly binds it by this module's name.
+# These names stay importable from here: tooling that times line and
+# conic fits, error functions and graph assembly binds them by this
+# module's name.
+from .geometry import (  # noqa: F401
+    conic_through,
+    l2l_error,
+    line_through,
+    p2c_error,
+    p2l_error,
+    p2p_error,
+)
 from .network import KernelGraph, NetParams, entity_wiring, graph_from_entities  # noqa: F401
 from .scene import DemoSequence, FeatureClass, FeatureObservation, IMAGE_SIZE
 
@@ -238,36 +242,6 @@ def build_candidates(
     return [CandidateInstance(kind, ent) for ent in combos]
 
 
-def candidate_error(
-    candidate: CandidateInstance,
-    by_id: dict[int, FeatureObservation],
-    frame_index: int = 0,
-) -> ErrorSignal:
-    """Geometric error of a candidate given one frame's observations.
-
-    For l2l the first entity's endpoints are measured against the line
-    through the second entity (entities are ordered by smallest id).
-    Raises ``GeometryError`` where the geometry degenerates.
-    """
-    kind = candidate.kernel_kind
-    ents = candidate.entities
-    if kind is KernelKind.P2P:
-        p1 = by_id[ents[0][0]].pixel
-        p2 = by_id[ents[1][0]].pixel
-        return p2p_error(p1, p2, frame_index)
-    if kind is KernelKind.P2L:
-        p = by_id[ents[0][0]].pixel
-        line = line_through(by_id[ents[1][0]].pixel, by_id[ents[1][1]].pixel)
-        return p2l_error(p, line, frame_index)
-    if kind is KernelKind.L2L:
-        seg = (by_id[ents[0][0]].pixel, by_id[ents[0][1]].pixel)
-        line = line_through(by_id[ents[1][0]].pixel, by_id[ents[1][1]].pixel)
-        return l2l_error(seg, line, frame_index)
-    p = by_id[ents[0][0]].pixel
-    conic = conic_through([by_id[fid].pixel for fid in ents[1]])
-    return p2c_error(p, conic, frame_index)
-
-
 @dataclass
 class _FrameBatch:
     """Every candidate of one frame as arrays, in candidate order.
@@ -375,6 +349,39 @@ def attach_frame(
         else:
             cand.graphs.append(None)
             cand.errors.append(None)
+
+
+def association_error(
+    frame: Sequence[FeatureObservation],
+    kind: KernelKind,
+    ids: Iterable[int],
+    frame_index: int = 0,
+) -> tuple[ErrorSignal, tuple[tuple[int, ...], ...]]:
+    """Error and entities of the one candidate made of exactly ``ids`` on a frame.
+
+    The ids are grouped into entities as ``infer`` groups a frame, so the
+    entity order, and with it the sign of the error, is ``infer``'s.
+    Raises ``TrainingError`` when the ids do not form one candidate of
+    ``kind``, and ``NoVisibleCandidatesError`` when a member is hidden or
+    the geometry degenerates.
+    """
+    kind = KernelKind(kind)
+    wanted = frozenset(ids)
+    observed = [o for o in frame if o.id in wanted]
+    combos, layout = _enumerate(kind, *_group_entities(observed))
+    if len(combos) != 1 or layout.members.shape[1] != len(wanted):
+        raise TrainingError(f"feature ids {sorted(wanted)} do not form one {kind.value} candidate")
+    hidden = sorted(o.id for o in observed if not o.visible)
+    if hidden:
+        raise NoVisibleCandidatesError(
+            f"feature ids {hidden} of association {sorted(wanted)} are not visible"
+        )
+    batch = _frame_batch(layout, observed, IMAGE_SIZE)
+    if not batch.usable[0]:
+        raise NoVisibleCandidatesError(
+            f"association {sorted(wanted)} has degenerate geometry on this frame"
+        )
+    return ErrorSignal(kind, batch.errors[0], frame_index), combos[0]
 
 
 def quality_score(
@@ -598,9 +605,14 @@ class TrainedKernel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedKernel":
+        """Rebuild a kernel; params holding NaN or inf are rejected."""
+        params = NetParams.from_json_dict(payload["params"])
+        for name, block in params.blocks().items():
+            if not np.isfinite(block).all():
+                raise TrainingError(f"model params block {name} holds NaN or infinite values")
         return cls(
             kernel_kind=KernelKind(payload["kernel_kind"]),
-            params=NetParams.from_json_dict(payload["params"]),
+            params=params,
             config=TrainConfig.from_json_dict(payload["config"]),
             loss_trace=np.array(payload["loss_trace"], dtype=float).reshape(-1, 5),
             image_size=tuple(payload.get("image_size", IMAGE_SIZE)),

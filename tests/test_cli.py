@@ -192,3 +192,53 @@ class TestServo:
         assert echo["servo"]["gain"] == 0.25
         assert echo["servo"]["max_steps"] == 3
         assert echo["kernel"] == "p2p"
+
+
+class TestBadInputFiles:
+    # A demo or model file that is not JSON, lacks a required field or
+    # holds non-finite params exits 2 with a message naming the file.
+    BAD = {
+        "not_json": "{\"frames\": [",
+        "empty_object": "{}",
+        "wrong_type": "[1, 2, 3]",
+    }
+
+    def run(self, tmp_path, capsys, argv, bad_path):
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert str(bad_path) in err
+        return err
+
+    @pytest.mark.parametrize("content", sorted(BAD))
+    def test_bad_demo(self, tmp_path, capsys, workdir, content):
+        bad = tmp_path / "demo.json"
+        bad.write_text(self.BAD[content])
+        self.run(tmp_path, capsys, ["train", "--demo", str(bad)], bad)
+        self.run(tmp_path, capsys, ["eval", "--demo", str(bad), "--model", str(workdir["model"])], bad)
+
+    @pytest.mark.parametrize("content", sorted(BAD))
+    def test_bad_model(self, tmp_path, capsys, workdir, content):
+        bad = tmp_path / "model.json"
+        bad.write_text(self.BAD[content])
+        self.run(tmp_path, capsys, ["eval", "--demo", str(workdir["demo"]), "--model", str(bad)], bad)
+        self.run(tmp_path, capsys, ["servo", "--model", str(bad)], bad)
+
+    def test_demo_without_frames(self, tmp_path, capsys, workdir):
+        payload = json.loads(workdir["demo"].read_text())
+        del payload["frames"]
+        bad = tmp_path / "demo.json"
+        bad.write_text(json.dumps(payload))
+        err = self.run(tmp_path, capsys, ["train", "--demo", str(bad)], bad)
+        assert "'frames'" in err
+
+    def test_model_with_nan_params(self, tmp_path, capsys, workdir):
+        payload = json.loads(workdir["model"].read_text())
+        payload["params"]["w_z"]["data"][3] = float("nan")
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        err = self.run(
+            tmp_path, capsys, ["eval", "--demo", str(workdir["demo"]), "--model", str(bad)], bad
+        )
+        assert "w_z" in err

@@ -14,8 +14,6 @@ from geomimic.network import (
     forward,
     forward_batch,
     graph_from_entities,
-    load_params,
-    save_params,
 )
 from reference import aggregate, embed, gru_update, message
 
@@ -372,15 +370,6 @@ class TestWorkspace:
 
 
 class TestParamsIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        params = random_params(rng)
-        path = tmp_path / "params.json"
-        save_params(params, str(path))
-        loaded = load_params(str(path))
-        for name, arr in params.blocks().items():
-            assert loaded.blocks()[name] == pytest.approx(arr, abs=0)
-
     def test_copy_is_deep(self):
         rng = np.random.default_rng(18)
         params = random_params(rng)

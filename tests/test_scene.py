@@ -159,7 +159,7 @@ class TestGenDemo:
     def test_unique_monotone_decreaser_is_ground_truth(self):
         # with zero noise only the demonstrated association's error norm
         # decreases on every frame pair
-        from geomimic.training import candidate_error, prepare_candidates
+        from geomimic.training import prepare_candidates
 
         demo = gen_demo(
             DemoConfig(kernel_kind=KernelKind.P2P, seed=9, n_frames=15, noise_px=0.0,

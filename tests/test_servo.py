@@ -196,6 +196,44 @@ class TestScenePlant:
         with pytest.raises(ServoError):
             ScenePlant(world, mode="ibvs")
 
+    @pytest.mark.parametrize(
+        "kind, association, need",
+        [
+            (KernelKind.P2P, (), 2),
+            (KernelKind.P2P, (0,), 2),
+            (KernelKind.P2P, (0, 1, 2), 2),
+            (KernelKind.P2P, (0, 0), 2),
+            (KernelKind.P2L, (0, 1), 3),
+            (KernelKind.L2L, (0, 1, 2), 4),
+            (KernelKind.P2C, (0, 1, 2, 3, 4), 6),
+        ],
+    )
+    def test_association_size_checked_at_construction(self, kind, association, need):
+        world = make_servo_world(kind, seed=0)
+        with pytest.raises(ServoError, match=f"{kind.value} association needs {need} distinct"):
+            ScenePlant(world, mode="uvs", association=association)
+
+    def test_hidden_association_member(self):
+        world = make_servo_world(KernelKind.L2L, seed=0)
+        world.positions[3] = world.positions[3] + np.array([5.0, 0.0, 0.0])
+        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        with pytest.raises(ServoError, match=r"\[3\] of association \[0, 1, 2, 3\]"):
+            plant.observe()
+
+    def test_degenerate_association(self):
+        world = make_servo_world(KernelKind.L2L, seed=0)
+        world.positions[1] = world.positions[0].copy()
+        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        with pytest.raises(ServoError, match="degenerate"):
+            plant.observe()
+
+    def test_association_is_an_id_set(self):
+        world = make_servo_world(KernelKind.P2P, seed=0)
+        ordered = ScenePlant(world, mode="ibvs", association=(0, 1))
+        reordered = ScenePlant(world, mode="ibvs", association=(1, 0))
+        assert np.array_equal(ordered.observe(), reordered.observe())
+        assert np.array_equal(ordered.interaction(), reordered.interaction())
+
     def test_dof_by_mode(self):
         p2p = make_servo_world(KernelKind.P2P, seed=0)
         l2l = make_servo_world(KernelKind.L2L, seed=0)

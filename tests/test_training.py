@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from geomimic import network
@@ -26,9 +28,9 @@ from geomimic.training import (
     TrainConfig,
     TrainedKernel,
     TrainingError,
+    association_error,
     attach_frame,
     build_candidates,
-    candidate_error,
     infer,
     load_trained,
     loss,
@@ -174,6 +176,39 @@ class TestSelectOut:
             select_out(np.array([]))
         with pytest.raises(TrainingError):
             select_out(np.array([1.0]), alpha_conf=0.0)
+
+
+scores = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30).map(np.array)
+
+
+class TestSelectOutProperties:
+    @given(scores, st.floats(0.05, 20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_are_a_distribution(self, b, alpha):
+        g, _ = select_out(b, alpha)
+        assert (g >= 0.0).all()
+        assert abs(g.sum() - 1.0) < 1e-12
+
+    @given(scores, st.floats(-100.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_shift_invariant(self, b, shift):
+        g, _ = select_out(b)
+        g_shift, _ = select_out(b + shift)
+        assert g_shift == pytest.approx(g, abs=1e-9)
+
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 2.5]), min_size=1, max_size=12).map(np.array))
+    @settings(max_examples=200, deadline=None)
+    def test_winner_is_lowest_index_of_the_max(self, b):
+        _, winner = select_out(b)
+        assert winner == min(np.flatnonzero(b == b.max()))
+
+    @given(scores, st.floats(0.05, 20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_alpha_conf_is_a_temperature(self, b, alpha):
+        g, winner = select_out(b, alpha)
+        g_scaled, _ = select_out(b / alpha)
+        assert np.array_equal(g, g_scaled)
+        assert winner == select_out(b)[1]
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +397,14 @@ class TestTrain:
         assert loaded.config == toy_trained.config
         assert np.array_equal(loaded.loss_trace, toy_trained.loss_trace)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("block", ["w_in", "w_z", "b_read2"])
+    def test_non_finite_params_rejected(self, toy_trained, block, value):
+        payload = json.loads(json.dumps(toy_trained.to_json_dict()))
+        payload["params"][block]["data"][0] = value
+        with pytest.raises(TrainingError, match=f"block {block} holds NaN or infinite"):
+            TrainedKernel.from_json_dict(payload)
+
 
 def p2l_frame(n_segments):
     """One point against n_segments segments: n_segments candidates."""
@@ -411,13 +454,9 @@ class TestInfer:
     def test_winner_error_matches_pixels(self, toy_trained, toy_demo_20):
         frame = toy_demo_20.frames[3]
         result = infer(frame, toy_trained)
-        by_id = {o.id: o for o in frame}
-        recomputed = candidate_error(
-            next(c for c in result.candidates
-                 if frozenset(c.feature_ids) == result.winner_ids),
-            by_id,
-        )
-        assert result.error.values == pytest.approx(recomputed.values)
+        px = {o.id: (o.pixel.u, o.pixel.v) for o in frame}
+        recomputed = reference.candidate_error(KernelKind.P2P, result.winner_entities, px)
+        assert result.error.values == pytest.approx(recomputed)
 
     def test_weights_sum_to_one(self, toy_trained, toy_demo_20):
         result = infer(toy_demo_20.frames[0], toy_trained)
@@ -521,6 +560,37 @@ class TestInferAgainstReference:
         result = infer(frame, random_kernel("l2l", frame))
         assert all((6, 7) not in c.entities for c in result.candidates)
         assert len(result.candidates) == 6  # C(4, 2) of the five segments
+
+
+class TestAssociationError:
+    # The fixed-association error equals the scalar per-candidate error of
+    # tests/reference.py, bit for bit, with infer's entity order.
+    @pytest.mark.parametrize("kind", ["p2p", "p2l", "l2l", "p2c"])
+    def test_matches_reference(self, kind):
+        kind = KernelKind(kind)
+        frame = scene_frame(kind)
+        px = {o.id: (o.pixel.u, o.pixel.v) for o in frame}
+        for cand in build_candidates(frame, kind):
+            ids = reversed(cand.feature_ids)
+            error, entities = association_error(frame, kind, ids, frame_index=2)
+            assert entities == cand.entities
+            assert np.array_equal(error.values, reference.candidate_error(kind, entities, px))
+            assert error.frame_index == 2
+
+    def test_hidden_member(self):
+        frame = hide(scene_frame("l2l"), {3})
+        with pytest.raises(NoVisibleCandidatesError, match=r"\[3\] of association \[0, 1, 2, 3\]"):
+            association_error(frame, "l2l", (0, 1, 2, 3))
+
+    def test_degenerate_geometry(self):
+        frame = move(scene_frame("l2l"), {1: pixel_of(scene_frame("l2l"), 0)})
+        with pytest.raises(NoVisibleCandidatesError, match="degenerate"):
+            association_error(frame, "l2l", (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("ids", [(), (0,), (0, 1, 2), (0, 1, 99)])
+    def test_not_one_candidate(self, ids):
+        with pytest.raises(TrainingError):
+            association_error(scene_frame("p2p"), "p2p", ids)
 
 
 class TestInferPartlyHiddenEntities:
@@ -659,7 +729,6 @@ def test_json_writers_use_one_dumps(tmp_path, toy_trained):
         (save_demo, demo, demo_to_json_dict(demo)),
         (save_trained, toy_trained, toy_trained.to_json_dict()),
         (save_report, report, report.to_json_dict()),
-        (network.save_params, toy_trained.params, toy_trained.params.to_json_dict()),
     ]
     for save, obj, payload in cases:
         path = tmp_path / "out.json"
