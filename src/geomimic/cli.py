@@ -12,9 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
-
-import numpy as np
 
 from .geometry import KernelKind
 from .metrics import evaluate, save_report, write_frame_csv
@@ -24,7 +21,6 @@ from .scene import (
     PerturbationSetting,
     SceneError,
     apply_perturbation,
-    demo_to_json_dict,
     gen_demo,
     load_demo,
     make_servo_world,
@@ -71,15 +67,11 @@ def _read_config_file(path: str | None) -> dict:
 
 
 def _merged_config(cls, file_payload: dict, overrides: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(file_payload) - known
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(file_payload)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return cls(**merged)
-    except (SceneError, TrainingError, ServoError, ValueError) as exc:
+        return cls.from_json_dict(merged)
+    except (SceneError, TrainingError, ServoError, TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}") from exc
 
 

@@ -63,9 +63,6 @@ class ImagePoint:
     u: float
     v: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
 
 def _rows(*points: ImagePoint) -> np.ndarray:
     """(K, 2) pixel array of K image points."""
@@ -179,7 +176,6 @@ class ErrorSignal:
 
     kernel_kind: KernelKind
     values: np.ndarray
-    frame_index: int = 0
 
     def __post_init__(self) -> None:
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -343,20 +339,18 @@ def p2c_errors(p: np.ndarray, conics: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(x[:, None, :], conics), x[:, :, None])[:, 0, 0]
 
 
-def p2p_error(p1: ImagePoint, p2: ImagePoint, frame_index: int = 0) -> ErrorSignal:
+def p2p_error(p1: ImagePoint, p2: ImagePoint) -> ErrorSignal:
     """Pixel offset (du, dv) between two points; zero iff they coincide."""
-    return ErrorSignal(KernelKind.P2P, p2p_errors(_rows(p1), _rows(p2))[0], frame_index)
+    return ErrorSignal(KernelKind.P2P, p2p_errors(_rows(p1), _rows(p2))[0])
 
 
-def p2l_error(p: ImagePoint, line: HomLine, frame_index: int = 0) -> ErrorSignal:
+def p2l_error(p: ImagePoint, line: HomLine) -> ErrorSignal:
     """Signed perpendicular distance of a point from a normalized line."""
     values = p2l_errors(_rows(p), line.coeffs()[None])
-    return ErrorSignal(KernelKind.P2L, values, frame_index)
+    return ErrorSignal(KernelKind.P2L, values)
 
 
-def l2l_error(
-    segment: tuple[ImagePoint, ImagePoint], line: HomLine, frame_index: int = 0
-) -> ErrorSignal:
+def l2l_error(segment: tuple[ImagePoint, ImagePoint], line: HomLine) -> ErrorSignal:
     """Signed distances of both segment endpoints from a line.
 
     Zero iff the segment lies on the line. The endpoints must be distinct
@@ -365,9 +359,9 @@ def l2l_error(
     p, q = _rows(segment[0]), _rows(segment[1])
     if not distinct_points(p, q)[0]:
         raise CoincidentPointsError("segment endpoints coincide")
-    return ErrorSignal(KernelKind.L2L, l2l_errors(p, q, line.coeffs()[None])[0], frame_index)
+    return ErrorSignal(KernelKind.L2L, l2l_errors(p, q, line.coeffs()[None])[0])
 
 
-def p2c_error(p: ImagePoint, conic: Conic, frame_index: int = 0) -> ErrorSignal:
+def p2c_error(p: ImagePoint, conic: Conic) -> ErrorSignal:
     """Algebraic residual x^T C x of a point against a normalized conic."""
-    return ErrorSignal(KernelKind.P2C, p2c_errors(_rows(p), conic.matrix[None]), frame_index)
+    return ErrorSignal(KernelKind.P2C, p2c_errors(_rows(p), conic.matrix[None]))

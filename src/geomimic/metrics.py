@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .scene import DemoSequence
-from .training import InferenceResult, NoVisibleCandidatesError, TrainedKernel, infer
+from .training import NoVisibleCandidatesError, TrainedKernel, infer
 
 CONSISTENCY_LAG = 2
 
@@ -121,7 +121,7 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
     gt_frame_hits = []
     for t, frame in enumerate(demo.frames):
         try:
-            result = infer(frame, trained, frame_index=t)
+            result = infer(frame, trained)
             winner = tuple(sorted(result.winner_ids))
             winners.append(winner)
             norms.append(result.error.norm())

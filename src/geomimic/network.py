@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

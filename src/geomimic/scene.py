@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import ImagePoint, KernelKind, conic_through, p2c_error
+from .geometry import ImagePoint, KernelKind, conics_through, p2c_errors
 
 IMAGE_SIZE = (640, 480)
 DEFAULT_FOCAL = 800.0
@@ -530,16 +530,15 @@ def _layout_p2c(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random
 
     # Solve for the radius giving each frame's target residual against that
     # frame's exact sample conic, so the signal decays by construction.
+    conics, _ = conics_through(np.stack(samples, axis=1))
+    probe_r = r_on + 25.0
+    scales = p2c_errors(center_track + probe_r * direction, conics) / (probe_r**2 * g - 1.0)
+    r_start = r_on + e0
+    v0 = abs(float(scales[0])) * (r_start**2 * g - 1.0)
     mover_track = np.empty((config.n_frames, 2))
-    v0 = None
-    for t in range(config.n_frames):
-        conic = conic_through([ImagePoint(*s[t]) for s in samples])
-        probe_r = r_on + 25.0
-        probe = ImagePoint(*(center_track[t] + probe_r * direction))
-        scale = float(p2c_error(probe, conic).values[0]) / (probe_r**2 * g - 1.0)
-        if v0 is None:
-            r_start = r_on + e0
-            v0 = abs(scale) * (r_start**2 * g - 1.0)
+    # Scalar arithmetic per frame: float ** int may round differently
+    # from np.power on an array.
+    for t, scale in enumerate(scales.tolist()):
         target_resid = v0 * config.approach_rate**t
         r_t = math.sqrt((target_resid / abs(scale) + 1.0) / g)
         mover_track[t] = center_track[t] + r_t * direction

@@ -10,7 +10,7 @@ secant updates while steering the scene's mover entity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Protocol
 
 import numpy as np

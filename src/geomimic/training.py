@@ -17,9 +17,11 @@ is encoded once, every line or conic entity is fitted once, and all
 candidates' errors come from one batched ``geometry`` call. Candidates are
 grouped into entities from all of a frame's observations and count on the
 frame only if every member is visible and the geometry is non-degenerate.
-``attach_frame`` turns the arrays into the per-frame graphs training packs;
-``infer`` scores them in one forward pass, and ``association_error``
-measures one fixed association with them.
+``prepare_candidates`` enumerates a demo's candidates once, from the
+features of all its frames, and runs ``_frame_batch`` on every frame
+against that one layout to get the per-frame graphs and errors training
+packs; ``infer`` scores one frame's arrays in one forward pass, and
+``association_error`` measures one fixed association with them.
 """
 
 from __future__ import annotations
@@ -185,23 +187,6 @@ class _Layout:
     fitted_of: np.ndarray
 
 
-def _layout(kind: KernelKind, entities: Sequence[tuple[tuple[int, ...], ...]]) -> _Layout:
-    """Layout of candidates given as entity tuples; they must share entity sizes."""
-    sizes = tuple(len(e) for e in entities[0])
-    if any(tuple(len(e) for e in ents) != sizes for ents in entities):
-        raise TrainingError("candidates of one batch must share entity sizes")
-    slots: dict[tuple[int, ...], int] = {}
-    fitted_of = [slots.setdefault(ents[-1], len(slots)) for ents in entities]
-    arrays = (
-        np.array([sum(ents, ()) for ents in entities], dtype=int),
-        np.array(list(slots), dtype=int),
-        np.array(fitted_of, dtype=int),
-    )
-    for arr in arrays:
-        arr.flags.writeable = False
-    return _Layout(kind, sizes, *arrays)
-
-
 @functools.lru_cache(maxsize=64)
 def _enumerate(
     kind: KernelKind,
@@ -225,7 +210,17 @@ def _enumerate(
     if not combos:
         raise TooFewFeaturesError(f"no {kind.value} candidates can be built")
     combos.sort()
-    return tuple(combos), _layout(kind, combos)
+    slots: dict[tuple[int, ...], int] = {}
+    fitted_of = [slots.setdefault(ents[-1], len(slots)) for ents in combos]
+    arrays = (
+        np.array([sum(ents, ()) for ents in combos], dtype=int),
+        np.array(list(slots), dtype=int),
+        np.array(fitted_of, dtype=int),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    # Every candidate of one kind has the same entity sizes.
+    return tuple(combos), _Layout(kind, tuple(len(e) for e in combos[0]), *arrays)
 
 
 def build_candidates(
@@ -316,46 +311,10 @@ def _frame_batch(
     return _FrameBatch(encodings, rows, errors, usable)
 
 
-def attach_frame(
-    candidates: Sequence[CandidateInstance],
-    frame: Sequence[FeatureObservation],
-    frame_index: int,
-    image_size: tuple[int, int] = IMAGE_SIZE,
-) -> None:
-    """Append one frame's graphs and errors to every candidate.
-
-    A candidate is skipped (None entries) when any member is missing or
-    invisible, or its geometry degenerates on this frame. Candidates must
-    share one kind and entity sizes, as ``build_candidates`` returns them.
-    """
-    if not candidates:
-        return
-    kind = candidates[0].kernel_kind
-    if any(c.kernel_kind is not kind for c in candidates):
-        raise TrainingError("candidates of one batch must share one kind")
-    layout = _layout(kind, [c.entities for c in candidates])
-    if not frame:
-        for cand in candidates:
-            cand.graphs.append(None)
-            cand.errors.append(None)
-        return
-    batch = _frame_batch(layout, frame, image_size)
-    nodes = batch.encodings[batch.rows]
-    edges, grouping = entity_wiring(layout.sizes)
-    for cand, ok, graph_nodes, err in zip(candidates, batch.usable, nodes, batch.errors):
-        if ok:
-            cand.graphs.append(KernelGraph(kind, graph_nodes, edges, grouping))
-            cand.errors.append(ErrorSignal(kind, err, frame_index))
-        else:
-            cand.graphs.append(None)
-            cand.errors.append(None)
-
-
 def association_error(
     frame: Sequence[FeatureObservation],
     kind: KernelKind,
     ids: Iterable[int],
-    frame_index: int = 0,
 ) -> tuple[ErrorSignal, tuple[tuple[int, ...], ...]]:
     """Error and entities of the one candidate made of exactly ``ids`` on a frame.
 
@@ -381,7 +340,7 @@ def association_error(
         raise NoVisibleCandidatesError(
             f"association {sorted(wanted)} has degenerate geometry on this frame"
         )
-    return ErrorSignal(kind, batch.errors[0], frame_index), combos[0]
+    return ErrorSignal(kind, batch.errors[0]), combos[0]
 
 
 def quality_score(
@@ -448,53 +407,42 @@ def _pack_candidates(
     if any(len(c.graphs) != n_frames for c in candidates):
         raise TrainingError("candidates disagree on frame count")
     if n_frames == 0:
-        raise TrainingError("candidates carry no frames; call attach_frame first")
+        raise TrainingError("candidates carry no frames; build them with prepare_candidates")
+    usable = np.array([[g is not None for g in c.graphs] for c in candidates])  # (C, T)
     # quality_score needs two usable frames; a candidate seen on fewer
     # cannot be scored, so it leaves the training set.
-    seen = [sum(g is not None for g in c.graphs) for c in candidates]
-    dropped = [c.feature_ids for c, k in zip(candidates, seen) if k < 2]
-    if len(dropped) == len(candidates):
+    kept = usable.sum(axis=1) >= 2
+    if not kept.any():
         raise NoVisibleCandidatesError(
             f"no candidate is usable on at least 2 of {n_frames} frames, "
             "so no demonstration quality can be scored"
         )
-    if dropped:
+    if not kept.all():
+        dropped = [c.feature_ids for c, k in zip(candidates, kept) if not k]
         warnings.warn(
             f"dropped {len(dropped)} candidate(s) usable on fewer than 2 frames "
             f"(feature ids {', '.join(map(str, dropped))})",
             stacklevel=2,
         )
-        candidates = [c for c, k in zip(candidates, seen) if k >= 2]
+        candidates = [c for c, k in zip(candidates, kept) if k]
+        usable = usable[kept]
     quality = np.array(
         [quality_score(c.errors, config.lambda_dec, config.lambda_smooth) for c in candidates]
     )
-    rows: list[np.ndarray] = []
-    cand_index: list[int] = []
-    frame_index: list[int] = []
-    gcr_pairs: list[tuple[int, int]] = []
-    edges = None
-    for j, cand in enumerate(candidates):
-        prev_row = None
-        for t, graph in enumerate(cand.graphs):
-            if graph is None:
-                continue
-            if edges is None:
-                edges = graph.edges
-            row = len(rows)
-            rows.append(graph.nodes)
-            cand_index.append(j)
-            frame_index.append(t)
-            if prev_row is not None:
-                gcr_pairs.append((prev_row, row))
-            prev_row = row
+    # One batch row per usable (candidate, frame), candidate-major, so the
+    # rows of one candidate are adjacent and its consecutive usable frames
+    # pair up as adjacent rows.
+    cand_index, frame_index = np.nonzero(usable)
+    graphs = [candidates[j].graphs[t] for j, t in zip(cand_index.tolist(), frame_index.tolist())]
+    pair_rows = np.flatnonzero(cand_index[1:] == cand_index[:-1])
     live_frames, frame_row = np.unique(frame_index, return_inverse=True)
     return _Pack(
-        nodes=np.stack(rows),
-        edges=edges,
-        cand_index=np.array(cand_index, dtype=int),
+        nodes=np.stack([g.nodes for g in graphs]),
+        edges=graphs[0].edges,
+        cand_index=cand_index,
         frame_row=frame_row,
         n_score_rows=len(live_frames),
-        gcr_pairs=np.array(gcr_pairs, dtype=int).reshape(-1, 2),
+        gcr_pairs=np.stack([pair_rows, pair_rows + 1], axis=1),
         quality=quality,
         n_frames=n_frames,
         rounds=config.rounds,
@@ -658,18 +606,31 @@ def _observed_features(frames: Sequence[Sequence[FeatureObservation]]) -> list[F
     return list(first.values())
 
 
-def prepare_candidates(
-    demo: DemoSequence, kind: KernelKind, image_size: tuple[int, int] | None = None
-) -> list[CandidateInstance]:
+def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateInstance]:
     """Candidates with graphs and errors attached for every demo frame.
 
-    Candidates are enumerated from the features of all frames, so a
-    feature missing from the first frame still takes part.
+    Candidates are enumerated once, from the features of all frames, so a
+    feature missing from the first frame still takes part. Each frame is
+    then measured against that one layout: a candidate gets None on a
+    frame where a member is missing or invisible or its geometry
+    degenerates, and on an empty frame.
     """
-    size = image_size or (demo.config.image_size if demo.config else IMAGE_SIZE)
-    candidates = build_candidates(_observed_features(demo.frames), kind)
-    for t, frame in enumerate(demo.frames):
-        attach_frame(candidates, frame, t, size)
+    kind = KernelKind(kind)
+    size = demo.config.image_size if demo.config else IMAGE_SIZE
+    combos, layout = _enumerate(kind, *_group_entities(_observed_features(demo.frames)))
+    candidates = [CandidateInstance(kind, ent) for ent in combos]
+    edges, grouping = entity_wiring(layout.sizes)
+    for frame in demo.frames:
+        if not frame:
+            for cand in candidates:
+                cand.graphs.append(None)
+                cand.errors.append(None)
+            continue
+        batch = _frame_batch(layout, frame, size)
+        nodes = batch.encodings[batch.rows]
+        for cand, ok, graph_nodes, err in zip(candidates, batch.usable, nodes, batch.errors):
+            cand.graphs.append(KernelGraph(kind, graph_nodes, edges, grouping) if ok else None)
+            cand.errors.append(ErrorSignal(kind, err) if ok else None)
     return candidates
 
 
@@ -689,7 +650,7 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     """
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
-    candidates = prepare_candidates(demo, kind, size)
+    candidates = prepare_candidates(demo, kind)
     pack = _pack_candidates(candidates, config)
     b_sz, n_nodes, input_dim = pack.nodes.shape
     rng = np.random.default_rng([config.seed, 51])
@@ -761,7 +722,6 @@ def _infer_workspace(
 def infer(
     features: Sequence[FeatureObservation],
     trained: TrainedKernel,
-    frame_index: int = 0,
 ) -> InferenceResult:
     """Select the most task-relevant association on a single frame.
 
@@ -772,7 +732,8 @@ def infer(
     min(2/m, 0.5 + 0.5/m) for m usable candidates: barely above the
     uniform 1/m, e.g. while the demonstrated features are occluded. The
     second bound only matters for m <= 2, where 2/m would distrust even a
-    certain winner; a lone candidate is trusted.
+    certain winner; a lone candidate is trusted. A frame whose node
+    encodings do not match the model's input width raises TrainingError.
     """
     if not any(o.visible for o in features):
         raise NoVisibleCandidatesError("no visible features on this frame")
@@ -782,6 +743,12 @@ def infer(
     except TrainingError as exc:
         raise NoVisibleCandidatesError(str(exc)) from exc
     batch = _frame_batch(layout, features, trained.image_size)
+    width = batch.encodings.shape[1]
+    if width != trained.params.input_dim:
+        raise TrainingError(
+            f"the frame's node encodings are {width} wide (descriptor plus pixel), "
+            f"but the model's input_dim is {trained.params.input_dim}"
+        )
     usable = np.flatnonzero(batch.usable)
     if usable.size == 0:
         raise NoVisibleCandidatesError(
@@ -801,6 +768,6 @@ def infer(
         winner_entities=cand.entities,
         weights=g,
         candidates=candidates,
-        error=ErrorSignal(kind, batch.errors[usable[winner]], frame_index),
+        error=ErrorSignal(kind, batch.errors[usable[winner]]),
         low_confidence=float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m),
     )

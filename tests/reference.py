@@ -163,6 +163,29 @@ def infer(features, trained):
     return usable, g, winner, errors[winner], low
 
 
+def pack(candidates):
+    """The candidate-major double loop ``_pack_candidates`` replaced.
+
+    Returns the stacked graph nodes of every usable (candidate, frame),
+    each row's candidate and frame, and the (row, next row) pairs of each
+    candidate's consecutive usable frames.
+    """
+    rows, cand_index, frame_index, pairs = [], [], [], []
+    for j, cand in enumerate(candidates):
+        prev_row = None
+        for t, graph in enumerate(cand.graphs):
+            if graph is None:
+                continue
+            if prev_row is not None:
+                pairs.append((prev_row, len(rows)))
+            prev_row = len(rows)
+            rows.append(graph.nodes)
+            cand_index.append(j)
+            frame_index.append(t)
+    return (np.stack(rows), np.array(cand_index), np.array(frame_index),
+            np.array(pairs, dtype=int).reshape(-1, 2))
+
+
 # Single-sample scorer building blocks: the formulas network.forward_batch
 # computes in a batched layout and another summation order.
 

@@ -69,11 +69,19 @@ class TestGen:
         ]) == 0
         assert load_demo(str(out)).n_frames == 15
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_frame": 10}))
         code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.json")])
         assert code == 2
+        assert "'n_frame'" in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_frames": "ten"}))
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid config")
 
     def test_missing_config_file(self, tmp_path):
         code = main([
@@ -141,6 +149,19 @@ class TestEval:
         ])
         assert code == 2
 
+    def test_demo_of_another_descriptor_width(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"descriptor_dim": 8}))
+        demo = tmp_path / "narrow.json"
+        assert main(["gen", "--config", str(cfg), "--n-frames", "5", "--out", str(demo)]) == 0
+        code = main([
+            "eval", "--demo", str(demo), "--model", str(workdir["model"]),
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert "input_dim is 18" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestServo:
     def test_ground_truth_ibvs_converges(self, tmp_path):
@@ -176,6 +197,19 @@ class TestServo:
             "--out", str(tmp_path / "t.csv"),
         ])
         assert code == 2
+
+    def test_model_of_another_descriptor_width(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"descriptor_dim": 8}))
+        demo, model = tmp_path / "narrow.json", tmp_path / "narrow_model.json"
+        assert main([
+            "gen", "--config", str(cfg), "--n-frames", "5", "--n-distractors", "2",
+            "--out", str(demo),
+        ]) == 0
+        assert main(["train", "--demo", str(demo), "--epochs", "2", "--out", str(model)]) == 0
+        code = main(["servo", "--model", str(model), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "input_dim is 10" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

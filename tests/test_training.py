@@ -29,7 +29,6 @@ from geomimic.training import (
     TrainedKernel,
     TrainingError,
     association_error,
-    attach_frame,
     build_candidates,
     infer,
     load_trained,
@@ -348,6 +347,21 @@ class TestVectorizedLoss:
         assert terms == pytest.approx(ref_terms, abs=1e-12)
         assert grads.flat() == pytest.approx(ref_grads.flat(), abs=1e-12)
 
+    def test_pack_matches_candidate_loop(self):
+        # frame 2 hides point 0 and frame 5 leaves no candidate usable, so
+        # rows skip frames and one frame gets no score row
+        demo = toy_demo(n_frames=8)
+        demo.frames[2] = hide(demo.frames[2], {0})
+        demo.frames[5] = hide(demo.frames[5], {1, 2})
+        cands = prepare_candidates(demo, KernelKind.P2P)
+        pack = _pack_candidates(cands, TrainConfig())
+        nodes, cand_index, frame_index, pairs = reference.pack(cands)
+        assert np.array_equal(pack.nodes, nodes)
+        assert np.array_equal(pack.cand_index, cand_index)
+        assert np.array_equal(pack.gcr_pairs, pairs)
+        assert pack.n_score_rows == 7
+        assert np.array_equal(np.unique(frame_index)[pack.frame_row], frame_index)
+
 
 class TestTrain:
     def test_toy_demo_learns_ground_truth(self):
@@ -480,6 +494,17 @@ class TestInfer:
         with pytest.raises(NoVisibleCandidatesError):
             infer(frame, toy_trained)
 
+    def test_descriptor_width_mismatch_named(self):
+        frame = scene_frame("p2p")
+        model = random_kernel("p2p", frame)
+        narrow = [
+            FeatureObservation(o.id, o.pixel, o.descriptor[:8], o.visible, o.feature_class)
+            for o in frame
+        ]
+        with pytest.raises(TrainingError, match="10 wide .* input_dim is 18") as info:
+            infer(narrow, model)
+        assert not isinstance(info.value, NoVisibleCandidatesError)
+
 
 def hide(frame, ids):
     """The frame with the given feature ids made invisible."""
@@ -545,14 +570,13 @@ class TestInferAgainstReference:
     def test_bit_identical(self, kind):
         for frame in frame_variants(kind):
             trained = random_kernel(kind, frame)
-            result = infer(frame, trained, frame_index=4)
+            result = infer(frame, trained)
             usable, weights, winner, error, low = reference.infer(frame, trained)
             assert [c.entities for c in result.candidates] == usable
             assert np.array_equal(result.weights, weights)
             assert result.winner_entities == usable[winner]
             assert result.winner_ids == frozenset(i for e in usable[winner] for i in e)
             assert np.array_equal(result.error.values, error)
-            assert result.error.frame_index == 4
             assert result.low_confidence is low
 
     def test_degenerate_candidate_left_out(self):
@@ -572,10 +596,9 @@ class TestAssociationError:
         px = {o.id: (o.pixel.u, o.pixel.v) for o in frame}
         for cand in build_candidates(frame, kind):
             ids = reversed(cand.feature_ids)
-            error, entities = association_error(frame, kind, ids, frame_index=2)
+            error, entities = association_error(frame, kind, ids)
             assert entities == cand.entities
             assert np.array_equal(error.values, reference.candidate_error(kind, entities, px))
-            assert error.frame_index == 2
 
     def test_hidden_member(self):
         frame = hide(scene_frame("l2l"), {3})
@@ -697,12 +720,12 @@ class TestInferWorkspaces:
         assert all(ws.grads is None for ws in trained._workspaces.values())
 
 
-def test_attach_frame_skips_absent_members():
-    demo = toy_demo(n_frames=3)
+def test_prepare_candidates_skips_absent_members():
+    demo = toy_demo(n_frames=5)
+    demo.frames[3] = [o for o in demo.frames[3] if o.id != 2]
+    demo.frames[4] = []
     cands = prepare_candidates(demo, KernelKind.P2P)
-    attach_frame(cands, [o for o in demo.frames[0] if o.id != 2], 3)
     assert [c.graphs[3] is not None for c in cands] == [True, False, False]
-    attach_frame(cands, [], 4)
     assert all(c.graphs[4] is None and c.errors[4] is None for c in cands)
 
 
