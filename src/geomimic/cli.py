@@ -115,7 +115,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.loss_csv:
         write_loss_csv(trained, args.loss_csv)
     first, last = trained.loss_trace[0, 1], trained.loss_trace[-1, 1]
-    print(f"wrote {args.out}: loss {first:.4f} -> {last:.4f} over {config.epochs} epochs")
+    print(
+        f"wrote {args.out}: loss {first:.4f} -> {last:.4f} "
+        f"over {len(trained.loss_trace)} of {config.epochs} epochs"
+    )
     return 0
 
 

@@ -362,6 +362,11 @@ def _bounds(image_size: tuple[int, int], inset: float = 0.0) -> tuple[np.ndarray
     """Box keeping a feature `_MARGIN_PX + inset` pixels inside the image."""
     w, h = image_size
     pad = _MARGIN_PX + inset
+    if min(w, h) < 2 * pad:
+        raise SceneError(
+            f"image size {w}x{h} is too small: a feature kept {_MARGIN_PX:g} px"
+            f" + inset {inset:g} px inside the image has no room"
+        )
     return np.array([pad, pad]), np.array([w - pad, h - pad])
 
 

@@ -32,7 +32,7 @@ import json
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,7 +80,12 @@ class NoVisibleCandidatesError(TrainingError):
 
 @dataclass
 class TrainConfig:
-    """Objective weights and optimization settings."""
+    """Objective weights and optimization settings.
+
+    ``epochs`` is a cap: `train` stops earlier once the best loss has
+    gained no more than ``PLATEAU_RTOL`` relative over ``PLATEAU_EPOCHS``
+    epochs. A trained kernel's config holds the epochs that ran.
+    """
 
     alpha_gcr: float = 0.1
     alpha_rsw: float = 0.05
@@ -639,12 +644,23 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
 # learning rate can catapult the params out of a good basin.
 GRAD_CLIP_NORM = 5.0
 
+# `train` stops once the best loss has gained no more than PLATEAU_RTOL
+# relative over PLATEAU_EPOCHS epochs (Prechelt 1998).
+PLATEAU_EPOCHS = 25
+PLATEAU_RTOL = 1e-4
+
 
 def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedKernel:
     """Fit the scorer on one demonstration by plain gradient descent.
 
     Gradients are norm-clipped and the returned params are the
     lowest-loss iterate seen along the trace, not the last one.
+    ``config.epochs`` is a cap: with ``best[e]`` the lowest loss up to
+    epoch ``e``, training stops after the first epoch ``e >=
+    PLATEAU_EPOCHS`` where ``best[e - PLATEAU_EPOCHS] - best[e] <=
+    PLATEAU_RTOL * |best[e - PLATEAU_EPOCHS]|``, and the trace keeps the
+    ``e + 1`` epochs that ran. The kernel's config records those epochs
+    as ``epochs``, so training again with it rebuilds the same kernel.
     Deterministic for a fixed config: init, packing order and the
     single-threaded numpy math are all seed-driven.
     """
@@ -660,6 +676,7 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     )
 
     trace = np.empty((config.epochs, 5))
+    best = np.empty(config.epochs)
     best_loss = math.inf
     best_params = params.copy()
     for epoch in range(config.epochs):
@@ -667,11 +684,7 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
         if breakdown.value < best_loss:
             best_loss = breakdown.value
             np.copyto(best_params.vector, params.vector)
-        gnorm = float(np.linalg.norm(grads.vector))
-        scale = -config.lr
-        if gnorm > GRAD_CLIP_NORM:
-            scale *= GRAD_CLIP_NORM / gnorm
-        params.add_scaled(grads, scale)
+        best[epoch] = best_loss
         trace[epoch] = (
             epoch,
             breakdown.value,
@@ -679,9 +692,19 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
             breakdown.rsw_term,
             breakdown.expected_quality,
         )
+        if epoch >= PLATEAU_EPOCHS:
+            before = best[epoch - PLATEAU_EPOCHS]
+            if before - best_loss <= PLATEAU_RTOL * abs(before):
+                trace = trace[: epoch + 1]
+                break
+        gnorm = float(np.linalg.norm(grads.vector))
+        scale = -config.lr
+        if gnorm > GRAD_CLIP_NORM:
+            scale *= GRAD_CLIP_NORM / gnorm
+        params.add_scaled(grads, scale)
     if not np.isfinite(trace[:, 1]).all():
         raise TrainingError("training diverged: non-finite loss")
-    return TrainedKernel(kind, best_params, config, trace, size)
+    return TrainedKernel(kind, best_params, replace(config, epochs=len(trace)), trace, size)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Reference copies of the per-candidate scalar code that batched
-geometry and array inference replaced, and the single-sample building
-blocks of the scorer.
+geometry and array inference replaced, the fixed-epoch training loop the
+plateau stop replaced, and the single-sample building blocks of the
+scorer.
 
-The tests compare the production geometry and inference against these
-bit for bit, and the batched scorer against the composed building blocks
-to 1e-12. They return raw numpy values rather than library objects, so
-nothing here runs production geometry.
+The tests compare the production geometry, inference and training against
+these bit for bit, and the batched scorer against the composed building
+blocks to 1e-12. They return raw numpy values rather than library objects.
+Apart from ``train_fixed_epochs``, which keeps the production candidate
+packing and loss, nothing here runs production geometry.
 """
 
 import math
@@ -14,7 +16,15 @@ import numpy as np
 
 from geomimic import network
 from geomimic.geometry import COINCIDENT_TOL_PX, KernelKind
-from geomimic.training import build_candidates, select_out
+from geomimic.network import NetParams
+from geomimic.training import (
+    GRAD_CLIP_NORM,
+    _loss_packed,
+    _pack_candidates,
+    build_candidates,
+    prepare_candidates,
+    select_out,
+)
 
 _DEGENERATE_NORM = 1e-12
 
@@ -184,6 +194,39 @@ def pack(candidates):
             frame_index.append(t)
     return (np.stack(rows), np.array(cand_index), np.array(frame_index),
             np.array(pairs, dtype=int).reshape(-1, 2))
+
+
+def train_fixed_epochs(demo, kind, config):
+    """The training loop before the plateau stop: exactly ``config.epochs``
+    clipped gradient steps.
+
+    Returns the (epochs, 5) loss trace and the lowest-loss iterate's param
+    vector.
+    """
+    pack = _pack_candidates(prepare_candidates(demo, kind), config)
+    b_sz, n_nodes, input_dim = pack.nodes.shape
+    params = NetParams.init_random(
+        config.hidden, input_dim, np.random.default_rng([config.seed, 51])
+    )
+    workspace = network.Workspace(
+        b_sz, n_nodes, input_dim, pack.edges, config.hidden, config.rounds
+    )
+    trace = np.empty((config.epochs, 5))
+    best_loss = math.inf
+    best_params = params.vector.copy()
+    for epoch in range(config.epochs):
+        breakdown, grads = _loss_packed(pack, params, config, workspace)
+        if breakdown.value < best_loss:
+            best_loss = breakdown.value
+            best_params = params.vector.copy()
+        gnorm = float(np.linalg.norm(grads.vector))
+        scale = -config.lr
+        if gnorm > GRAD_CLIP_NORM:
+            scale *= GRAD_CLIP_NORM / gnorm
+        params.add_scaled(grads, scale)
+        trace[epoch] = (epoch, breakdown.value, breakdown.gcr_term,
+                        breakdown.rsw_term, breakdown.expected_quality)
+    return trace, best_params
 
 
 # Single-sample scorer building blocks: the formulas network.forward_batch

@@ -83,6 +83,15 @@ class TestGen:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid config")
 
+    def test_image_too_small_for_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"image_size": [320, 240]}))
+        code = main([
+            "gen", "--kernel", "l2l", "--config", str(cfg), "--out", str(tmp_path / "d.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: image size 320x240 is too small")
+
     def test_missing_config_file(self, tmp_path):
         code = main([
             "gen", "--config", str(tmp_path / "nope.json"),
@@ -107,6 +116,15 @@ class TestTrain:
         first = float(lines[-30].split(",")[1])
         last = float(lines[-1].split(",")[1])
         assert last < first
+
+    def test_summary_counts_epochs_run(self, workdir, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert main(["train", "--demo", str(workdir["demo"]), "--out", str(model)]) == 0
+        trained = load_trained(str(model))
+        ran = len(trained.loss_trace)
+        assert ran < 300
+        assert trained.config.epochs == ran
+        assert f"over {ran} of 300 epochs" in capsys.readouterr().out
 
     def test_missing_demo(self, tmp_path):
         code = main([

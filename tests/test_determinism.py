@@ -14,9 +14,11 @@ import numpy as np
 
 import geomimic
 
-# README "Conventions" states this bound: 40 epochs on the bench l2l demo
-# at 1 and at 2 BLAS threads. Measured differences were 1e-14 or less on
-# seeds 0-2 and 4e-11 on seed 3.
+# README "Conventions" states this bound: 40 epochs, and a default run to
+# its plateau stop, on the bench l2l demo at 1 and at 2 BLAS threads.
+# Measured differences at 40 epochs were 1e-14 or less on seeds 0-2 and
+# 4e-11 on seed 3; default runs of seeds 0 and 1 ended 1.2e-14 and 9.6e-13
+# apart.
 BLAS_THREADS_PARAM_TOL = 1e-9
 
 _TRAIN_AND_EVAL = """
@@ -29,6 +31,7 @@ for seed in (0, 1):
     demo = scene.gen_demo(scene.DemoConfig(
         kernel_kind=KernelKind.L2L, seed=seed, n_frames=12, n_distractors=2))
     trained = training.train(demo, KernelKind.L2L, training.TrainConfig(seed=seed, epochs=40))
+    full = training.train(demo, KernelKind.L2L, training.TrainConfig(seed=seed))
     held = scene.apply_perturbation(
         scene.gen_demo(scene.DemoConfig(
             kernel_kind=KernelKind.L2L, seed=seed, layout_seed=seed + 1000)),
@@ -38,6 +41,8 @@ for seed in (0, 1):
     report = metrics.evaluate(held, trained)
     out.append({
         "params": [float.hex(v) for v in trained.params.vector],
+        "full_params": [float.hex(v) for v in full.params.vector],
+        "full_epochs": len(full.loss_trace),
         "winners": report.per_frame_winners,
     })
 print(json.dumps(out))
@@ -55,10 +60,14 @@ def _run(threads: int) -> list[dict]:
     return json.loads(done.stdout)
 
 
+def _params(hexes: list[str]) -> np.ndarray:
+    return np.array([float.fromhex(v) for v in hexes])
+
+
 def test_one_and_two_blas_threads_agree():
     one, two = _run(1), _run(2)
     for a, b in zip(one, two):
-        pa = np.array([float.fromhex(v) for v in a["params"]])
-        pb = np.array([float.fromhex(v) for v in b["params"]])
-        assert np.max(np.abs(pa - pb)) <= BLAS_THREADS_PARAM_TOL
+        for key in ("params", "full_params"):
+            assert np.max(np.abs(_params(a[key]) - _params(b[key]))) <= BLAS_THREADS_PARAM_TOL
+        assert a["full_epochs"] == b["full_epochs"] < 300
         assert a["winners"] == b["winners"]

@@ -148,6 +148,22 @@ class TestGenDemo:
         else:
             assert gt_classes == [FeatureClass.POINT] + [FeatureClass.CONIC_SAMPLE] * 5
 
+    @pytest.mark.parametrize("kind, error", [
+        (KernelKind.P2P, None),
+        (KernelKind.P2L, "could not place a feature"),
+        (KernelKind.L2L, "image size 320x240 is too small: .* inset 75 px"),
+        (KernelKind.P2C, "could not place a feature"),
+    ])
+    def test_small_image(self, kind, error):
+        # at 320x240 only p2p's points fit; the l2l distractor segments'
+        # inset leaves an empty box, which is named before any draw
+        cfg = DemoConfig(kernel_kind=kind, image_size=(320, 240))
+        if error is None:
+            assert gen_demo(cfg).gt_visible(0)
+        else:
+            with pytest.raises(SceneError, match=error):
+                gen_demo(cfg)
+
     def test_config_validation(self):
         with pytest.raises(SceneError):
             DemoConfig(n_frames=1)

@@ -23,6 +23,8 @@ from geomimic.scene import (
 )
 from geomimic.training import (
     INFER_WORKSPACES,
+    PLATEAU_EPOCHS,
+    PLATEAU_RTOL,
     NoVisibleCandidatesError,
     TooFewFeaturesError,
     TrainConfig,
@@ -390,7 +392,10 @@ class TestTrain:
         assert np.all(np.isfinite(trace))
 
     def test_trace_shape(self, toy_trained):
-        assert toy_trained.loss_trace.shape == (150, 5)
+        # epochs=150 is a cap: the toy run stops on the loss plateau first
+        stop = int(toy_trained.loss_trace[-1, 0])
+        assert stop < 150
+        assert toy_trained.loss_trace.shape == (stop + 1, 5)
 
     def test_config_validation(self):
         with pytest.raises(TrainingError):
@@ -718,6 +723,60 @@ class TestInferWorkspaces:
             infer(hide(frame, set(points[:n_hidden])), trained)
         assert len(trained._workspaces) == INFER_WORKSPACES
         assert all(ws.grads is None for ws in trained._workspaces.values())
+
+
+def _plateaued(best, epoch):
+    if epoch < PLATEAU_EPOCHS:
+        return False
+    before = best[epoch - PLATEAU_EPOCHS]
+    return before - best[epoch] <= PLATEAU_RTOL * abs(before)
+
+
+class TestPlateauStop:
+    def test_trace_is_prefix_of_fixed_epoch_trace(self, toy_trained):
+        ref_trace, _ = reference.train_fixed_epochs(
+            toy_demo(), KernelKind.P2P, TrainConfig(epochs=150, seed=0)
+        )
+        n = len(toy_trained.loss_trace)
+        assert np.array_equal(toy_trained.loss_trace, ref_trace[:n])
+
+    def test_params_are_best_iterate_of_rows_run(self, toy_trained):
+        n = len(toy_trained.loss_trace)
+        _, ref_params = reference.train_fixed_epochs(
+            toy_demo(), KernelKind.P2P, TrainConfig(epochs=n, seed=0)
+        )
+        assert np.array_equal(toy_trained.params.vector, ref_params)
+
+    def test_rule_holds_at_last_row_only(self, toy_trained):
+        best = np.minimum.accumulate(toy_trained.loss_trace[:, 1])
+        last = len(best) - 1
+        assert _plateaued(best, last)
+        assert not any(_plateaued(best, e) for e in range(last))
+
+    def test_config_records_rows_run(self, toy_trained):
+        n = len(toy_trained.loss_trace)
+        assert toy_trained.config == TrainConfig(epochs=n, seed=0)
+        again = train(toy_demo(), KernelKind.P2P, toy_trained.config)
+        assert np.array_equal(again.loss_trace, toy_trained.loss_trace)
+        assert np.array_equal(again.params.vector, toy_trained.params.vector)
+        assert again.config == toy_trained.config
+
+    def test_run_without_plateau_fills_the_cap(self, toy_trained):
+        # the uncapped toy run stops at row 56; a cap of 50 ends first
+        assert len(toy_trained.loss_trace) > 50
+        trained = train(toy_demo(), KernelKind.P2P, TrainConfig(epochs=50, seed=0))
+        ref_trace, ref_params = reference.train_fixed_epochs(
+            toy_demo(), KernelKind.P2P, TrainConfig(epochs=50, seed=0)
+        )
+        assert np.array_equal(trained.loss_trace, ref_trace)
+        assert np.array_equal(trained.params.vector, ref_params)
+        assert trained.config.epochs == 50
+
+    def test_non_finite_loss_still_rejected(self):
+        # a flat best loss after divergence trips the plateau rule; the
+        # rows run before the stop still reach the finiteness check
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite loss"):
+            train(toy_demo(), KernelKind.P2P, TrainConfig(lr=1e308, seed=0))
 
 
 def test_prepare_candidates_skips_absent_members():
