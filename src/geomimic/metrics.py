@@ -14,7 +14,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .scene import DemoSequence
-from .training import NoVisibleCandidatesError, TrainedKernel, infer
+from .training import (
+    NoVisibleCandidatesError,
+    TooFewFeaturesError,
+    TrainedKernel,
+    TrainingError,
+    _observed_features,
+    build_candidates,
+    infer,
+)
 
 CONSISTENCY_LAG = 2
 
@@ -112,8 +120,18 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
 
     Frames where the ground truth is occluded or out of view are excluded
     from the accuracy denominator; consistency uses every frame with a
-    usable winner.
+    usable winner. A demo whose features, over all frames, build no
+    candidate of the model's kind raises TrainingError.
     """
+    features = _observed_features(demo.frames)
+    try:
+        build_candidates(features, trained.kernel_kind)
+    except TooFewFeaturesError as exc:
+        held = sorted({o.feature_class.value for o in features})
+        raise TrainingError(
+            f"a {trained.kernel_kind.value} model cannot score this demo: it holds "
+            f"{', '.join(held) or 'no'} features only, so {exc}"
+        ) from exc
     gt = frozenset(demo.ground_truth)
     winners: list[tuple[int, ...] | None] = []
     norms: list[float | None] = []

@@ -27,7 +27,8 @@ class ServoError(RuntimeError):
 
 
 class SingularityError(ServoError):
-    """Undamped control step through a rank-deficient interaction matrix."""
+    """Undamped control step through a rank-deficient interaction matrix,
+    or a uvs Jacobian with no nonzero entry."""
 
 
 class ZeroStepError(ServoError):
@@ -329,7 +330,8 @@ def run_loop(
 
     In uvs mode the Jacobian starts from ``j0`` when given, otherwise
     from exploratory motions, and is Broyden-updated after every step.
-    Raises DivergenceError when the error norm exceeds 10x its start.
+    Raises SingularityError when that starting Jacobian is all zero, and
+    DivergenceError when the error norm exceeds 10x its start.
     """
     error = np.asarray(plant.observe(), dtype=float)
     start_norm = float(np.linalg.norm(error))
@@ -344,6 +346,11 @@ def run_loop(
             if j0 is not None
             else estimate_jacobian(plant, config.explore_step)
         )
+        if not jacobian.any():
+            raise SingularityError(
+                "the servoed error does not move with the actuator: every entry of "
+                "the uvs Jacobian is zero, so no step can reduce the error"
+            )
     for _ in range(config.max_steps):
         matrix = plant.interaction() if config.mode == "ibvs" else jacobian
         dq = control_step(error, matrix, config)

@@ -647,7 +647,7 @@ GRAD_CLIP_NORM = 5.0
 # `train` stops once the best loss has gained no more than PLATEAU_RTOL
 # relative over PLATEAU_EPOCHS epochs (Prechelt 1998).
 PLATEAU_EPOCHS = 25
-PLATEAU_RTOL = 1e-4
+PLATEAU_RTOL = 1e-3
 
 
 def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedKernel:

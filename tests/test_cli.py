@@ -180,6 +180,21 @@ class TestEval:
         assert "input_dim is 18" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_demo_without_the_models_kind(self, tmp_path, capsys):
+        p2l, p2p, model = tmp_path / "p2l.json", tmp_path / "p2p.json", tmp_path / "m.json"
+        small = ["--n-frames", "12", "--n-distractors", "2"]
+        assert main(["gen", "--kernel", "p2l", *small, "--out", str(p2l)]) == 0
+        assert main(["train", "--demo", str(p2l), "--epochs", "5", "--out", str(model)]) == 0
+        assert main(["gen", "--kernel", "p2p", *small, "--out", str(p2p)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--demo", str(p2p), "--model", str(model),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a p2l model cannot score this demo")
+        assert "holds point features only" in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestServo:
     def test_ground_truth_ibvs_converges(self, tmp_path):

@@ -17,8 +17,9 @@ import geomimic
 # README "Conventions" states this bound: 40 epochs, and a default run to
 # its plateau stop, on the bench l2l demo at 1 and at 2 BLAS threads.
 # Measured differences at 40 epochs were 1e-14 or less on seeds 0-2 and
-# 4e-11 on seed 3; default runs of seeds 0 and 1 ended 1.2e-14 and 9.6e-13
-# apart.
+# 4e-11 on seed 3. Default runs of seeds 0 and 1 stop after 65 and 68
+# epochs on both counts and end 1.2e-14 and 9.6e-13 apart; seed 3, left
+# out, stops after 82 on both but ends 1.8e-5 apart.
 BLAS_THREADS_PARAM_TOL = 1e-9
 
 _TRAIN_AND_EVAL = """

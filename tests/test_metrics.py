@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from geomimic.geometry import KernelKind
 from geomimic.metrics import (
     CONSISTENCY_LAG,
     EvalReport,
@@ -18,6 +19,7 @@ from geomimic.metrics import (
     save_report,
     write_frame_csv,
 )
+from geomimic.training import TrainedKernel, TrainingError
 
 from conftest import make_point
 
@@ -130,6 +132,23 @@ class TestEvaluate:
         scored = [c for c in rep.per_frame_correct if c is not None]
         assert len(scored) == 17
         assert rep.acc == pytest.approx(100.0 * sum(scored) / 17)
+
+    def test_kind_the_demo_cannot_build_is_rejected(self, toy_trained, toy_demo_20):
+        p2l = TrainedKernel(
+            KernelKind.P2L, toy_trained.params, toy_trained.config, toy_trained.loss_trace
+        )
+        with pytest.raises(TrainingError, match="p2l model .* holds point features only"):
+            evaluate(toy_demo_20, p2l)
+
+    def test_frame_with_every_feature_hidden_has_no_winner(self, toy_trained, toy_demo_20):
+        frames = [list(frame) for frame in toy_demo_20.frames]
+        frames[4] = [
+            make_point(o.id, o.pixel.u, o.pixel.v, o.descriptor, visible=False)
+            for o in frames[4]
+        ]
+        rep = evaluate(replace(toy_demo_20, frames=frames), toy_trained)
+        assert rep.per_frame_winners[4] is None
+        assert rep.per_frame_winners[3] is not None
 
 
 class TestReports:

@@ -184,6 +184,14 @@ class TestLinearPlantLoop:
         with pytest.raises(DivergenceError):
             run_loop(plant, cfg, j0=2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("j0", [None, np.zeros((2, 2))])
+    def test_error_that_ignores_the_actuator(self, j0):
+        plant = LinearPlant(np.zeros((2, 2)), [5.0, -3.0])
+        cfg = ServoConfig(mode="uvs", gain=0.3)
+        with pytest.raises(SingularityError, match="does not move with the actuator"):
+            run_loop(plant, cfg, j0=j0)
+        assert not plant.q.any()
+
 
 class TestScenePlant:
     def test_ibvs_requires_point_task(self):

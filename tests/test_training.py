@@ -762,15 +762,16 @@ class TestPlateauStop:
         assert again.config == toy_trained.config
 
     def test_run_without_plateau_fills_the_cap(self, toy_trained):
-        # the uncapped toy run stops at row 56; a cap of 50 ends first
-        assert len(toy_trained.loss_trace) > 50
-        trained = train(toy_demo(), KernelKind.P2P, TrainConfig(epochs=50, seed=0))
+        # a cap a few epochs short of the uncapped toy run's stop ends first
+        cap = len(toy_trained.loss_trace) - 5
+        assert cap > PLATEAU_EPOCHS
+        trained = train(toy_demo(), KernelKind.P2P, TrainConfig(epochs=cap, seed=0))
         ref_trace, ref_params = reference.train_fixed_epochs(
-            toy_demo(), KernelKind.P2P, TrainConfig(epochs=50, seed=0)
+            toy_demo(), KernelKind.P2P, TrainConfig(epochs=cap, seed=0)
         )
         assert np.array_equal(trained.loss_trace, ref_trace)
         assert np.array_equal(trained.params.vector, ref_params)
-        assert trained.config.epochs == 50
+        assert trained.config.epochs == cap
 
     def test_non_finite_loss_still_rejected(self):
         # a flat best loss after divergence trips the plateau rule; the
