@@ -39,12 +39,36 @@ class KernelKind(str, enum.Enum):
     P2C = "p2c"
 
 
+class FeatureClass(str, enum.Enum):
+    """The kind of entity a tracked feature belongs to."""
+
+    POINT = "point"
+    SEGMENT_ENDPOINT = "segment_endpoint"
+    CONIC_SAMPLE = "conic_sample"
+
+
 # Dimension of the error vector each kind produces.
 ERROR_DIM = {
     KernelKind.P2P: 2,
     KernelKind.P2L: 1,
     KernelKind.L2L: 2,
     KernelKind.P2C: 1,
+}
+
+# Features one entity of each class holds, on consecutive ids: a point is
+# one feature, a segment two endpoints, a conic five samples.
+ENTITY_SIZE = {
+    FeatureClass.POINT: 1,
+    FeatureClass.SEGMENT_ENDPOINT: 2,
+    FeatureClass.CONIC_SAMPLE: 5,
+}
+
+# The two entity classes each kind associates, mover first.
+KIND_ENTITIES = {
+    KernelKind.P2P: (FeatureClass.POINT, FeatureClass.POINT),
+    KernelKind.P2L: (FeatureClass.POINT, FeatureClass.SEGMENT_ENDPOINT),
+    KernelKind.L2L: (FeatureClass.SEGMENT_ENDPOINT, FeatureClass.SEGMENT_ENDPOINT),
+    KernelKind.P2C: (FeatureClass.POINT, FeatureClass.CONIC_SAMPLE),
 }
 
 

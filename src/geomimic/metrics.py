@@ -136,7 +136,6 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
     winners: list[tuple[int, ...] | None] = []
     norms: list[float | None] = []
     correct: list[bool | None] = []
-    gt_frame_hits = []
     for t, frame in enumerate(demo.frames):
         try:
             result = infer(frame, trained)
@@ -147,12 +146,11 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
             winners.append(None)
             norms.append(None)
         if demo.gt_visible(t):
-            hit = winners[-1] is not None and frozenset(winners[-1]) == gt
-            gt_frame_hits.append(hit)
-            correct.append(hit)
+            correct.append(winners[-1] is not None and frozenset(winners[-1]) == gt)
         else:
             correct.append(None)
-    acc = 100.0 * sum(gt_frame_hits) / len(gt_frame_hits) if gt_frame_hits else 0.0
+    seen = [w for w, hit in zip(winners, correct) if hit is not None]
+    acc = accuracy(seen, gt) if seen else 0.0
     usable_norms = [n for n in norms if n is not None]
     consistency = con_acc(usable_norms) if len(usable_norms) >= 3 else None
     return EvalReport(

@@ -56,16 +56,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import KernelKind
+from .geometry import ENTITY_SIZE, KIND_ENTITIES, KernelKind
 
 DEFAULT_HIDDEN = 32
 DEFAULT_ROUNDS = 3
-
-# Node counts for graphs built from production candidates. Entities are
-# a point (1 node), a segment (2 endpoint nodes) or a conic (5 sample
-# nodes); p2c therefore always has 6 nodes but anything >= 5 is legal.
-_EXACT_NODE_COUNT = {KernelKind.P2P: 2, KernelKind.P2L: 3, KernelKind.L2L: 4}
-_MIN_NODE_COUNT = {KernelKind.P2C: 5}
 
 
 class GraphStructureError(ValueError):
@@ -107,9 +101,7 @@ def entity_wiring(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, 
     return edges, grouping
 
 
-def graph_from_entities(
-    kind: KernelKind, entities: Sequence[np.ndarray], strict: bool = True
-) -> KernelGraph:
+def graph_from_entities(kind: KernelKind, entities: Sequence[np.ndarray]) -> KernelGraph:
     """Assemble a kernel graph from per-entity node encodings.
 
     Edges run in both directions between every pair of nodes that belong
@@ -117,28 +109,21 @@ def graph_from_entities(
     wiring itself encodes how features are grouped into primitives
     (``entity_wiring``).
 
-    With ``strict`` the node count must match the kernel kind (2 for p2p,
-    3 for p2l, 4 for l2l, >= 5 for p2c). Non-strict graphs support
-    structure experiments such as regrouping the same features.
+    The entities must be the kind's two ``KIND_ENTITIES``, in order, with
+    ``ENTITY_SIZE`` nodes each. Other wirings are built as
+    ``KernelGraph(kind, nodes, *entity_wiring(sizes))``.
     """
-    if not entities or any(e.ndim != 2 or e.shape[0] == 0 for e in entities):
-        raise GraphStructureError("each entity needs at least one encoded node")
+    if any(e.ndim != 2 for e in entities):
+        raise GraphStructureError("each entity must be an (n, F) array of node encodings")
+    sizes = tuple(len(e) for e in entities)
+    need = tuple(ENTITY_SIZE[cls] for cls in KIND_ENTITIES[kind])
+    if sizes != need:
+        raise GraphStructureError(f"{kind.value} graph needs entities of {need} nodes, got {sizes}")
     widths = {e.shape[1] for e in entities}
     if len(widths) != 1:
         raise GraphStructureError(f"inconsistent node encoding widths: {sorted(widths)}")
     nodes = np.vstack([np.asarray(e, dtype=float) for e in entities])
-    if strict:
-        n = nodes.shape[0]
-        if kind in _EXACT_NODE_COUNT and n != _EXACT_NODE_COUNT[kind]:
-            raise GraphStructureError(
-                f"{kind.value} graph needs {_EXACT_NODE_COUNT[kind]} nodes, got {n}"
-            )
-        if kind in _MIN_NODE_COUNT and n < _MIN_NODE_COUNT[kind]:
-            raise GraphStructureError(
-                f"{kind.value} graph needs at least {_MIN_NODE_COUNT[kind]} nodes, got {n}"
-            )
-    edges, grouping = entity_wiring(tuple(e.shape[0] for e in entities))
-    return KernelGraph(kind, nodes, edges, grouping)
+    return KernelGraph(kind, nodes, *entity_wiring(sizes))
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import ImagePoint, KernelKind, conics_through, p2c_errors
+from .geometry import KIND_ENTITIES, FeatureClass, ImagePoint, KernelKind, conics_through, p2c_errors
 
 IMAGE_SIZE = (640, 480)
 DEFAULT_FOCAL = 800.0
@@ -52,12 +52,6 @@ class SceneError(ValueError):
 
 class BehindCameraError(SceneError):
     """A world point lies on or behind the camera plane."""
-
-
-class FeatureClass(str, enum.Enum):
-    POINT = "point"
-    SEGMENT_ENDPOINT = "segment_endpoint"
-    CONIC_SAMPLE = "conic_sample"
 
 
 class PerturbationKind(str, enum.Enum):
@@ -392,12 +386,10 @@ class _Layout:
         return self.mover_ids + self.target_ids
 
     def add_task(
-        self,
-        mover_class: FeatureClass,
-        movers: Sequence[np.ndarray],
-        target_class: FeatureClass,
-        targets: Sequence[np.ndarray],
+        self, kind: KernelKind, movers: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     ) -> None:
+        """The mover's and the target's tracks, as the classes ``kind`` associates."""
+        mover_class, target_class = KIND_ENTITIES[kind]
         self.mover_ids = self.add(mover_class, *movers)
         self.target_ids = self.add(target_class, *targets)
 
@@ -445,7 +437,7 @@ def _layout_p2p(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random
 
     keep_away = [(target_track[0], 40.0), (mover_track[0], 30.0)]
     layout = _Layout(config.n_frames, config.image_size, keep_away)
-    layout.add_task(FeatureClass.POINT, [mover_track], FeatureClass.POINT, [target_track])
+    layout.add_task(KernelKind.P2P, [mover_track], [target_track])
     layout.add_points(lay_rng, config.n_distractors)
     return layout
 
@@ -482,7 +474,7 @@ def _layout_p2l(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random
     mover_track = base + _decay_profile(config, rng)[:, None] * normal
 
     layout = _Layout(config.n_frames, config.image_size, [(center_track[0], 2.2 * _HALF_LEN)])
-    layout.add_task(FeatureClass.POINT, [mover_track], FeatureClass.SEGMENT_ENDPOINT, endpoints)
+    layout.add_task(KernelKind.P2L, [mover_track], endpoints)
     layout.add_points(lay_rng, config.n_distractors)
     layout.add_segments(lay_rng, config.n_distractor_segments)
     return layout
@@ -496,7 +488,7 @@ def _layout_l2l(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random
     movers = [end + dist for end in _segment_tracks(center_track, angle, 0.5 * _HALF_LEN)]
 
     layout = _Layout(config.n_frames, config.image_size, [(center_track[0], 2.2 * _HALF_LEN)])
-    layout.add_task(FeatureClass.SEGMENT_ENDPOINT, movers, FeatureClass.SEGMENT_ENDPOINT, endpoints)
+    layout.add_task(KernelKind.L2L, movers, endpoints)
     layout.add_segments(lay_rng, config.n_distractors)
     return layout
 
@@ -549,7 +541,7 @@ def _layout_p2c(config: DemoConfig, rng: np.random.Generator, lay_rng: np.random
         mover_track[t] = center_track[t] + r_t * direction
 
     layout = _Layout(config.n_frames, config.image_size, [(center_track[0], _CONIC_AXES[0] + 60.0)])
-    layout.add_task(FeatureClass.POINT, [mover_track], FeatureClass.CONIC_SAMPLE, samples)
+    layout.add_task(KernelKind.P2C, [mover_track], samples)
     layout.add_points(lay_rng, config.n_distractors)
     # One wandering distractor conic keeps the entity pairing non-trivial.
     lo, hi = _bounds(config.image_size, _CONIC_AXES[0])
@@ -964,28 +956,22 @@ def make_servo_world(
     layout = _Layout(1, image_size, [(center[0], 170.0)])
     if kind is KernelKind.P2P:
         offset = start_error_px * _unit(rng.uniform(0.0, 2.0 * math.pi))
-        layout.add_task(FeatureClass.POINT, [center + offset], FeatureClass.POINT, [center])
+        layout.add_task(kind, [center + offset], [center])
     elif kind is KernelKind.P2C:
         direction = _unit(rng.uniform(0.0, 2.0 * math.pi))
         radius = 1.0 / math.sqrt(_inverse_sq_radius(direction, _CONIC_AXES))
-        layout.add_task(
-            FeatureClass.POINT,
-            [center + (radius + start_error_px) * direction],
-            FeatureClass.CONIC_SAMPLE,
-            _conic_sample_tracks(center, _CONIC_AXES),
-        )
+        mover = center + (radius + start_error_px) * direction
+        layout.add_task(kind, [mover], _conic_sample_tracks(center, _CONIC_AXES))
     else:
         angle = rng.uniform(0.0, math.pi)
         endpoints = _segment_tracks(center, angle, _HALF_LEN)
         normal = _unit(angle + math.pi / 2.0)
         if kind is KernelKind.P2L:
             movers = [center + start_error_px * normal]
-            mover_class = FeatureClass.POINT
         else:
             dist = (start_error_px / math.sqrt(2.0)) * normal
             movers = [end + dist for end in _segment_tracks(center, angle, 0.5 * _HALF_LEN)]
-            mover_class = FeatureClass.SEGMENT_ENDPOINT
-        layout.add_task(mover_class, movers, FeatureClass.SEGMENT_ENDPOINT, endpoints)
+        layout.add_task(kind, movers, endpoints)
     layout.add_points(rng, n_distractors)
 
     return SimWorld(

@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .geometry import KernelKind
+from .geometry import ENTITY_SIZE, KIND_ENTITIES, KernelKind
 from .scene import SimWorld
 from .training import TrainedKernel, TrainingError, association_error, infer
 
@@ -165,11 +165,6 @@ class LinearPlant:
         self._q = self._q + np.asarray(dq, dtype=float).ravel()
 
 
-# Distinct feature ids a fixed association of each kind names: a point is
-# one feature, a segment two endpoints, a conic five samples.
-_ASSOCIATION_SIZE = {KernelKind.P2P: 2, KernelKind.P2L: 3, KernelKind.L2L: 4, KernelKind.P2C: 6}
-
-
 class ScenePlant:
     """Adapter: render the world, infer the constraint, expose its error.
 
@@ -203,7 +198,7 @@ class ScenePlant:
         self.mode = mode
         if association is not None:
             association = frozenset(association)
-            need = _ASSOCIATION_SIZE[world.kernel_kind]
+            need = sum(ENTITY_SIZE[cls] for cls in KIND_ENTITIES[world.kernel_kind])
             if len(association) != need:
                 raise ServoError(
                     f"a {world.kernel_kind.value} association needs {need} distinct feature "

@@ -39,6 +39,8 @@ import numpy as np
 
 from . import network
 from .geometry import (
+    ENTITY_SIZE,
+    KIND_ENTITIES,
     ErrorSignal,
     KernelKind,
     conics_through,
@@ -61,7 +63,7 @@ from .geometry import (  # noqa: F401
     p2p_error,
 )
 from .network import KernelGraph, NetParams, entity_wiring, graph_from_entities  # noqa: F401
-from .scene import DemoSequence, FeatureClass, FeatureObservation, IMAGE_SIZE
+from .scene import DemoSequence, FeatureObservation, IMAGE_SIZE
 
 QUALITY_EPS = 1e-6
 
@@ -146,33 +148,24 @@ class CandidateInstance:
 def _group_entities(
     features: Sequence[FeatureObservation],
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Split features into point, segment and conic entities.
+    """Split features into entities, one tuple of them per class of ``ENTITY_SIZE``.
 
-    Segment endpoints pair up on consecutive ids and conic samples form
-    runs of five consecutive ids, matching the generator's allocation.
-    Callers pass every observation of a frame, visible or not, so a hidden
-    endpoint or sample cannot shift the pairing of the others.
+    A class's sorted ids form runs of its entity size, each run on
+    consecutive ids, matching the generator's allocation. Callers pass
+    every observation of a frame, visible or not, so a hidden endpoint or
+    sample cannot shift the grouping of the others.
     """
-    points = sorted(o.id for o in features if o.feature_class is FeatureClass.POINT)
-    endpoints = sorted(o.id for o in features if o.feature_class is FeatureClass.SEGMENT_ENDPOINT)
-    samples = sorted(o.id for o in features if o.feature_class is FeatureClass.CONIC_SAMPLE)
-    if len(endpoints) % 2:
-        raise TrainingError("odd number of segment endpoints; cannot pair them")
-    segments = []
-    for i in range(0, len(endpoints), 2):
-        a, b = endpoints[i], endpoints[i + 1]
-        if b != a + 1:
-            raise TrainingError(f"segment endpoints {a},{b} are not consecutive ids")
-        segments.append((a, b))
-    if len(samples) % 5:
-        raise TrainingError("conic samples must come in groups of five")
-    conics = []
-    for i in range(0, len(samples), 5):
-        run = tuple(samples[i : i + 5])
-        if run[-1] != run[0] + 4:
-            raise TrainingError(f"conic sample ids {run} are not consecutive")
-        conics.append(run)
-    return tuple((p,) for p in points), tuple(segments), tuple(conics)
+    grouping = []
+    for cls, size in ENTITY_SIZE.items():
+        ids = sorted(o.id for o in features if o.feature_class is cls)
+        runs = tuple(tuple(ids[i : i + size]) for i in range(0, len(ids), size))
+        for run in runs:
+            if run != tuple(range(run[0], run[0] + size)):
+                raise TrainingError(
+                    f"{cls.value} ids {list(run)} do not form one entity of {size} consecutive ids"
+                )
+        grouping.append(runs)
+    return tuple(grouping)
 
 
 @dataclass(frozen=True)
@@ -194,24 +187,21 @@ class _Layout:
 
 @functools.lru_cache(maxsize=64)
 def _enumerate(
-    kind: KernelKind,
-    points: tuple[tuple[int, ...], ...],
-    segments: tuple[tuple[int, ...], ...],
-    conics: tuple[tuple[int, ...], ...],
+    kind: KernelKind, grouping: tuple[tuple[tuple[int, ...], ...], ...]
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], _Layout]:
     """Every candidate of one entity grouping, sorted, and its layout.
 
+    A candidate pairs one entity of each class ``kind`` associates: two
+    distinct entities when both classes are the same, any two otherwise.
     Frames of one scene share their grouping, so per-frame inference
     finds both here after its first frame.
     """
-    if kind is KernelKind.P2P:
-        combos = [tuple(sorted(pair)) for pair in itertools.combinations(points, 2)]
-    elif kind is KernelKind.P2L:
-        combos = [(p, s) for p in points for s in segments]
-    elif kind is KernelKind.L2L:
-        combos = [tuple(sorted(pair)) for pair in itertools.combinations(segments, 2)]
+    entities = dict(zip(ENTITY_SIZE, grouping))
+    first, second = KIND_ENTITIES[kind]
+    if first is second:
+        combos = list(itertools.combinations(entities[first], 2))
     else:
-        combos = [(p, c) for p in points for c in conics]
+        combos = list(itertools.product(entities[first], entities[second]))
     if not combos:
         raise TooFewFeaturesError(f"no {kind.value} candidates can be built")
     combos.sort()
@@ -233,12 +223,12 @@ def build_candidates(
 ) -> list[CandidateInstance]:
     """Enumerate all candidate associations available in a feature set.
 
-    p2p pairs points, p2l crosses points with segments, l2l pairs
-    segments, p2c crosses points with conic entities. Candidates are
-    returned in a deterministic id order.
+    Each candidate pairs one entity of each class its kind associates
+    (``geometry.KIND_ENTITIES``). Candidates are returned in a
+    deterministic id order.
     """
     kind = KernelKind(kind)
-    combos, _ = _enumerate(kind, *_group_entities(features))
+    combos, _ = _enumerate(kind, _group_entities(features))
     return [CandidateInstance(kind, ent) for ent in combos]
 
 
@@ -332,7 +322,7 @@ def association_error(
     kind = KernelKind(kind)
     wanted = frozenset(ids)
     observed = [o for o in frame if o.id in wanted]
-    combos, layout = _enumerate(kind, *_group_entities(observed))
+    combos, layout = _enumerate(kind, _group_entities(observed))
     if len(combos) != 1 or layout.members.shape[1] != len(wanted):
         raise TrainingError(f"feature ids {sorted(wanted)} do not form one {kind.value} candidate")
     hidden = sorted(o.id for o in observed if not o.visible)
@@ -622,7 +612,7 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
     """
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
-    combos, layout = _enumerate(kind, *_group_entities(_observed_features(demo.frames)))
+    combos, layout = _enumerate(kind, _group_entities(_observed_features(demo.frames)))
     candidates = [CandidateInstance(kind, ent) for ent in combos]
     edges, grouping = entity_wiring(layout.sizes)
     for frame in demo.frames:
@@ -762,7 +752,7 @@ def infer(
         raise NoVisibleCandidatesError("no visible features on this frame")
     kind = trained.kernel_kind
     try:
-        combos, layout = _enumerate(kind, *_group_entities(features))
+        combos, layout = _enumerate(kind, _group_entities(features))
     except TrainingError as exc:
         raise NoVisibleCandidatesError(str(exc)) from exc
     batch = _frame_batch(layout, features, trained.image_size)

@@ -11,6 +11,7 @@ from geomimic.network import (
     Workspace,
     backward,
     backward_batch,
+    entity_wiring,
     forward,
     forward_batch,
     graph_from_entities,
@@ -68,6 +69,13 @@ class TestGraphConstruction:
             graph_from_entities(KernelKind.P2P, [rng.normal(size=(1, DIM))] * 3)
         with pytest.raises(GraphStructureError):
             graph_from_entities(KernelKind.P2C, [rng.normal(size=(1, DIM))] * 2)
+
+    @pytest.mark.parametrize("kind, sizes", [(KernelKind.P2L, (2, 1)), (KernelKind.P2C, (2, 4))])
+    def test_entity_sizes_enforced(self, kind, sizes):
+        # the node total fits the kind, the split into entities does not
+        rng = np.random.default_rng(3)
+        with pytest.raises(GraphStructureError, match=f"{kind.value} graph needs entities of"):
+            graph_from_entities(kind, [rng.normal(size=(s, DIM)) for s in sizes])
 
     def test_mixed_widths_rejected(self):
         rng = np.random.default_rng(2)
@@ -193,8 +201,8 @@ class TestForward:
         rng = np.random.default_rng(9)
         params = random_params(rng)
         for extra in range(6):
-            ents = [rng.normal(size=(1, DIM)), rng.normal(size=(1 + extra, DIM))]
-            g = graph_from_entities(KernelKind.P2P, ents, strict=False)
+            nodes = np.vstack([rng.normal(size=(1, DIM)), rng.normal(size=(1 + extra, DIM))])
+            g = KernelGraph(KernelKind.P2P, nodes, *entity_wiring((1, 1 + extra)))
             assert np.isfinite(forward(g, params))
 
     def test_grouping_changes_score(self):
@@ -206,8 +214,8 @@ class TestForward:
         for _ in range(10):
             params = random_params(rng)
             nodes = rng.normal(size=(4, DIM))
-            a = graph_from_entities(KernelKind.P2L, [nodes[:1], nodes[1:]], strict=False)
-            b = graph_from_entities(KernelKind.P2L, [nodes[:3], nodes[3:]], strict=False)
+            a = KernelGraph(KernelKind.P2L, nodes, *entity_wiring((1, 3)))
+            b = KernelGraph(KernelKind.P2L, nodes, *entity_wiring((3, 1)))
             if abs(forward(a, params) - forward(b, params)) > 1e-6:
                 differ += 1
         assert differ >= 9
@@ -307,7 +315,7 @@ class TestBackward:
 
 def edge_free_graph(rng):
     # one entity: its nodes share no edge, so messages never flow
-    return graph_from_entities(KernelKind.P2L, [rng.normal(size=(3, DIM))], strict=False)
+    return KernelGraph(KernelKind.P2L, rng.normal(size=(3, DIM)), *entity_wiring((3,)))
 
 
 def duplicate_edge_graph(rng):

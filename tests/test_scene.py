@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from geomimic.geometry import ImagePoint, KernelKind, line_through, p2l_error
+from geomimic.geometry import (
+    ENTITY_SIZE,
+    KIND_ENTITIES,
+    ImagePoint,
+    KernelKind,
+    line_through,
+    p2l_error,
+)
 from geomimic.scene import (
     BehindCameraError,
     CameraModel,
@@ -336,6 +343,26 @@ class TestDemoJson:
         path.write_text(json.dumps(payload))
         with pytest.raises(SceneError, match=f"frame 2, feature {entry['id']}: non-finite"):
             load_demo(str(path))
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_task_ids_follow_entity_table(kind):
+    # demos and servo worlds give the mover, then the target, consecutive
+    # ids from 0 on, as many as each class's entity size
+    mover_class, target_class = KIND_ENTITIES[kind]
+    n_mover, n_target = ENTITY_SIZE[mover_class], ENTITY_SIZE[target_class]
+    demo = gen_demo(DemoConfig(kernel_kind=kind, seed=4, n_frames=4))
+    world = make_servo_world(kind, seed=4)
+    tasks = [
+        (demo.mover_ids, demo.target_ids, {o.id: o.feature_class for o in demo.frames[0]}),
+        (world.mover_ids, world.ground_truth[len(world.mover_ids):], world.classes),
+    ]
+    for movers, targets, classes in tasks:
+        assert movers == tuple(range(n_mover))
+        assert targets == tuple(range(n_mover, n_mover + n_target))
+        assert [classes[i] for i in movers + targets] == (
+            [mover_class] * n_mover + [target_class] * n_target
+        )
 
 
 class TestServoWorld:

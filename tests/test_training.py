@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ class TestBuildCandidates:
         feats = point_set(3, rng, cls=FeatureClass.SEGMENT_ENDPOINT)
         with pytest.raises(TrainingError):
             build_candidates(feats, KernelKind.L2L)
+
+    @pytest.mark.parametrize("kind, cls, ids, bad", [
+        (KernelKind.P2L, FeatureClass.SEGMENT_ENDPOINT, (5, 6, 8, 9, 11), [11]),
+        (KernelKind.P2L, FeatureClass.SEGMENT_ENDPOINT, (5, 7), [5, 7]),
+        (KernelKind.P2C, FeatureClass.CONIC_SAMPLE, (10, 11, 12, 13, 14, 20), [20]),
+        (KernelKind.P2C, FeatureClass.CONIC_SAMPLE, (10, 11, 12, 13, 15), [10, 11, 12, 13, 15]),
+    ])
+    def test_grouping_error_names_class_and_ids(self, kind, cls, ids, bad):
+        rng = np.random.default_rng(7)
+        feats = point_set(2, rng) + [
+            make_point(fid, *rng.uniform(50, 400, 2), rng.uniform(0, 1, 8), cls=cls)
+            for fid in ids
+        ]
+        with pytest.raises(TrainingError, match=re.escape(f"{cls.value} ids {bad} ")):
+            build_candidates(feats, kind)
 
 
 class TestQualityScore:
