@@ -80,10 +80,6 @@ class KernelGraph:
     edges: np.ndarray
     grouping: tuple[tuple[int, ...], ...]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
 
 @functools.lru_cache(maxsize=64)
 def entity_wiring(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:

@@ -50,10 +50,6 @@ class SceneError(ValueError):
     """Invalid scene configuration or operation."""
 
 
-class BehindCameraError(SceneError):
-    """A world point lies on or behind the camera plane."""
-
-
 class PerturbationKind(str, enum.Enum):
     RANDOM_TARGET = "random_target"
     CHANGE_CAMERA = "change_camera"
@@ -120,15 +116,15 @@ class CameraModel:
         )
 
 
-def project(point: np.ndarray, camera: CameraModel) -> ImagePoint:
-    """Project a world point; raises BehindCameraError at depth <= 1e-6."""
-    xc = camera.world_to_camera(point)
-    if xc[2] <= _MIN_DEPTH:
-        raise BehindCameraError(f"point at camera depth {xc[2]:.3g} cannot be projected")
-    return ImagePoint(
-        camera.f * xc[0] / xc[2] + camera.cu,
-        camera.f * xc[1] / xc[2] + camera.cv,
-    )
+def project(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (..., 2) and in-front mask of world points (..., 3); depth <= 1e-6 gives (-1, -1)."""
+    # The stacked matvec rounds as ``rotation @ point`` does; ``points @ rotation.T`` does not.
+    xc = np.matmul(camera.rotation, points[..., None])[..., 0] + camera.translation
+    in_front = xc[..., 2] > _MIN_DEPTH
+    pixels = np.full((*in_front.shape, 2), -1.0)
+    front = xc[in_front]
+    pixels[in_front] = camera.f * front[:, :2] / front[:, 2:] + [camera.cu, camera.cv]
+    return pixels, in_front
 
 
 def rodrigues(vec: np.ndarray) -> np.ndarray:
@@ -259,18 +255,6 @@ def base_descriptor(entity_id: int, dim: int, seed: int, tag: int = _TAG_GT_DESC
     """Stable appearance vector for a feature id, i.i.d. uniform entries."""
     rng = np.random.default_rng([seed, tag, entity_id])
     return rng.uniform(0.0, 1.0, dim)
-
-
-def descriptor_of(
-    base: np.ndarray, jitter: float, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Observed descriptor: the base plus Gaussian per-frame jitter."""
-    base = np.asarray(base, dtype=float)
-    if jitter < 0:
-        raise SceneError("descriptor jitter must be >= 0")
-    if jitter == 0.0 or rng is None:
-        return base.copy()
-    return base + rng.normal(0.0, jitter, base.shape)
 
 
 def _unit(angle: float) -> np.ndarray:
@@ -559,8 +543,9 @@ _LAYOUTS = {
 }
 
 
-def _observe(
-    points: dict[int, np.ndarray],
+def observe(
+    points: np.ndarray,
+    ids: Sequence[int],
     classes: dict[int, FeatureClass],
     bases: dict[int, np.ndarray],
     camera: CameraModel,
@@ -569,31 +554,33 @@ def _observe(
     jitter_rng: np.random.Generator,
     noise_px: float = 0.0,
     noise_rng: np.random.Generator | None = None,
-) -> list[FeatureObservation]:
-    """One frame: every world point projected, with optional pixel noise, in id order."""
-    w, h = image_size
-    frame: list[FeatureObservation] = []
-    for fid in sorted(points):
-        try:
-            pix = project(points[fid], camera)
-            u, v = pix.u, pix.v
-            in_front = True
-        except BehindCameraError:
-            u, v, in_front = -1.0, -1.0, False
-        if noise_px > 0 and in_front:
-            u += noise_rng.normal(0.0, noise_px)
-            v += noise_rng.normal(0.0, noise_px)
-        visible = in_front and 0.0 <= u < w and 0.0 <= v < h
-        frame.append(
-            FeatureObservation(
-                id=fid,
-                pixel=ImagePoint(float(u), float(v)),
-                descriptor=descriptor_of(bases[fid], jitter, jitter_rng),
-                visible=visible,
-                feature_class=classes[fid],
-            )
-        )
-    return frame
+) -> list[list[FeatureObservation]]:
+    """Frames of the world points `points` (T, N, 3); column i is feature ``ids[i]``.
+
+    A point at camera depth <= 1e-6 gets pixel (-1, -1), is not visible
+    and draws no pixel noise. Pixel noise is drawn u then v for every
+    point in front of the camera, frame by frame in column order.
+    Descriptor jitter is drawn for every point, in the same order.
+    """
+    if jitter < 0:
+        raise SceneError("descriptor jitter must be >= 0")
+    pixels, in_front = project(points, camera)
+    if noise_px > 0:
+        pixels[in_front] += noise_rng.normal(0.0, noise_px, (np.count_nonzero(in_front), 2))
+    visible = in_front & ((pixels >= 0.0) & (pixels < image_size)).all(axis=-1)
+
+    base = np.array([bases[fid] for fid in ids])
+    descriptors = base[None].repeat(len(points), axis=0)
+    if jitter > 0:
+        descriptors += jitter_rng.normal(0.0, jitter, descriptors.shape)
+    frames = zip(pixels.tolist(), descriptors, visible.tolist())
+    return [
+        [
+            FeatureObservation(fid, ImagePoint(*pixel), desc, seen, classes[fid])
+            for fid, pixel, desc, seen in zip(ids, *frame)
+        ]
+        for frame in frames
+    ]
 
 
 def _observe_tracks(
@@ -601,30 +588,26 @@ def _observe_tracks(
     classes: dict[int, FeatureClass],
     ground_truth: Sequence[int],
     camera: CameraModel,
-    n_frames: int,
     config: DemoConfig,
     key: list[int],
 ) -> list[list[FeatureObservation]]:
     """Demo frames; pixel noise and descriptor jitter hang off the seed `key`."""
+    ids = sorted(world_tracks)
     bases = _descriptor_bases(
-        world_tracks, ground_truth, config.descriptor_dim, config.seed, config.effective_layout_seed
+        ids, ground_truth, config.descriptor_dim, config.seed, config.effective_layout_seed
     )
-    noise_rng = np.random.default_rng([*key, _TAG_NOISE])
-    jitter_rng = np.random.default_rng([*key, _TAG_JITTER])
-    return [
-        _observe(
-            {fid: track[t] for fid, track in world_tracks.items()},
-            classes,
-            bases,
-            camera,
-            config.image_size,
-            config.descriptor_jitter,
-            jitter_rng,
-            config.noise_px,
-            noise_rng,
-        )
-        for t in range(n_frames)
-    ]
+    return observe(
+        np.stack([world_tracks[fid] for fid in ids], axis=1),
+        ids,
+        classes,
+        bases,
+        camera,
+        config.image_size,
+        config.descriptor_jitter,
+        np.random.default_rng([*key, _TAG_JITTER]),
+        config.noise_px,
+        np.random.default_rng([*key, _TAG_NOISE]),
+    )
 
 
 def _descriptor_bases(
@@ -664,7 +647,6 @@ def gen_demo(config: DemoConfig) -> DemoSequence:
         layout.classes,
         layout.ground_truth,
         camera,
-        config.n_frames,
         config,
         [config.seed],
     )
@@ -693,7 +675,7 @@ def _reproject(
 ) -> DemoSequence:
     classes = {obs.id: obs.feature_class for obs in demo.frames[0]}
     frames = _observe_tracks(
-        world_tracks, classes, demo.ground_truth, camera, demo.n_frames, demo.config, [seed, tag]
+        world_tracks, classes, demo.ground_truth, camera, demo.config, [seed, tag]
     )
     return replace(demo, frames=frames, camera=camera, world_tracks=world_tracks)
 
@@ -781,22 +763,11 @@ def apply_perturbation(
         delta = np.array([math.cos(direction), math.sin(direction), 0.0]) * dist_px * scale
         rot = rodrigues(np.array([0.0, 0.0, angle]))
         tracks = {fid: tr.copy() for fid, tr in demo.world_tracks.items()}
-        ok = True
         for fid in gt_ids:
-            moved = (rot @ (tracks[fid] - anchor).T).T + anchor + delta
-            tracks[fid] = moved
-            px_u = moved[:, 0] / moved[:, 2] * demo.camera.f + demo.camera.cu
-            px_v = moved[:, 1] / moved[:, 2] * demo.camera.f + demo.camera.cv
-            pad = 15.0
-            if not (
-                (px_u > pad).all()
-                and (px_u < w - pad).all()
-                and (px_v > pad).all()
-                and (px_v < h - pad).all()
-            ):
-                ok = False
-                break
-        if ok:
+            tracks[fid] = (rot @ (tracks[fid] - anchor).T).T + anchor + delta
+        pixels, in_front = project(np.stack([tracks[fid] for fid in gt_ids]), demo.camera)
+        pad = 15.0
+        if in_front.all() and ((pixels > pad) & (pixels < np.array([w, h]) - pad)).all():
             return _reproject(demo, tracks, demo.camera, seed, _TAG_PERTURB[kind.value])
     raise SceneError("could not find an in-view rigid target displacement")
 
@@ -893,15 +864,17 @@ class SimWorld:
     )
 
     def render(self) -> list[FeatureObservation]:
-        return _observe(
-            self.positions,
+        ids = sorted(self.positions)
+        return observe(
+            np.array([self.positions[fid] for fid in ids])[None],
+            ids,
             self.classes,
             self.bases,
             self.camera,
             self.image_size,
             self.descriptor_jitter,
             self.jitter_rng,
-        )
+        )[0]
 
     def move_object(self, delta_xy: np.ndarray, d_theta: float = 0.0) -> None:
         """Rigidly move the mover entity in the desk plane."""

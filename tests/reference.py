@@ -1,6 +1,7 @@
 """Reference copies of the per-candidate scalar code that batched
 geometry and array inference replaced, the fixed-epoch training loop the
-plateau stop replaced, and the single-sample building blocks of the
+plateau stop replaced, the per-feature observation loop that
+``scene.observe`` replaced, and the single-sample building blocks of the
 scorer.
 
 The tests compare the production geometry, inference and training against
@@ -227,6 +228,67 @@ def train_fixed_epochs(demo, kind, config):
         trace[epoch] = (epoch, breakdown.value, breakdown.gcr_term,
                         breakdown.rsw_term, breakdown.expected_quality)
     return trace, best_params
+
+
+# The per-feature observation loop: one world point at a time, in id order.
+
+
+class BehindCamera(Exception):
+    """The reference projection rejected a point on or behind the camera plane."""
+
+
+def project(point, camera):
+    """(u, v) of one world point; raises BehindCamera at camera depth <= 1e-6."""
+    xc = camera.rotation @ np.asarray(point, dtype=float) + camera.translation
+    if xc[2] <= 1e-6:
+        raise BehindCamera(f"point at camera depth {xc[2]:.3g} cannot be projected")
+    return camera.f * xc[0] / xc[2] + camera.cu, camera.f * xc[1] / xc[2] + camera.cv
+
+
+def observe(points, bases, camera, image_size, jitter, jitter_rng, noise_px=0.0, noise_rng=None):
+    """One frame of the world points ``points`` (id -> (3,)).
+
+    Returns one (id, u, v, visible, descriptor) tuple per feature in id
+    order. Pixel noise is drawn u then v per feature in front of the
+    camera; descriptor jitter per feature.
+    """
+    w, h = image_size
+    frame = []
+    for fid in sorted(points):
+        try:
+            u, v = project(points[fid], camera)
+            in_front = True
+        except BehindCamera:
+            u, v, in_front = -1.0, -1.0, False
+        if noise_px > 0 and in_front:
+            u += noise_rng.normal(0.0, noise_px)
+            v += noise_rng.normal(0.0, noise_px)
+        visible = in_front and 0.0 <= u < w and 0.0 <= v < h
+        base = np.asarray(bases[fid], dtype=float)
+        if jitter > 0:
+            descriptor = base + jitter_rng.normal(0.0, jitter, base.shape)
+        else:
+            descriptor = base.copy()
+        frame.append((fid, float(u), float(v), visible, descriptor))
+    return frame
+
+
+def observe_tracks(world_tracks, bases, camera, config, noise_rng, jitter_rng):
+    """Every frame of the world tracks (id -> (T, 3)), one ``observe`` call per frame."""
+    n_frames = len(next(iter(world_tracks.values())))
+    return [
+        observe(
+            {fid: track[t] for fid, track in world_tracks.items()},
+            bases,
+            camera,
+            config.image_size,
+            config.descriptor_jitter,
+            jitter_rng,
+            config.noise_px,
+            noise_rng,
+        )
+        for t in range(n_frames)
+    ]
 
 
 # Single-sample scorer building blocks: the formulas network.forward_batch

@@ -1,11 +1,14 @@
 """Synthetic scene generation: projection, demos, perturbations, JSON."""
 
+import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import reference
 from geomimic.geometry import (
     ENTITY_SIZE,
     KIND_ENTITIES,
@@ -15,22 +18,26 @@ from geomimic.geometry import (
     p2l_error,
 )
 from geomimic.scene import (
-    BehindCameraError,
+    _TAG_JITTER,
+    _TAG_NOISE,
+    _TAG_PERTURB,
+    IMAGE_SIZE,
     CameraModel,
     DemoConfig,
     FeatureClass,
+    FeatureObservation,
     PerturbationKind,
     PerturbationSetting,
     SceneError,
+    _descriptor_bases,
     apply_perturbation,
     base_descriptor,
     demo_from_json_dict,
     demo_to_json_dict,
-    descriptor_of,
     gen_demo,
     load_demo,
     make_servo_world,
-    project,
+    observe,
     rodrigues,
     save_demo,
 )
@@ -51,21 +58,60 @@ def gt_error_norms(demo):
     return np.array(norms)
 
 
+def observe_points(points, camera, bases=None):
+    """One noise-free, jitter-free frame of world points (N, 3), ids 0..N-1."""
+    ids = list(range(len(points)))
+    if bases is None:
+        bases = {i: np.zeros(2) for i in ids}
+    classes = {i: FeatureClass.POINT for i in ids}
+    points = np.asarray(points, dtype=float)[None]
+    return observe(points, ids, classes, bases, camera, IMAGE_SIZE, 0.0, np.random.default_rng(0))[0]
+
+
+def fingerprint(frames):
+    """Every observation's id, pixel bits, visibility, descriptor bytes and class."""
+    return [
+        [
+            (o.id, o.pixel.u.hex(), o.pixel.v.hex(), o.visible, o.descriptor.tobytes(),
+             o.feature_class)
+            for o in frame
+        ]
+        for frame in frames
+    ]
+
+
+def reference_frames(frames, classes):
+    """Reference tuples as observations, for fingerprinting and perturbing."""
+    return [
+        [
+            FeatureObservation(fid, ImagePoint(u, v), desc, visible, classes[fid])
+            for fid, u, v, visible, desc in frame
+        ]
+        for frame in frames
+    ]
+
+
 class TestProjection:
     def test_on_axis_point_hits_principal_point(self):
-        cam = CameraModel(f=100.0)
-        pix = project(np.array([0.0, 0.0, 2.0]), cam)
-        assert (pix.u, pix.v) == pytest.approx((320.0, 240.0))
+        cam = CameraModel(f=100.0, cu=300.0, cv=200.0)
+        (obs,) = observe_points([[0.0, 0.0, 2.0]], cam)
+        assert (obs.pixel.u, obs.pixel.v) == (300.0, 200.0)
+        assert obs.visible
 
     def test_off_axis_point(self):
         cam = CameraModel(f=100.0)
-        pix = project(np.array([0.2, -0.1, 1.0]), cam)
-        assert (pix.u, pix.v) == pytest.approx((340.0, 230.0))
+        (obs,) = observe_points([[0.2, -0.1, 1.0]], cam)
+        assert (obs.pixel.u, obs.pixel.v) == pytest.approx((340.0, 230.0))
 
-    def test_behind_camera_rejected(self):
+    def test_point_at_or_behind_camera_plane_is_unseen(self):
         cam = CameraModel(f=100.0)
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), cam)
+        frame = observe_points(
+            [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.1, 0.0, 0.0], [0.0, 0.0, 1e-6]], cam
+        )
+        assert [(o.pixel.u, o.pixel.v) for o in frame] == [
+            (-1.0, -1.0), (320.0, 240.0), (-1.0, -1.0), (-1.0, -1.0)
+        ]
+        assert [o.visible for o in frame] == [False, True, False, False]
 
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(SceneError):
@@ -84,7 +130,7 @@ class TestProjection:
             a = rng.uniform([-0.2, -0.2, 0.8], [0.2, 0.2, 1.2])
             b = rng.uniform([-0.2, -0.2, 0.8], [0.2, 0.2, 1.2])
             mid = 0.5 * (a + b)
-            pa, pb, pm = (project(x, cam) for x in (a, b, mid))
+            pa, pb, pm = (o.pixel for o in observe_points([a, b, mid], cam))
             line = line_through(pa, pb)
             assert abs(p2l_error(pm, line).values[0]) < 1e-6
 
@@ -200,7 +246,8 @@ class TestGenDemo:
 class TestDescriptors:
     def test_zero_jitter_is_base(self):
         base = base_descriptor(3, 16, seed=0)
-        assert descriptor_of(base, 0.0, np.random.default_rng(0)) == pytest.approx(base)
+        (obs,) = observe_points([[0.0, 0.0, 1.0]], CameraModel(), bases={0: base})
+        assert obs.descriptor.tobytes() == base.tobytes()
 
     def test_distinct_ids_differ(self):
         a = base_descriptor(0, 16, seed=0)
@@ -276,7 +323,7 @@ class TestPerturbations:
         mid_world = 0.5 * (tracks[i][0] + tracks[j][0])
         by_id = {o.id: o for o in out.frames[0]}
         line = line_through(by_id[i].pixel, by_id[j].pixel)
-        mid_pix = project(mid_world, out.camera)
+        mid_pix = observe_points([mid_world], out.camera)[0].pixel
         assert abs(p2l_error(mid_pix, line).values[0]) < 1e-6
 
     def test_random_target_moves_pair_rigidly(self):
@@ -293,6 +340,14 @@ class TestPerturbations:
         before = {o.id: o.pixel for o in demo.frames[0]}[tid]
         after = {o.id: o.pixel for o in out.frames[0]}[tid]
         assert math.hypot(before.u - after.u, before.v - after.v) > 30.0
+
+    def test_occlusion_and_illumination_leave_source_unchanged(self, demo):
+        # Observations of one demo share one descriptor array, so a
+        # perturbation writing into its source would show up here.
+        before = fingerprint(demo.frames)
+        for kind in (PerturbationKind.OCCLUSION, PerturbationKind.CHANGE_ILLUMINATION):
+            apply_perturbation(demo, PerturbationSetting(kind, 0.5), seed=1)
+            assert fingerprint(demo.frames) == before, kind
 
     def test_geometric_perturbation_requires_world_tracks(self, demo):
         stripped = demo_from_json_dict(demo_to_json_dict(demo))
@@ -365,6 +420,68 @@ def test_task_ids_follow_entity_table(kind):
         )
 
 
+class TestObserveMatchesReference:
+    """``observe`` against the per-feature loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["noisy", "quiet"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_demo_and_every_perturbation(self, kind, seed, quiet):
+        extra = {"noise_px": 0.0, "descriptor_jitter": 0.0} if quiet else {}
+        config = DemoConfig(kernel_kind=kind, seed=seed, n_frames=20, **extra)
+        demo = gen_demo(config)
+        classes = {o.id: o.feature_class for o in demo.frames[0]}
+        bases = _descriptor_bases(
+            demo.world_tracks, demo.ground_truth, config.descriptor_dim, config.seed,
+            config.effective_layout_seed,
+        )
+
+        def expected(out, key):
+            return reference_frames(
+                reference.observe_tracks(
+                    out.world_tracks, bases, out.camera, config,
+                    np.random.default_rng([*key, _TAG_NOISE]),
+                    np.random.default_rng([*key, _TAG_JITTER]),
+                ),
+                classes,
+            )
+
+        reference_demo = replace(demo, frames=expected(demo, [seed]))
+        assert fingerprint(demo.frames) == fingerprint(reference_demo.frames)
+        for pert in PerturbationKind:
+            setting = PerturbationSetting(pert, 1.0)
+            out = apply_perturbation(demo, setting, seed=seed)
+            if pert in (PerturbationKind.OCCLUSION, PerturbationKind.CHANGE_ILLUMINATION):
+                # Both edit the observed frames instead of reprojecting.
+                want = apply_perturbation(reference_demo, setting, seed=seed).frames
+            else:
+                want = expected(out, [seed, _TAG_PERTURB[pert.value]])
+            assert fingerprint(out.frames) == fingerprint(want), pert
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_servo_renders_after_camera_moves(self, kind, seed):
+        world = make_servo_world(kind, seed=seed, descriptor_jitter=0.02)
+        jitter_rng = copy.deepcopy(world.jitter_rng)
+        twists = [
+            np.zeros(6),
+            np.array([0.01, -0.02, 0.05, 0.02, -0.01, 0.03]),
+            np.array([0.0, 0.0, 3.0, 0.0, 0.0, 0.0]),  # every point behind the camera
+            np.array([0.0, 0.0, -2.5, 0.0, 0.3, 0.0]),
+        ]
+        frames = []
+        for twist in twists:
+            world.move_camera(twist)
+            frames.append(world.render())
+            want = reference.observe(
+                world.positions, world.bases, world.camera, world.image_size, 0.02, jitter_rng
+            )
+            assert fingerprint(frames[-1:]) == fingerprint(reference_frames([want], world.classes))
+        assert all(
+            (o.pixel.u, o.pixel.v, o.visible) == (-1.0, -1.0, False) for o in frames[2]
+        )
+
+
 class TestServoWorld:
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_all_features_visible_at_start(self, kind):
@@ -386,6 +503,10 @@ class TestServoWorld:
         world_desc = {o.id: o.descriptor for o in world.render()}
         for fid in world.ground_truth:
             assert world_desc[fid] == pytest.approx(demo_desc[fid])
+
+    def test_negative_jitter_rejected(self):
+        with pytest.raises(SceneError, match="jitter"):
+            make_servo_world(KernelKind.P2P, seed=0, descriptor_jitter=-0.1).render()
 
     def test_move_object_translates_mover(self):
         world = make_servo_world(KernelKind.P2P, seed=3)
