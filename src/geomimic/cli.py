@@ -90,7 +90,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
         demo = apply_perturbation(demo, setting, seed=config.seed)
     save_demo(demo, args.out)
-    n_feats = len(demo.frames[0])
+    n_feats = demo.frames[0].ids.size
     print(
         f"wrote {args.out}: {demo.n_frames} frames, {n_feats} features, "
         f"kind={demo.kernel_kind.value}, ground_truth={list(demo.ground_truth)}"

@@ -19,8 +19,9 @@ from .training import (
     TooFewFeaturesError,
     TrainedKernel,
     TrainingError,
+    _enumerate,
+    _group_entities,
     _observed_features,
-    build_candidates,
     infer,
 )
 
@@ -123,11 +124,11 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
     usable winner. A demo whose features, over all frames, build no
     candidate of the model's kind raises TrainingError.
     """
-    features = _observed_features(demo.frames)
+    ids, classes = _observed_features(demo.frames)
     try:
-        build_candidates(features, trained.kernel_kind)
+        _enumerate(trained.kernel_kind, _group_entities(ids, classes))
     except TooFewFeaturesError as exc:
-        held = sorted({o.feature_class.value for o in features})
+        held = sorted({cls.value for cls in classes})
         raise TrainingError(
             f"a {trained.kernel_kind.value} model cannot score this demo: it holds "
             f"{', '.join(held) or 'no'} features only, so {exc}"

@@ -19,11 +19,11 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import KIND_ENTITIES, FeatureClass, ImagePoint, KernelKind, conics_through, p2c_errors
+from .geometry import KIND_ENTITIES, FeatureClass, KernelKind, conics_through, p2c_errors
 
 IMAGE_SIZE = (640, 480)
 DEFAULT_FOCAL = 800.0
@@ -138,20 +138,25 @@ def rodrigues(vec: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-@dataclass
-class FeatureObservation:
-    """One detected feature on one frame."""
+@dataclass(eq=False)
+class Frame:
+    """The features detected on one frame, as arrays; row i is feature ``ids[i]``.
 
-    id: int
-    pixel: ImagePoint
-    descriptor: np.ndarray
-    visible: bool
-    feature_class: FeatureClass
+    ids (N,), pixels (N, 2), descriptors (N, D), visible (N,) and classes,
+    one feature class per row. An empty frame holds (0, D) descriptors.
+    """
+
+    ids: np.ndarray
+    pixels: np.ndarray
+    descriptors: np.ndarray
+    visible: np.ndarray
+    classes: tuple[FeatureClass, ...]
 
     def __post_init__(self) -> None:
-        self.descriptor = np.asarray(self.descriptor, dtype=float)
-        if self.descriptor.ndim != 1 or self.descriptor.shape[0] < 2:
-            raise SceneError("descriptor must be a vector with at least 2 entries")
+        n = len(self.ids)
+        shapes = (self.pixels.shape, self.descriptors.shape[:1], self.visible.shape, len(self.classes))
+        if shapes != ((n, 2), (n,), (n,), n) or self.descriptors.ndim != 2:
+            raise SceneError("a frame needs one pixel, descriptor, visibility and class per id")
 
 
 @dataclass
@@ -224,17 +229,18 @@ class DemoConfig:
 class DemoSequence:
     """A demonstrated image sequence plus generation-side ground truth.
 
-    `world_tracks` maps feature id to a noiseless (n_frames, 3) world
-    trajectory; it is kept in memory for perturbations but not exported.
+    `world_tracks` is the noiseless (n_frames, N, 3) world trajectory of
+    features 0..N-1; it is kept in memory for perturbations but not
+    exported.
     """
 
-    frames: list[list[FeatureObservation]]
+    frames: list[Frame]
     ground_truth: tuple[int, ...]
     camera: CameraModel
     seed: int
     kernel_kind: KernelKind
     config: DemoConfig | None = None
-    world_tracks: dict[int, np.ndarray] | None = None
+    world_tracks: np.ndarray | None = None
     mover_ids: tuple[int, ...] = ()
     target_ids: tuple[int, ...] = ()
 
@@ -242,13 +248,9 @@ class DemoSequence:
     def n_frames(self) -> int:
         return len(self.frames)
 
-    def feature_ids(self) -> list[int]:
-        return sorted({obs.id for frame in self.frames for obs in frame})
-
     def gt_visible(self, frame_index: int) -> bool:
-        gt = set(self.ground_truth)
-        seen = {obs.id for obs in self.frames[frame_index] if obs.visible}
-        return gt <= seen
+        frame = self.frames[frame_index]
+        return set(self.ground_truth) <= set(frame.ids[frame.visible].tolist())
 
 
 def base_descriptor(entity_id: int, dim: int, seed: int, tag: int = _TAG_GT_DESC) -> np.ndarray:
@@ -319,12 +321,12 @@ def _place(
     raise SceneError("could not place a feature with the requested separations")
 
 
-def _px_to_world(track_px: np.ndarray, camera: CameraModel, depth: float) -> np.ndarray:
-    """Lift pixel tracks onto the desk plane (camera at identity pose)."""
-    out = np.empty((track_px.shape[0], 3))
-    out[:, 0] = (track_px[:, 0] - camera.cu) * depth / camera.f
-    out[:, 1] = (track_px[:, 1] - camera.cv) * depth / camera.f
-    out[:, 2] = depth
+def _px_to_world(px: np.ndarray, camera: CameraModel, depth: float) -> np.ndarray:
+    """Lift pixels (..., 2) onto the desk plane (camera at identity pose)."""
+    out = np.empty((*px.shape[:-1], 3))
+    out[..., 0] = (px[..., 0] - camera.cu) * depth / camera.f
+    out[..., 1] = (px[..., 1] - camera.cv) * depth / camera.f
+    out[..., 2] = depth
     return out
 
 
@@ -353,15 +355,16 @@ class _Layout:
     """Noise-free pixel tracks of one scene, built up id by id.
 
     Ids count up from 0 in the order tracks are added: the mover's, then
-    the target's, then the distractors'. A distractor starts away from
+    the target's, then the distractors'. Feature i's track and class are
+    ``tracks_px[i]`` and ``classes[i]``. A distractor starts away from
     every (position, distance) in `keep_away` and from earlier distractors.
     """
 
     n_frames: int
     image_size: tuple[int, int]
     keep_away: list[tuple[np.ndarray, float]]
-    tracks_px: dict[int, np.ndarray] = field(default_factory=dict)
-    classes: dict[int, FeatureClass] = field(default_factory=dict)
+    tracks_px: list[np.ndarray] = field(default_factory=list)
+    classes: list[FeatureClass] = field(default_factory=list)
     mover_ids: tuple[int, ...] = ()
     target_ids: tuple[int, ...] = ()
 
@@ -379,9 +382,8 @@ class _Layout:
 
     def add(self, feature_class: FeatureClass, *tracks: np.ndarray) -> tuple[int, ...]:
         first = len(self.tracks_px)
-        for fid, track in enumerate(tracks, first):
-            self.tracks_px[fid] = track
-            self.classes[fid] = feature_class
+        self.tracks_px.extend(tracks)
+        self.classes.extend([feature_class] * len(tracks))
         return tuple(range(first, len(self.tracks_px)))
 
     def add_points(self, rng: np.random.Generator, count: int) -> None:
@@ -545,60 +547,52 @@ _LAYOUTS = {
 
 def observe(
     points: np.ndarray,
-    ids: Sequence[int],
-    classes: dict[int, FeatureClass],
-    bases: dict[int, np.ndarray],
+    classes: Sequence[FeatureClass],
+    bases: np.ndarray,
     camera: CameraModel,
     image_size: tuple[int, int],
     jitter: float,
     jitter_rng: np.random.Generator,
     noise_px: float = 0.0,
     noise_rng: np.random.Generator | None = None,
-) -> list[list[FeatureObservation]]:
-    """Frames of the world points `points` (T, N, 3); column i is feature ``ids[i]``.
+) -> list[Frame]:
+    """Frames of the world points `points` (T, N, 3); column i is feature i.
 
+    Feature i has class ``classes[i]`` and appearance base ``bases[i]``.
     A point at camera depth <= 1e-6 gets pixel (-1, -1), is not visible
     and draws no pixel noise. Pixel noise is drawn u then v for every
     point in front of the camera, frame by frame in column order.
-    Descriptor jitter is drawn for every point, in the same order.
+    Descriptor jitter (>= 0) is drawn for every point, in the same order.
     """
-    if jitter < 0:
-        raise SceneError("descriptor jitter must be >= 0")
     pixels, in_front = project(points, camera)
     if noise_px > 0:
         pixels[in_front] += noise_rng.normal(0.0, noise_px, (np.count_nonzero(in_front), 2))
     visible = in_front & ((pixels >= 0.0) & (pixels < image_size)).all(axis=-1)
 
-    base = np.array([bases[fid] for fid in ids])
-    descriptors = base[None].repeat(len(points), axis=0)
+    descriptors = bases[None].repeat(len(points), axis=0)
     if jitter > 0:
         descriptors += jitter_rng.normal(0.0, jitter, descriptors.shape)
-    frames = zip(pixels.tolist(), descriptors, visible.tolist())
+    classes = tuple(classes)
     return [
-        [
-            FeatureObservation(fid, ImagePoint(*pixel), desc, seen, classes[fid])
-            for fid, pixel, desc, seen in zip(ids, *frame)
-        ]
-        for frame in frames
+        Frame(np.arange(len(bases)), px, desc, seen, classes)
+        for px, desc, seen in zip(pixels, descriptors, visible)
     ]
 
 
 def _observe_tracks(
-    world_tracks: dict[int, np.ndarray],
-    classes: dict[int, FeatureClass],
+    world_tracks: np.ndarray,
+    classes: Sequence[FeatureClass],
     ground_truth: Sequence[int],
     camera: CameraModel,
     config: DemoConfig,
     key: list[int],
-) -> list[list[FeatureObservation]]:
+) -> list[Frame]:
     """Demo frames; pixel noise and descriptor jitter hang off the seed `key`."""
-    ids = sorted(world_tracks)
     bases = _descriptor_bases(
-        ids, ground_truth, config.descriptor_dim, config.seed, config.effective_layout_seed
+        len(classes), ground_truth, config.descriptor_dim, config.seed, config.effective_layout_seed
     )
     return observe(
-        np.stack([world_tracks[fid] for fid in ids], axis=1),
-        ids,
+        world_tracks,
         classes,
         bases,
         camera,
@@ -611,16 +605,17 @@ def _observe_tracks(
 
 
 def _descriptor_bases(
-    ids: Iterable[int], ground_truth: Sequence[int], dim: int, gt_seed: int, other_seed: int
-) -> dict[int, np.ndarray]:
-    """Appearance bases: ground-truth ids draw from `gt_seed`, the rest from `other_seed`."""
+    n: int, ground_truth: Sequence[int], dim: int, gt_seed: int, other_seed: int
+) -> np.ndarray:
+    """(n, dim) appearance bases of features 0..n-1: ground-truth ids draw
+    from `gt_seed`, the rest from `other_seed`."""
     gt = set(ground_truth)
-    return {
-        fid: base_descriptor(fid, dim, gt_seed, _TAG_GT_DESC)
+    return np.array([
+        base_descriptor(fid, dim, gt_seed, _TAG_GT_DESC)
         if fid in gt
         else base_descriptor(fid, dim, other_seed, _TAG_DISTRACTOR_DESC)
-        for fid in ids
-    }
+        for fid in range(n)
+    ])
 
 
 def gen_demo(config: DemoConfig) -> DemoSequence:
@@ -638,10 +633,7 @@ def gen_demo(config: DemoConfig) -> DemoSequence:
     camera = CameraModel(
         cu=config.image_size[0] / 2.0, cv=config.image_size[1] / 2.0
     )
-    world_tracks = {
-        fid: _px_to_world(track, camera, DESK_DEPTH_M)
-        for fid, track in layout.tracks_px.items()
-    }
+    world_tracks = _px_to_world(np.stack(layout.tracks_px, axis=1), camera, DESK_DEPTH_M)
     frames = _observe_tracks(
         world_tracks,
         layout.classes,
@@ -668,14 +660,13 @@ def gen_demo(config: DemoConfig) -> DemoSequence:
 
 def _reproject(
     demo: DemoSequence,
-    world_tracks: dict[int, np.ndarray],
+    world_tracks: np.ndarray,
     camera: CameraModel,
     seed: int,
     tag: int,
 ) -> DemoSequence:
-    classes = {obs.id: obs.feature_class for obs in demo.frames[0]}
     frames = _observe_tracks(
-        world_tracks, classes, demo.ground_truth, camera, demo.config, [seed, tag]
+        world_tracks, demo.frames[0].classes, demo.ground_truth, camera, demo.config, [seed, tag]
     )
     return replace(demo, frames=frames, camera=camera, world_tracks=world_tracks)
 
@@ -703,31 +694,24 @@ def apply_perturbation(
     if kind is PerturbationKind.OCCLUSION:
         out = copy.deepcopy(demo)
         start, stop = _window(setting.magnitude, demo.n_frames)
-        gt = set(demo.ground_truth)
-        for t in range(start, stop):
-            for obs in out.frames[t]:
-                if obs.id in gt:
-                    obs.visible = False
+        for frame in out.frames[start:stop]:
+            frame.visible[np.isin(frame.ids, demo.ground_truth)] = False
         return out
 
     if kind is PerturbationKind.CHANGE_ILLUMINATION:
         out = copy.deepcopy(demo)
         for frame in out.frames:
-            for obs in frame:
-                obs.descriptor = obs.descriptor + rng.normal(
-                    0.0, setting.magnitude, obs.descriptor.shape
-                )
+            frame.descriptors += rng.normal(0.0, setting.magnitude, frame.descriptors.shape)
         return out
 
     if demo.world_tracks is None or demo.config is None:
         raise SceneError(f"{kind.value} needs world tracks; re-generate the demo in-process")
 
     if kind is PerturbationKind.OUTSIDE_FOV:
-        tracks = {fid: tr.copy() for fid, tr in demo.world_tracks.items()}
+        tracks = demo.world_tracks.copy()
         start, stop = _window(setting.magnitude, demo.n_frames)
         shift = np.array([2.0 * demo.config.image_size[0] * DESK_DEPTH_M / demo.camera.f, 0.0, 0.0])
-        for fid in demo.mover_ids:
-            tracks[fid][start:stop] += shift
+        tracks[start:stop, list(demo.mover_ids)] += shift
         return _reproject(demo, tracks, demo.camera, seed, _TAG_PERTURB[kind.value])
 
     if kind is PerturbationKind.CHANGE_CAMERA:
@@ -751,10 +735,8 @@ def apply_perturbation(
     scale = DESK_DEPTH_M / demo.camera.f
     cfg = demo.config
     w, h = cfg.image_size
-    gt_ids = set(demo.mover_ids) | set(demo.target_ids)
-    anchor = np.concatenate(
-        [np.mean([demo.world_tracks[fid][0][:2] for fid in demo.target_ids], axis=0), [0.0]]
-    )
+    gt_ids = sorted(set(demo.mover_ids) | set(demo.target_ids))
+    anchor = np.concatenate([demo.world_tracks[0, list(demo.target_ids), :2].mean(axis=0), [0.0]])
     for attempt in range(200):
         angle = rng.uniform(-0.6, 0.6) * min(setting.magnitude, 2.0)
         direction = rng.uniform(0.0, 2.0 * math.pi)
@@ -762,14 +744,18 @@ def apply_perturbation(
         dist_px = 120.0 * setting.magnitude * (0.85 ** (attempt // 20))
         delta = np.array([math.cos(direction), math.sin(direction), 0.0]) * dist_px * scale
         rot = rodrigues(np.array([0.0, 0.0, angle]))
-        tracks = {fid: tr.copy() for fid, tr in demo.world_tracks.items()}
+        tracks = demo.world_tracks.copy()
         for fid in gt_ids:
-            tracks[fid] = (rot @ (tracks[fid] - anchor).T).T + anchor + delta
-        pixels, in_front = project(np.stack([tracks[fid] for fid in gt_ids]), demo.camera)
+            tracks[:, fid] = (rot @ (tracks[:, fid] - anchor).T).T + anchor + delta
+        pixels, in_front = project(tracks[:, gt_ids], demo.camera)
         pad = 15.0
         if in_front.all() and ((pixels > pad) & (pixels < np.array([w, h]) - pad)).all():
             return _reproject(demo, tracks, demo.camera, seed, _TAG_PERTURB[kind.value])
     raise SceneError("could not find an in-view rigid target displacement")
+
+
+# The fields of one stored feature, in file order.
+_FEATURE_KEYS = ("id", "u", "v", "visible", "descriptor", "feature_class")
 
 
 def demo_to_json_dict(demo: DemoSequence) -> dict:
@@ -779,15 +765,14 @@ def demo_to_json_dict(demo: DemoSequence) -> dict:
         "ground_truth": list(demo.ground_truth),
         "frames": [
             [
-                {
-                    "id": obs.id,
-                    "u": float(obs.pixel.u),
-                    "v": float(obs.pixel.v),
-                    "visible": bool(obs.visible),
-                    "descriptor": obs.descriptor.tolist(),
-                    "feature_class": obs.feature_class.value,
-                }
-                for obs in frame
+                dict(zip(_FEATURE_KEYS, row))
+                for row in zip(
+                    frame.ids.tolist(),
+                    *frame.pixels.T.tolist(),
+                    frame.visible.tolist(),
+                    frame.descriptors.tolist(),
+                    [cls.value for cls in frame.classes],
+                )
             ]
             for frame in demo.frames
         ],
@@ -797,28 +782,41 @@ def demo_to_json_dict(demo: DemoSequence) -> dict:
     return payload
 
 
-def _observation_from_json(entry: dict, frame_index: int) -> FeatureObservation:
-    """One stored observation; non-finite pixels or descriptors are rejected."""
-    obs = FeatureObservation(
-        id=entry["id"],
-        pixel=ImagePoint(entry["u"], entry["v"]),
-        descriptor=np.array(entry["descriptor"], dtype=float),
-        visible=entry["visible"],
-        feature_class=FeatureClass(entry["feature_class"]),
+def _frame_from_json(entries: list[dict], t: int, width: int, width_frame: int | None) -> Frame:
+    """One stored frame; every descriptor must have the `width` entries of
+    frame `width_frame`'s, and pixels and descriptors must be finite."""
+    for entry in entries:
+        if len(entry["descriptor"]) != width:
+            raise SceneError(
+                f"frame {t}, feature {entry['id']}: descriptor width {len(entry['descriptor'])} "
+                f"differs from width {width} of frame {width_frame}"
+            )
+    frame = Frame(
+        ids=np.array([entry["id"] for entry in entries], dtype=int),
+        pixels=np.array([(entry["u"], entry["v"]) for entry in entries], dtype=float).reshape(-1, 2),
+        descriptors=np.array([entry["descriptor"] for entry in entries], dtype=float).reshape(
+            len(entries), width
+        ),
+        visible=np.array([entry["visible"] for entry in entries], dtype=bool),
+        classes=tuple(FeatureClass(entry["feature_class"]) for entry in entries),
     )
-    if not (math.isfinite(obs.pixel.u) and math.isfinite(obs.pixel.v)):
-        raise SceneError(f"frame {frame_index}, feature {obs.id}: non-finite pixel")
-    if not np.isfinite(obs.descriptor).all():
-        raise SceneError(f"frame {frame_index}, feature {obs.id}: non-finite descriptor")
-    return obs
+    for what, values in (("pixel", frame.pixels), ("descriptor", frame.descriptors)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise SceneError(f"frame {t}, feature {frame.ids[bad[0]]}: non-finite {what}")
+    return frame
 
 
 def demo_from_json_dict(payload: dict) -> DemoSequence:
+    """A stored demo; its frames must agree on the descriptor width, the
+    width of the first non-empty frame, which an empty frame takes too."""
     config = DemoConfig.from_json_dict(payload["config"]) if "config" in payload else None
-    frames = [
-        [_observation_from_json(entry, t) for entry in frame]
-        for t, frame in enumerate(payload["frames"])
-    ]
+    stored = payload["frames"]
+    first = next((t for t, entries in enumerate(stored) if entries), None)
+    width = 0 if first is None else len(stored[first][0]["descriptor"])
+    if first is not None and width < 2:
+        raise SceneError(f"frame {first}: a descriptor needs at least 2 entries, not {width}")
+    frames = [_frame_from_json(entries, t, width, first) for t, entries in enumerate(stored)]
     kind = config.kernel_kind if config else KernelKind.P2P
     return DemoSequence(
         frames=frames,
@@ -847,13 +845,15 @@ class SimWorld:
     """A static scene whose mover entity or camera can be actuated.
 
     Unlike a demonstration, the world holds a single configuration; the
-    servo loop renders it, acts, and renders again.
+    servo loop renders it, acts, and renders again. Feature i sits at
+    ``positions[i]`` (N, 3) with class ``classes[i]`` and appearance base
+    ``bases[i]`` (N, D).
     """
 
     camera: CameraModel
-    positions: dict[int, np.ndarray]
-    classes: dict[int, FeatureClass]
-    bases: dict[int, np.ndarray]
+    positions: np.ndarray
+    classes: tuple[FeatureClass, ...]
+    bases: np.ndarray
     mover_ids: tuple[int, ...]
     ground_truth: tuple[int, ...]
     kernel_kind: KernelKind
@@ -863,11 +863,13 @@ class SimWorld:
         default_factory=lambda: np.random.default_rng(0)
     )
 
-    def render(self) -> list[FeatureObservation]:
-        ids = sorted(self.positions)
+    def __post_init__(self) -> None:
+        if self.descriptor_jitter < 0:
+            raise SceneError("descriptor jitter must be >= 0")
+
+    def render(self) -> Frame:
         return observe(
-            np.array([self.positions[fid] for fid in ids])[None],
-            ids,
+            self.positions[None],
             self.classes,
             self.bases,
             self.camera,
@@ -880,7 +882,7 @@ class SimWorld:
         """Rigidly move the mover entity in the desk plane."""
         delta = np.asarray(delta_xy, dtype=float).reshape(2)
         ids = list(self.mover_ids)
-        centroid = np.mean([self.positions[fid] for fid in ids], axis=0)
+        centroid = self.positions[ids].mean(axis=0)
         rot = rodrigues(np.array([0.0, 0.0, float(d_theta)]))
         for fid in ids:
             moved = rot @ (self.positions[fid] - centroid) + centroid
@@ -949,12 +951,11 @@ def make_servo_world(
 
     return SimWorld(
         camera=camera,
-        positions={
-            fid: _px_to_world(track, camera, DESK_DEPTH_M)[0]
-            for fid, track in layout.tracks_px.items()
-        },
-        classes=layout.classes,
-        bases=_descriptor_bases(layout.tracks_px, layout.ground_truth, descriptor_dim, seed, seed),
+        positions=_px_to_world(np.concatenate(layout.tracks_px), camera, DESK_DEPTH_M),
+        classes=tuple(layout.classes),
+        bases=_descriptor_bases(
+            len(layout.classes), layout.ground_truth, descriptor_dim, seed, seed
+        ),
         mover_ids=layout.mover_ids,
         ground_truth=layout.ground_truth,
         kernel_kind=kind,

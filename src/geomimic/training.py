@@ -12,10 +12,10 @@ Gradients of the full objective are assembled analytically: the softmax
 and regularizer parts in closed form here, the network part through
 ``network.backward_batch``.
 
-One frame becomes arrays in one place, ``_frame_batch``: every observation
-is encoded once, every line or conic entity is fitted once, and all
-candidates' errors come from one batched ``geometry`` call. Candidates are
-grouped into entities from all of a frame's observations and count on the
+One frame becomes a candidate batch in one place, ``_frame_batch``: every
+feature is encoded once, every line or conic entity is fitted once, and
+all candidates' errors come from one batched ``geometry`` call. Candidates
+are grouped into entities from all of a frame's features and count on the
 frame only if every member is visible and the geometry is non-degenerate.
 ``prepare_candidates`` enumerates a demo's candidates once, from the
 features of all its frames, and runs ``_frame_batch`` on every frame
@@ -63,7 +63,7 @@ from .geometry import (  # noqa: F401
     p2p_error,
 )
 from .network import KernelGraph, NetParams, entity_wiring, graph_from_entities  # noqa: F401
-from .scene import DemoSequence, FeatureObservation, IMAGE_SIZE
+from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE
 
 QUALITY_EPS = 1e-6
 
@@ -146,19 +146,19 @@ class CandidateInstance:
 
 
 def _group_entities(
-    features: Sequence[FeatureObservation],
+    ids: Sequence[int], classes: Sequence[FeatureClass]
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Split features into entities, one tuple of them per class of ``ENTITY_SIZE``.
 
     A class's sorted ids form runs of its entity size, each run on
     consecutive ids, matching the generator's allocation. Callers pass
-    every observation of a frame, visible or not, so a hidden endpoint or
+    every feature of a frame, visible or not, so a hidden endpoint or
     sample cannot shift the grouping of the others.
     """
     grouping = []
     for cls, size in ENTITY_SIZE.items():
-        ids = sorted(o.id for o in features if o.feature_class is cls)
-        runs = tuple(tuple(ids[i : i + size]) for i in range(0, len(ids), size))
+        ids_of = sorted(fid for fid, c in zip(ids, classes) if c is cls)
+        runs = tuple(tuple(ids_of[i : i + size]) for i in range(0, len(ids_of), size))
         for run in runs:
             if run != tuple(range(run[0], run[0] + size)):
                 raise TrainingError(
@@ -218,17 +218,15 @@ def _enumerate(
     return tuple(combos), _Layout(kind, tuple(len(e) for e in combos[0]), *arrays)
 
 
-def build_candidates(
-    features: Sequence[FeatureObservation], kind: KernelKind
-) -> list[CandidateInstance]:
-    """Enumerate all candidate associations available in a feature set.
+def build_candidates(frame: Frame, kind: KernelKind) -> list[CandidateInstance]:
+    """Enumerate all candidate associations available on a frame.
 
     Each candidate pairs one entity of each class its kind associates
     (``geometry.KIND_ENTITIES``). Candidates are returned in a
     deterministic id order.
     """
     kind = KernelKind(kind)
-    combos, _ = _enumerate(kind, _group_entities(features))
+    combos, _ = _enumerate(kind, _group_entities(frame.ids.tolist(), frame.classes))
     return [CandidateInstance(kind, ent) for ent in combos]
 
 
@@ -236,7 +234,7 @@ def build_candidates(
 class _FrameBatch:
     """Every candidate of one frame as arrays, in candidate order.
 
-    encodings: (N, F) one encoding per observation of the frame.
+    encodings: (N, F) one encoding per row of the frame.
     rows:      (C, n) each candidate's members as rows of ``encodings``.
     errors:    (C, d) geometric error of each candidate.
     usable:    (C,) every member present and visible, and the geometry
@@ -250,25 +248,18 @@ class _FrameBatch:
     usable: np.ndarray
 
 
-def _frame_batch(
-    layout: _Layout, frame: Sequence[FeatureObservation], image_size: tuple[int, int]
-) -> _FrameBatch:
-    """Encode each observation once, fit each line or conic entity once
+def _frame_batch(layout: _Layout, frame: Frame, image_size: tuple[int, int]) -> _FrameBatch:
+    """Encode each feature once, fit each line or conic entity once
     and compute every candidate's error in one array op.
 
-    A node encoding is the observation's appearance descriptor plus its
+    A node encoding is the feature's appearance descriptor plus its
     pixel coordinates divided by the image size. The frame must hold at
-    least one observation.
+    least one feature.
     """
-    ids = np.array([o.id for o in frame], dtype=int)
-    visible = np.array([o.visible for o in frame], dtype=bool)
-    pixels = np.array([(o.pixel.u, o.pixel.v) for o in frame], dtype=float)
-    widths = {o.descriptor.shape[0] for o in frame}
-    if len(widths) != 1:
-        raise TrainingError(f"one frame mixes descriptor lengths {sorted(widths)}")
+    ids, pixels, visible = frame.ids, frame.pixels, frame.visible
     w, h = image_size
-    encodings = np.empty((len(frame), widths.pop() + 2))
-    encodings[:, :-2] = [o.descriptor for o in frame]
+    encodings = np.empty((len(ids), frame.descriptors.shape[1] + 2))
+    encodings[:, :-2] = frame.descriptors
     encodings[:, -2] = pixels[:, 0] / w
     encodings[:, -1] = pixels[:, 1] / h
 
@@ -307,7 +298,7 @@ def _frame_batch(
 
 
 def association_error(
-    frame: Sequence[FeatureObservation],
+    frame: Frame,
     kind: KernelKind,
     ids: Iterable[int],
 ) -> tuple[ErrorSignal, tuple[tuple[int, ...], ...]]:
@@ -321,16 +312,17 @@ def association_error(
     """
     kind = KernelKind(kind)
     wanted = frozenset(ids)
-    observed = [o for o in frame if o.id in wanted]
-    combos, layout = _enumerate(kind, _group_entities(observed))
+    rows = np.flatnonzero(np.isin(frame.ids, list(wanted)))
+    classes = [frame.classes[i] for i in rows]
+    combos, layout = _enumerate(kind, _group_entities(frame.ids[rows].tolist(), classes))
     if len(combos) != 1 or layout.members.shape[1] != len(wanted):
         raise TrainingError(f"feature ids {sorted(wanted)} do not form one {kind.value} candidate")
-    hidden = sorted(o.id for o in observed if not o.visible)
+    hidden = sorted(frame.ids[rows[~frame.visible[rows]]].tolist())
     if hidden:
         raise NoVisibleCandidatesError(
             f"feature ids {hidden} of association {sorted(wanted)} are not visible"
         )
-    batch = _frame_batch(layout, observed, IMAGE_SIZE)
+    batch = _frame_batch(layout, frame, IMAGE_SIZE)
     if not batch.usable[0]:
         raise NoVisibleCandidatesError(
             f"association {sorted(wanted)} has degenerate geometry on this frame"
@@ -583,22 +575,21 @@ def write_loss_csv(trained: TrainedKernel, path: str) -> None:
             fh.write(f"{epoch},{cells}\n")
 
 
-def _observed_features(frames: Sequence[Sequence[FeatureObservation]]) -> list[FeatureObservation]:
-    """One observation per feature id seen on any frame.
+def _observed_features(frames: Sequence[Frame]) -> tuple[list[int], list[FeatureClass]]:
+    """Every feature id seen on any frame, and its class.
 
     A feature absent from some frames still yields candidates; a feature
     id observed with two feature classes is rejected.
     """
-    first: dict[int, FeatureObservation] = {}
+    first: dict[int, FeatureClass] = {}
     for frame in frames:
-        for obs in frame:
-            seen = first.setdefault(obs.id, obs)
-            if seen.feature_class is not obs.feature_class:
+        for fid, cls in zip(frame.ids.tolist(), frame.classes):
+            seen = first.setdefault(fid, cls)
+            if seen is not cls:
                 raise TrainingError(
-                    f"feature id {obs.id} is observed both as {seen.feature_class.value} "
-                    f"and as {obs.feature_class.value}"
+                    f"feature id {fid} is observed both as {seen.value} and as {cls.value}"
                 )
-    return list(first.values())
+    return list(first), list(first.values())
 
 
 def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateInstance]:
@@ -612,11 +603,11 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
     """
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
-    combos, layout = _enumerate(kind, _group_entities(_observed_features(demo.frames)))
+    combos, layout = _enumerate(kind, _group_entities(*_observed_features(demo.frames)))
     candidates = [CandidateInstance(kind, ent) for ent in combos]
     edges, grouping = entity_wiring(layout.sizes)
     for frame in demo.frames:
-        if not frame:
+        if not frame.ids.size:
             for cand in candidates:
                 cand.graphs.append(None)
                 cand.errors.append(None)
@@ -732,13 +723,10 @@ def _infer_workspace(
     return workspace
 
 
-def infer(
-    features: Sequence[FeatureObservation],
-    trained: TrainedKernel,
-) -> InferenceResult:
+def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
     """Select the most task-relevant association on a single frame.
 
-    Entities are grouped from all of the frame's observations, and a
+    Entities are grouped from all of the frame's features, and a
     candidate takes part only if every member is visible and its geometry
     is non-degenerate. All of them are scored in one forward pass. The
     result is flagged low-confidence when the winning weight stays below
@@ -748,14 +736,14 @@ def infer(
     certain winner; a lone candidate is trusted. A frame whose node
     encodings do not match the model's input width raises TrainingError.
     """
-    if not any(o.visible for o in features):
+    if not frame.visible.any():
         raise NoVisibleCandidatesError("no visible features on this frame")
     kind = trained.kernel_kind
     try:
-        combos, layout = _enumerate(kind, _group_entities(features))
+        combos, layout = _enumerate(kind, _group_entities(frame.ids.tolist(), frame.classes))
     except TrainingError as exc:
         raise NoVisibleCandidatesError(str(exc)) from exc
-    batch = _frame_batch(layout, features, trained.image_size)
+    batch = _frame_batch(layout, frame, trained.image_size)
     width = batch.encodings.shape[1]
     if width != trained.params.input_dim:
         raise TrainingError(

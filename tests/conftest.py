@@ -7,19 +7,59 @@ is session-scoped.
 import numpy as np
 import pytest
 
-from geomimic.geometry import ImagePoint, KernelKind
-from geomimic.scene import CameraModel, DemoSequence, FeatureClass, FeatureObservation
+from geomimic.geometry import KernelKind
+from geomimic.scene import CameraModel, DemoSequence, FeatureClass, Frame
 from geomimic.training import TrainConfig, train
 
 
-def make_point(fid, u, v, descriptor, visible=True, cls=FeatureClass.POINT):
-    return FeatureObservation(
-        id=fid,
-        pixel=ImagePoint(float(u), float(v)),
-        descriptor=np.asarray(descriptor, dtype=float),
-        visible=visible,
-        feature_class=cls,
+def make_frame(ids, pixels, descriptors, visible=True, classes=FeatureClass.POINT):
+    """A frame from per-feature rows; a single ``visible`` or class holds for every row.
+
+    ``descriptors`` is (N, D); an empty frame needs an explicit (0, D) array.
+    """
+    ids = np.array(ids, dtype=int)
+    if isinstance(classes, FeatureClass):
+        classes = [classes] * len(ids)
+    return Frame(
+        ids=ids,
+        pixels=np.array(pixels, dtype=float).reshape(-1, 2),
+        descriptors=np.array(descriptors, dtype=float),
+        visible=np.broadcast_to(np.array(visible, dtype=bool), ids.shape).copy(),
+        classes=tuple(classes),
     )
+
+
+def take(frame, rows):
+    """A new frame of the given rows (indices or a boolean mask), in that order."""
+    rows = np.arange(frame.ids.size)[rows]
+    return Frame(
+        frame.ids[rows],
+        frame.pixels[rows],
+        frame.descriptors[rows],
+        frame.visible[rows],
+        tuple(frame.classes[i] for i in rows),
+    )
+
+
+def hide(frame, ids):
+    """A copy of the frame with the given feature ids made invisible."""
+    out = take(frame, slice(None))
+    out.visible[np.isin(out.ids, list(ids))] = False
+    return out
+
+
+def move(frame, targets):
+    """A copy of the frame with feature id -> (u, v) pixels replaced."""
+    out = take(frame, slice(None))
+    for row, fid in enumerate(out.ids.tolist()):
+        if fid in targets:
+            out.pixels[row] = targets[fid]
+    return out
+
+
+def pixel_of(frame, fid):
+    """(u, v) of feature ``fid`` as floats."""
+    return tuple(frame.pixels[frame.ids.tolist().index(fid)].tolist())
 
 
 def toy_demo(n_frames=20, seed=0):
@@ -37,13 +77,7 @@ def toy_demo(n_frames=20, seed=0):
     for t in range(n_frames):
         mover = target + (start - target) * 0.85**t
         wander = drift + np.array([10.0 * np.sin(0.9 * t), 10.0 * np.cos(1.3 * t)])
-        frames.append(
-            [
-                make_point(0, mover[0], mover[1], desc[0]),
-                make_point(1, target[0], target[1], desc[1]),
-                make_point(2, wander[0], wander[1], desc[2]),
-            ]
-        )
+        frames.append(make_frame([0, 1, 2], [mover, target, wander], [desc[i] for i in range(3)]))
     return DemoSequence(
         frames=frames,
         ground_truth=(0, 1),

@@ -27,6 +27,8 @@ from geomimic.training import (
     select_out,
 )
 
+from conftest import take
+
 _DEGENERATE_NORM = 1e-12
 
 
@@ -121,10 +123,10 @@ def candidate_error(kind, entities, px):
     return p2c(px[entities[0][0]], conic_through([px[f] for f in entities[1]]))
 
 
-def encode_node(obs, image_size):
+def encode_node(descriptor, pixel, image_size):
     """Node encoding: appearance descriptor plus normalized pixel coords."""
     w, h = image_size
-    return np.concatenate([obs.descriptor, [obs.pixel.u / w, obs.pixel.v / h]])
+    return np.concatenate([descriptor, [pixel[0] / w, pixel[1] / h]])
 
 
 def edges_between(entities):
@@ -144,7 +146,7 @@ def edges_between(entities):
     return np.array(sorted(edges), dtype=int).reshape(-1, 2)
 
 
-def infer(features, trained):
+def infer(frame, trained):
     """Per-candidate inference: candidates from the visible features only,
     one error and one graph per candidate, then one forward over them.
 
@@ -152,9 +154,9 @@ def infer(features, trained):
     values, low-confidence flag).
     """
     kind = trained.kernel_kind
-    visible = [o for o in features if o.visible]
-    by_id = {o.id: o for o in visible}
-    px = {o.id: (o.pixel.u, o.pixel.v) for o in visible}
+    visible = take(frame, frame.visible)
+    by_id = dict(zip(visible.ids.tolist(), visible.descriptors))
+    px = dict(zip(visible.ids.tolist(), visible.pixels.tolist()))
     usable, errors, graphs = [], [], []
     for cand in build_candidates(visible, kind):
         try:
@@ -163,7 +165,7 @@ def infer(features, trained):
             continue
         usable.append(cand.entities)
         errors.append(err)
-        graphs.append(np.stack([encode_node(by_id[f], trained.image_size)
+        graphs.append(np.stack([encode_node(by_id[f], px[f], trained.image_size)
                                 for f in cand.feature_ids]))
     scores, _ = network.forward_batch(
         np.stack(graphs), edges_between(cand.entities), trained.params, trained.config.rounds
@@ -246,7 +248,7 @@ def project(point, camera):
 
 
 def observe(points, bases, camera, image_size, jitter, jitter_rng, noise_px=0.0, noise_rng=None):
-    """One frame of the world points ``points`` (id -> (3,)).
+    """One frame of the world points ``points`` (N, 3); row i is feature i.
 
     Returns one (id, u, v, visible, descriptor) tuple per feature in id
     order. Pixel noise is drawn u then v per feature in front of the
@@ -254,7 +256,7 @@ def observe(points, bases, camera, image_size, jitter, jitter_rng, noise_px=0.0,
     """
     w, h = image_size
     frame = []
-    for fid in sorted(points):
+    for fid in range(len(points)):
         try:
             u, v = project(points[fid], camera)
             in_front = True
@@ -274,11 +276,10 @@ def observe(points, bases, camera, image_size, jitter, jitter_rng, noise_px=0.0,
 
 
 def observe_tracks(world_tracks, bases, camera, config, noise_rng, jitter_rng):
-    """Every frame of the world tracks (id -> (T, 3)), one ``observe`` call per frame."""
-    n_frames = len(next(iter(world_tracks.values())))
+    """Every frame of the world tracks (T, N, 3), one ``observe`` call per frame."""
     return [
         observe(
-            {fid: track[t] for fid, track in world_tracks.items()},
+            points,
             bases,
             camera,
             config.image_size,
@@ -287,7 +288,7 @@ def observe_tracks(world_tracks, bases, camera, config, noise_rng, jitter_rng):
             config.noise_px,
             noise_rng,
         )
-        for t in range(n_frames)
+        for points in world_tracks
     ]
 
 

@@ -190,21 +190,17 @@ def test_one_demo_transfers_to_new_scene(sorting_runs):
 def _lookalike(demo, eps, seed):
     """Give two distractors near-copies of the task pair's descriptors."""
     rng = np.random.default_rng([seed, 991])
-    dim = len(demo.frames[0][0].descriptor)
+    dim = demo.frames[0].descriptors.shape[1]
     offsets = {2: rng.normal(size=dim), 3: rng.normal(size=dim)}
     for k in offsets:
         offsets[k] = eps * offsets[k] / np.linalg.norm(offsets[k])
     frames = []
     for frame in demo.frames:
-        by_id = {o.id: o for o in frame}
-        frames.append(
-            [
-                dc_replace(o, descriptor=by_id[o.id - 2].descriptor + offsets[o.id])
-                if o.id in offsets
-                else o
-                for o in frame
-            ]
-        )
+        row = {fid: i for i, fid in enumerate(frame.ids.tolist())}
+        descriptors = frame.descriptors.copy()
+        for fid, offset in offsets.items():
+            descriptors[row[fid]] = frame.descriptors[row[fid - 2]] + offset
+        frames.append(dc_replace(frame, descriptors=descriptors))
     return dc_replace(demo, frames=frames)
 
 

@@ -300,6 +300,22 @@ class TestBadInputFiles:
         err = self.run(tmp_path, capsys, ["train", "--demo", str(bad)], bad)
         assert "'frames'" in err
 
+    @pytest.mark.parametrize("cut", ["one_feature", "whole_frame"])
+    def test_mixed_descriptor_widths(self, tmp_path, capsys, cut):
+        # frame 5 of a seed-0 p2p demo with one or all of its descriptors
+        # cut from 16 to 8 entries: rejected at load, not deep in training
+        demo = tmp_path / "demo.json"
+        assert main(["gen", "--seed", "0", "--n-frames", "12", "--out", str(demo)]) == 0
+        payload = json.loads(demo.read_text())
+        entries = payload["frames"][5]
+        for entry in entries[3:4] if cut == "one_feature" else entries:
+            entry["descriptor"] = entry["descriptor"][:8]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        err = self.run(tmp_path, capsys, ["train", "--demo", str(bad)], bad)
+        feature = 3 if cut == "one_feature" else 0
+        assert f"frame 5, feature {feature}: descriptor width 8 differs from width 16 of frame 0" in err
+
     def test_model_with_nan_params(self, tmp_path, capsys, workdir):
         payload = json.loads(workdir["model"].read_text())
         payload["params"]["w_z"]["data"][3] = float("nan")

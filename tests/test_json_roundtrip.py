@@ -3,22 +3,31 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomimic.geometry import ImagePoint, KernelKind
+from geomimic.geometry import KernelKind
 from geomimic.network import NetParams
 from geomimic.scene import (
     CameraModel,
     DemoConfig,
     DemoSequence,
     FeatureClass,
-    FeatureObservation,
+    PerturbationKind,
+    PerturbationSetting,
+    SceneError,
+    apply_perturbation,
     demo_from_json_dict,
     demo_to_json_dict,
+    gen_demo,
+    load_demo,
+    save_demo,
 )
 from geomimic.servo import ServoConfig
-from geomimic.training import TrainConfig, TrainedKernel
+from geomimic.training import TrainConfig, TrainedKernel, prepare_candidates
+
+from conftest import make_frame, take, toy_demo
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 seeds = st.integers(0, 2**32 - 1)
@@ -96,16 +105,15 @@ def demos(draw):
     classes = draw(st.lists(st.sampled_from(FeatureClass), min_size=n_features,
                             max_size=n_features))
     frames = [
-        [
-            FeatureObservation(
-                id=fid,
-                pixel=ImagePoint(draw(finite), draw(finite)),
-                descriptor=np.array(draw(st.lists(finite, min_size=dim, max_size=dim))),
-                visible=draw(st.booleans()),
-                feature_class=classes[fid],
-            )
-            for fid in range(n_features)
-        ]
+        make_frame(
+            range(n_features),
+            draw(st.lists(finite, min_size=2 * n_features, max_size=2 * n_features)),
+            np.array(
+                draw(st.lists(finite, min_size=dim * n_features, max_size=dim * n_features))
+            ).reshape(n_features, dim),
+            draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features)),
+            classes,
+        )
         for _ in range(draw(st.integers(1, 4)))
     ]
     config = draw(st.none() | demo_configs)
@@ -155,3 +163,62 @@ def test_trained_kernel(trained):
     assert loaded.config == trained.config
     assert np.array_equal(loaded.loss_trace, trained.loss_trace)
     assert loaded.image_size == trained.image_size
+
+
+def frame_bits(frames):
+    """Every frame's arrays as dtype and bytes, and its classes."""
+    return [
+        [(a.dtype.str, a.shape, a.tobytes()) for a in (f.ids, f.pixels, f.descriptors, f.visible)]
+        + [f.classes]
+        for f in frames
+    ]
+
+
+def saved_and_loaded(demo, path):
+    save_demo(demo, str(path))
+    return load_demo(str(path))
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_saved_demo_loads_with_the_same_array_bits(tmp_path, kind):
+    demo = gen_demo(DemoConfig(kernel_kind=kind, seed=0, n_frames=12, n_distractors=2))
+    for pert in [None, *PerturbationKind]:
+        out = demo if pert is None else apply_perturbation(demo, PerturbationSetting(pert), seed=1)
+        loaded = saved_and_loaded(out, tmp_path / "demo.json")
+        assert frame_bits(loaded.frames) == frame_bits(out.frames), pert
+
+
+class TestHandBuiltFrames:
+    def test_empty_frame_and_absent_feature(self, tmp_path):
+        demo = toy_demo(n_frames=6)
+        demo.frames[0] = take(demo.frames[0], [])
+        demo.frames[3] = take(demo.frames[3], demo.frames[3].ids != 2)
+        loaded = saved_and_loaded(demo, tmp_path / "demo.json")
+        assert loaded.frames[0].descriptors.shape == (0, 8)
+        assert frame_bits(loaded.frames) == frame_bits(demo.frames)
+        cands = prepare_candidates(loaded, KernelKind.P2P)
+        assert all(c.graphs[0] is None and c.errors[0] is None for c in cands)
+        assert [c.graphs[3] is not None for c in cands] == [True, False, False]
+        assert all(g is not None for c in cands for g in c.graphs[1:3] + c.graphs[4:])
+
+    def test_demo_of_empty_frames_only(self, tmp_path):
+        demo = toy_demo(n_frames=2)
+        demo.frames = [take(f, []) for f in demo.frames]
+        loaded = saved_and_loaded(demo, tmp_path / "demo.json")
+        assert [f.descriptors.shape for f in loaded.frames] == [(0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("frame, rows, message", [
+        (0, [1], "frame 0, feature 1: descriptor width 5 differs from width 8 of frame 0"),
+        (2, [0, 1, 2], "frame 2, feature 0: descriptor width 5 differs from width 8 of frame 0"),
+        (3, [2], "frame 3, feature 2: descriptor width 5 differs from width 8 of frame 1"),
+    ])
+    def test_mixed_descriptor_widths_rejected(self, frame, rows, message):
+        # frame 0 is empty in the last case, so frame 1 sets the width
+        payload = demo_to_json_dict(toy_demo(n_frames=4))
+        if frame == 3:
+            payload["frames"][0] = []
+        for row in rows:
+            entry = payload["frames"][frame][row]
+            entry["descriptor"] = entry["descriptor"][:5]
+        with pytest.raises(SceneError, match=message):
+            demo_from_json_dict(through_json(payload))

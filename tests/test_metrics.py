@@ -21,7 +21,7 @@ from geomimic.metrics import (
 )
 from geomimic.training import TrainedKernel, TrainingError
 
-from conftest import make_point
+from conftest import hide
 
 # lag-2 autocorrelation of 50 * 0.9**t over 60 frames, frozen from the
 # biased-denominator formula computed independently
@@ -120,12 +120,9 @@ class TestEvaluate:
         assert abs(rep.con_acc) <= 1.0 + 1e-12
 
     def test_occluded_frames_leave_denominator(self, toy_trained, toy_demo_20):
-        frames = [list(frame) for frame in toy_demo_20.frames]
+        frames = list(toy_demo_20.frames)
         for t in range(3):
-            obs = frames[t][0]
-            frames[t][0] = make_point(
-                obs.id, obs.pixel.u, obs.pixel.v, obs.descriptor, visible=False
-            )
+            frames[t] = hide(frames[t], {0})
         demo = replace(toy_demo_20, frames=frames)
         rep = evaluate(demo, toy_trained)
         assert rep.per_frame_correct[:3] == [None, None, None]
@@ -141,11 +138,8 @@ class TestEvaluate:
             evaluate(toy_demo_20, p2l)
 
     def test_frame_with_every_feature_hidden_has_no_winner(self, toy_trained, toy_demo_20):
-        frames = [list(frame) for frame in toy_demo_20.frames]
-        frames[4] = [
-            make_point(o.id, o.pixel.u, o.pixel.v, o.descriptor, visible=False)
-            for o in frames[4]
-        ]
+        frames = list(toy_demo_20.frames)
+        frames[4] = hide(frames[4], {0, 1, 2})
         rep = evaluate(replace(toy_demo_20, frames=frames), toy_trained)
         assert rep.per_frame_winners[4] is None
         assert rep.per_frame_winners[3] is not None

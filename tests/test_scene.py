@@ -25,7 +25,6 @@ from geomimic.scene import (
     CameraModel,
     DemoConfig,
     FeatureClass,
-    FeatureObservation,
     PerturbationKind,
     PerturbationSetting,
     SceneError,
@@ -43,16 +42,16 @@ from geomimic.scene import (
 )
 from geomimic.training import build_candidates
 
+from conftest import make_frame, pixel_of
+
 
 def gt_error_norms(demo):
     """Pixel error norm of the demonstrated pair/group on every frame."""
     norms = []
     for frame in demo.frames:
-        by_id = {o.id: o for o in frame}
-        gt = [by_id[i] for i in demo.ground_truth]
         if demo.kernel_kind is KernelKind.P2P:
-            a, b = gt[0].pixel, gt[1].pixel
-            norms.append(math.hypot(a.u - b.u, a.v - b.v))
+            (au, av), (bu, bv) = (pixel_of(frame, i) for i in demo.ground_truth)
+            norms.append(math.hypot(au - bu, av - bv))
         else:
             raise NotImplementedError
     return np.array(norms)
@@ -60,58 +59,53 @@ def gt_error_norms(demo):
 
 def observe_points(points, camera, bases=None):
     """One noise-free, jitter-free frame of world points (N, 3), ids 0..N-1."""
-    ids = list(range(len(points)))
+    points = np.asarray(points, dtype=float)
     if bases is None:
-        bases = {i: np.zeros(2) for i in ids}
-    classes = {i: FeatureClass.POINT for i in ids}
-    points = np.asarray(points, dtype=float)[None]
-    return observe(points, ids, classes, bases, camera, IMAGE_SIZE, 0.0, np.random.default_rng(0))[0]
+        bases = np.zeros((len(points), 2))
+    classes = [FeatureClass.POINT] * len(points)
+    return observe(points[None], classes, bases, camera, IMAGE_SIZE, 0.0, np.random.default_rng(0))[0]
 
 
 def fingerprint(frames):
-    """Every observation's id, pixel bits, visibility, descriptor bytes and class."""
+    """Every frame's ids, pixel bits, visibility, descriptor bytes and classes."""
     return [
-        [
-            (o.id, o.pixel.u.hex(), o.pixel.v.hex(), o.visible, o.descriptor.tobytes(),
-             o.feature_class)
-            for o in frame
-        ]
-        for frame in frames
+        (f.ids.tolist(), f.pixels.tobytes(), f.visible.tolist(), f.descriptors.tobytes(), f.classes)
+        for f in frames
     ]
 
 
 def reference_frames(frames, classes):
-    """Reference tuples as observations, for fingerprinting and perturbing."""
-    return [
-        [
-            FeatureObservation(fid, ImagePoint(u, v), desc, visible, classes[fid])
-            for fid, u, v, visible, desc in frame
-        ]
-        for frame in frames
-    ]
+    """Reference tuples as frames, for fingerprinting and perturbing."""
+    out = []
+    for frame in frames:
+        ids, us, vs, visible, descs = zip(*frame)
+        out.append(
+            make_frame(ids, list(zip(us, vs)), descs, visible, [classes[i] for i in ids])
+        )
+    return out
 
 
 class TestProjection:
     def test_on_axis_point_hits_principal_point(self):
         cam = CameraModel(f=100.0, cu=300.0, cv=200.0)
-        (obs,) = observe_points([[0.0, 0.0, 2.0]], cam)
-        assert (obs.pixel.u, obs.pixel.v) == (300.0, 200.0)
-        assert obs.visible
+        frame = observe_points([[0.0, 0.0, 2.0]], cam)
+        assert frame.pixels.tolist() == [[300.0, 200.0]]
+        assert frame.visible.tolist() == [True]
 
     def test_off_axis_point(self):
         cam = CameraModel(f=100.0)
-        (obs,) = observe_points([[0.2, -0.1, 1.0]], cam)
-        assert (obs.pixel.u, obs.pixel.v) == pytest.approx((340.0, 230.0))
+        frame = observe_points([[0.2, -0.1, 1.0]], cam)
+        assert frame.pixels[0] == pytest.approx((340.0, 230.0))
 
     def test_point_at_or_behind_camera_plane_is_unseen(self):
         cam = CameraModel(f=100.0)
         frame = observe_points(
             [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.1, 0.0, 0.0], [0.0, 0.0, 1e-6]], cam
         )
-        assert [(o.pixel.u, o.pixel.v) for o in frame] == [
-            (-1.0, -1.0), (320.0, 240.0), (-1.0, -1.0), (-1.0, -1.0)
+        assert frame.pixels.tolist() == [
+            [-1.0, -1.0], [320.0, 240.0], [-1.0, -1.0], [-1.0, -1.0]
         ]
-        assert [o.visible for o in frame] == [False, True, False, False]
+        assert frame.visible.tolist() == [False, True, False, False]
 
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(SceneError):
@@ -130,7 +124,7 @@ class TestProjection:
             a = rng.uniform([-0.2, -0.2, 0.8], [0.2, 0.2, 1.2])
             b = rng.uniform([-0.2, -0.2, 0.8], [0.2, 0.2, 1.2])
             mid = 0.5 * (a + b)
-            pa, pb, pm = (o.pixel for o in observe_points([a, b, mid], cam))
+            pa, pb, pm = (ImagePoint(*p) for p in observe_points([a, b, mid], cam).pixels.tolist())
             line = line_through(pa, pb)
             assert abs(p2l_error(pm, line).values[0]) < 1e-6
 
@@ -190,7 +184,7 @@ class TestGenDemo:
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_kind_feature_classes(self, kind):
         demo = gen_demo(DemoConfig(kernel_kind=kind, seed=4, n_frames=4))
-        classes = {o.id: o.feature_class for o in demo.frames[0]}
+        classes = dict(zip(demo.frames[0].ids.tolist(), demo.frames[0].classes))
         gt_classes = [classes[i] for i in demo.ground_truth]
         if kind is KernelKind.P2P:
             assert gt_classes == [FeatureClass.POINT] * 2
@@ -246,8 +240,8 @@ class TestGenDemo:
 class TestDescriptors:
     def test_zero_jitter_is_base(self):
         base = base_descriptor(3, 16, seed=0)
-        (obs,) = observe_points([[0.0, 0.0, 1.0]], CameraModel(), bases={0: base})
-        assert obs.descriptor.tobytes() == base.tobytes()
+        frame = observe_points([[0.0, 0.0, 1.0]], CameraModel(), bases=base[None])
+        assert frame.descriptors[0].tobytes() == base.tobytes()
 
     def test_distinct_ids_differ(self):
         a = base_descriptor(0, 16, seed=0)
@@ -298,14 +292,9 @@ class TestPerturbations:
         out = apply_perturbation(
             demo, PerturbationSetting(PerturbationKind.CHANGE_ILLUMINATION, 0.1)
         )
-        pix_in = [(o.pixel.u, o.pixel.v) for o in demo.frames[0]]
-        pix_out = [(o.pixel.u, o.pixel.v) for o in out.frames[0]]
-        assert pix_out == pytest.approx(pix_in)
-        deltas = [
-            np.abs(a.descriptor - b.descriptor).max()
-            for a, b in zip(demo.frames[0], out.frames[0])
-        ]
-        assert min(deltas) > 0.0
+        assert np.array_equal(out.frames[0].pixels, demo.frames[0].pixels)
+        deltas = np.abs(out.frames[0].descriptors - demo.frames[0].descriptors).max(axis=1)
+        assert deltas.min() > 0.0
 
     def test_change_camera_preserves_incidence(self):
         # reprojected through the moved camera, a demonstrated segment's
@@ -320,10 +309,9 @@ class TestPerturbations:
         # world tracks are straight segments; check projected midpoints
         i, j = out.ground_truth[2], out.ground_truth[3]
         tracks = out.world_tracks
-        mid_world = 0.5 * (tracks[i][0] + tracks[j][0])
-        by_id = {o.id: o for o in out.frames[0]}
-        line = line_through(by_id[i].pixel, by_id[j].pixel)
-        mid_pix = observe_points([mid_world], out.camera)[0].pixel
+        mid_world = 0.5 * (tracks[0, i] + tracks[0, j])
+        line = line_through(*(ImagePoint(*pixel_of(out.frames[0], f)) for f in (i, j)))
+        mid_pix = ImagePoint(*observe_points([mid_world], out.camera).pixels[0].tolist())
         assert abs(p2l_error(mid_pix, line).values[0]) < 1e-6
 
     def test_random_target_moves_pair_rigidly(self):
@@ -337,13 +325,14 @@ class TestPerturbations:
         # same approach at a new pose: error trace identical, pixels not
         assert gt_error_norms(out) == pytest.approx(gt_error_norms(demo), abs=1e-6)
         tid = demo.ground_truth[1]
-        before = {o.id: o.pixel for o in demo.frames[0]}[tid]
-        after = {o.id: o.pixel for o in out.frames[0]}[tid]
-        assert math.hypot(before.u - after.u, before.v - after.v) > 30.0
+        before = pixel_of(demo.frames[0], tid)
+        after = pixel_of(out.frames[0], tid)
+        assert math.dist(before, after) > 30.0
 
     def test_occlusion_and_illumination_leave_source_unchanged(self, demo):
-        # Observations of one demo share one descriptor array, so a
-        # perturbation writing into its source would show up here.
+        # The frames of one demo are views of one array each for pixels,
+        # visibility and descriptors, so a perturbation writing into its
+        # source would show up here.
         before = fingerprint(demo.frames)
         for kind in (PerturbationKind.OCCLUSION, PerturbationKind.CHANGE_ILLUMINATION):
             apply_perturbation(demo, PerturbationSetting(kind, 0.5), seed=1)
@@ -379,7 +368,7 @@ class TestDemoJson:
         path = tmp_path / "demo.json"
         save_demo(demo, str(path))
         payload = json.loads(path.read_text())
-        u_in = demo.frames[0][0].pixel.u
+        u_in = demo.frames[0].pixels[0, 0]
         assert payload["frames"][0][0]["u"] == u_in  # repr round-trips exactly
 
     @pytest.mark.parametrize("field", ["u", "v", "descriptor"])
@@ -409,7 +398,7 @@ def test_task_ids_follow_entity_table(kind):
     demo = gen_demo(DemoConfig(kernel_kind=kind, seed=4, n_frames=4))
     world = make_servo_world(kind, seed=4)
     tasks = [
-        (demo.mover_ids, demo.target_ids, {o.id: o.feature_class for o in demo.frames[0]}),
+        (demo.mover_ids, demo.target_ids, demo.frames[0].classes),
         (world.mover_ids, world.ground_truth[len(world.mover_ids):], world.classes),
     ]
     for movers, targets, classes in tasks:
@@ -430,9 +419,9 @@ class TestObserveMatchesReference:
         extra = {"noise_px": 0.0, "descriptor_jitter": 0.0} if quiet else {}
         config = DemoConfig(kernel_kind=kind, seed=seed, n_frames=20, **extra)
         demo = gen_demo(config)
-        classes = {o.id: o.feature_class for o in demo.frames[0]}
+        classes = demo.frames[0].classes
         bases = _descriptor_bases(
-            demo.world_tracks, demo.ground_truth, config.descriptor_dim, config.seed,
+            demo.world_tracks.shape[1], demo.ground_truth, config.descriptor_dim, config.seed,
             config.effective_layout_seed,
         )
 
@@ -477,36 +466,34 @@ class TestObserveMatchesReference:
                 world.positions, world.bases, world.camera, world.image_size, 0.02, jitter_rng
             )
             assert fingerprint(frames[-1:]) == fingerprint(reference_frames([want], world.classes))
-        assert all(
-            (o.pixel.u, o.pixel.v, o.visible) == (-1.0, -1.0, False) for o in frames[2]
-        )
+        assert (frames[2].pixels == -1.0).all() and not frames[2].visible.any()
 
 
 class TestServoWorld:
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_all_features_visible_at_start(self, kind):
         world = make_servo_world(kind, seed=0)
-        assert all(o.visible for o in world.render())
+        assert world.render().visible.all()
 
     def test_start_error_magnitude(self):
         world = make_servo_world(KernelKind.P2P, seed=1, start_error_px=60.0)
-        frame = {o.id: o for o in world.render()}
-        a, b = frame[world.ground_truth[0]], frame[world.ground_truth[1]]
-        err = math.hypot(a.pixel.u - b.pixel.u, a.pixel.v - b.pixel.v)
+        frame = world.render()
+        err = math.dist(*(pixel_of(frame, fid) for fid in world.ground_truth))
         assert err == pytest.approx(60.0, abs=1e-6)
 
     def test_shares_descriptor_streams_with_demo(self):
         world = make_servo_world(KernelKind.P2P, seed=2)
         demo = gen_demo(DemoConfig(kernel_kind=KernelKind.P2P, seed=2, n_frames=2,
                                    descriptor_jitter=0.0))
-        demo_desc = {o.id: o.descriptor for o in demo.frames[0]}
-        world_desc = {o.id: o.descriptor for o in world.render()}
+        demo_desc = dict(zip(demo.frames[0].ids.tolist(), demo.frames[0].descriptors))
+        world_frame = world.render()
+        world_desc = dict(zip(world_frame.ids.tolist(), world_frame.descriptors))
         for fid in world.ground_truth:
             assert world_desc[fid] == pytest.approx(demo_desc[fid])
 
     def test_negative_jitter_rejected(self):
         with pytest.raises(SceneError, match="jitter"):
-            make_servo_world(KernelKind.P2P, seed=0, descriptor_jitter=-0.1).render()
+            make_servo_world(KernelKind.P2P, seed=0, descriptor_jitter=-0.1)
 
     def test_move_object_translates_mover(self):
         world = make_servo_world(KernelKind.P2P, seed=3)

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 import reference
 from geomimic import network
-from geomimic.geometry import ErrorSignal, ImagePoint, KernelKind
+from geomimic.geometry import ErrorSignal, KernelKind
 from geomimic.metrics import evaluate, save_report
 from geomimic.network import NetParams
 from geomimic.scene import (
     DemoConfig,
     FeatureClass,
-    FeatureObservation,
     demo_to_json_dict,
     gen_demo,
     save_demo,
@@ -44,14 +43,19 @@ from geomimic.training import (
 )
 from geomimic.training import _loss_packed, _pack_candidates
 
-from conftest import make_point, toy_demo
+from conftest import hide, make_frame, move, pixel_of, take, toy_demo
 
 
-def point_set(n, rng, cls=FeatureClass.POINT, start_id=0):
-    return [
-        make_point(start_id + i, *rng.uniform(50, 400, 2), rng.uniform(0, 1, 8), cls=cls)
-        for i in range(n)
-    ]
+POINT, ENDPOINT, SAMPLE = FeatureClass.POINT, FeatureClass.SEGMENT_ENDPOINT, FeatureClass.CONIC_SAMPLE
+
+
+def random_frame(rng, *groups):
+    """A frame of random pixels and descriptors; each group is (class, ids)."""
+    ids = [fid for _, group in groups for fid in group]
+    classes = [cls for cls, group in groups for _ in group]
+    return make_frame(
+        ids, rng.uniform(50, 400, (len(ids), 2)), rng.uniform(0, 1, (len(ids), 8)), classes=classes
+    )
 
 
 def norms_to_errors(norms):
@@ -61,48 +65,42 @@ def norms_to_errors(norms):
 class TestBuildCandidates:
     def test_p2p_pair_count(self):
         rng = np.random.default_rng(0)
-        cands = build_candidates(point_set(10, rng), KernelKind.P2P)
+        cands = build_candidates(random_frame(rng, (POINT, range(10))), KernelKind.P2P)
         assert len(cands) == 45
 
     def test_p2l_cross_count(self):
         rng = np.random.default_rng(1)
-        feats = point_set(5, rng) + point_set(
-            6, rng, cls=FeatureClass.SEGMENT_ENDPOINT, start_id=10
-        )
+        feats = random_frame(rng, (POINT, range(5)), (ENDPOINT, range(10, 16)))
         cands = build_candidates(feats, KernelKind.P2L)
         assert len(cands) == 15  # 5 points x 3 segments
 
     def test_l2l_pair_count(self):
         rng = np.random.default_rng(2)
-        feats = point_set(8, rng, cls=FeatureClass.SEGMENT_ENDPOINT)
+        feats = random_frame(rng, (ENDPOINT, range(8)))
         cands = build_candidates(feats, KernelKind.L2L)
         assert len(cands) == 6  # C(4,2) segments
 
     def test_p2c_cross_count(self):
         rng = np.random.default_rng(3)
-        feats = point_set(2, rng) + point_set(
-            5, rng, cls=FeatureClass.CONIC_SAMPLE, start_id=10
-        )
+        feats = random_frame(rng, (POINT, range(2)), (SAMPLE, range(10, 15)))
         cands = build_candidates(feats, KernelKind.P2C)
         assert len(cands) == 2
         assert cands[0].entities[1] == (10, 11, 12, 13, 14)
 
     def test_entity_grouping(self):
         rng = np.random.default_rng(4)
-        feats = point_set(1, rng) + point_set(
-            2, rng, cls=FeatureClass.SEGMENT_ENDPOINT, start_id=5
-        )
+        feats = random_frame(rng, (POINT, [0]), (ENDPOINT, [5, 6]))
         cands = build_candidates(feats, KernelKind.P2L)
         assert cands[0].entities == ((0,), (5, 6))
 
     def test_too_few_features(self):
         rng = np.random.default_rng(5)
         with pytest.raises(TooFewFeaturesError):
-            build_candidates(point_set(1, rng), KernelKind.P2P)
+            build_candidates(random_frame(rng, (POINT, [0])), KernelKind.P2P)
 
     def test_odd_endpoints_rejected(self):
         rng = np.random.default_rng(6)
-        feats = point_set(3, rng, cls=FeatureClass.SEGMENT_ENDPOINT)
+        feats = random_frame(rng, (ENDPOINT, range(3)))
         with pytest.raises(TrainingError):
             build_candidates(feats, KernelKind.L2L)
 
@@ -114,10 +112,7 @@ class TestBuildCandidates:
     ])
     def test_grouping_error_names_class_and_ids(self, kind, cls, ids, bad):
         rng = np.random.default_rng(7)
-        feats = point_set(2, rng) + [
-            make_point(fid, *rng.uniform(50, 400, 2), rng.uniform(0, 1, 8), cls=cls)
-            for fid in ids
-        ]
+        feats = random_frame(rng, (POINT, range(2)), (cls, ids))
         with pytest.raises(TrainingError, match=re.escape(f"{cls.value} ids {bad} ")):
             build_candidates(feats, kind)
 
@@ -348,10 +343,7 @@ class TestVectorizedLoss:
         # shows nothing; both must match the per-frame formula
         demo = toy_demo(n_frames=10)
         for t, keep in ((3, {0, 1}), (6, set())):
-            demo.frames[t] = [
-                make_point(o.id, o.pixel.u, o.pixel.v, o.descriptor, visible=o.id in keep)
-                for o in demo.frames[t]
-            ]
+            demo.frames[t] = hide(demo.frames[t], {0, 1, 2} - keep)
         cands = prepare_candidates(demo, KernelKind.P2P)
         assert sum(c.graphs[3] is not None for c in cands) == 1
         assert all(c.graphs[6] is None for c in cands)
@@ -444,12 +436,13 @@ class TestTrain:
 def p2l_frame(n_segments):
     """One point against n_segments segments: n_segments candidates."""
     rng = np.random.default_rng(24)
-    feats = [make_point(0, 320.0, 240.0, rng.uniform(0, 1, 8))]
-    for s in range(n_segments):
-        for end in range(2):
-            feats.append(make_point(10 + 2 * s + end, 100.0 + 80.0 * s, 100.0 + 150.0 * end,
-                                    rng.uniform(0, 1, 8), cls=FeatureClass.SEGMENT_ENDPOINT))
-    return feats
+    ends = [(s, end) for s in range(n_segments) for end in range(2)]
+    return make_frame(
+        [0] + [10 + 2 * s + end for s, end in ends],
+        [(320.0, 240.0)] + [(100.0 + 80.0 * s, 100.0 + 150.0 * end) for s, end in ends],
+        rng.uniform(0, 1, (1 + len(ends), 8)),
+        classes=[POINT] + [ENDPOINT] * len(ends),
+    )
 
 
 class TestInferConfidence:
@@ -482,14 +475,14 @@ class TestInfer:
     def test_feature_order_irrelevant(self, toy_trained, toy_demo_20):
         frame = toy_demo_20.frames[5]
         base = infer(frame, toy_trained)
-        flipped = infer(list(reversed(frame)), toy_trained)
+        flipped = infer(take(frame, slice(None, None, -1)), toy_trained)
         assert flipped.winner_ids == base.winner_ids
         assert flipped.error.values == pytest.approx(base.error.values)
 
     def test_winner_error_matches_pixels(self, toy_trained, toy_demo_20):
         frame = toy_demo_20.frames[3]
         result = infer(frame, toy_trained)
-        px = {o.id: (o.pixel.u, o.pixel.v) for o in frame}
+        px = dict(zip(frame.ids.tolist(), frame.pixels.tolist()))
         recomputed = reference.candidate_error(KernelKind.P2P, result.winner_entities, px)
         assert result.error.values == pytest.approx(recomputed)
 
@@ -498,56 +491,28 @@ class TestInfer:
         assert abs(result.weights.sum() - 1.0) < 1e-12
 
     def test_occluded_ground_truth(self, toy_trained, toy_demo_20):
-        frame = [
-            o if o.id not in (0, 1) else make_point(
-                o.id, o.pixel.u, o.pixel.v, o.descriptor, visible=False
-            )
-            for o in toy_demo_20.frames[0]
-        ]
+        frame = hide(toy_demo_20.frames[0], {0, 1})
         with pytest.raises(NoVisibleCandidatesError):
             infer(frame, toy_trained)
 
     def test_all_invisible(self, toy_trained, toy_demo_20):
-        frame = [
-            make_point(o.id, o.pixel.u, o.pixel.v, o.descriptor, visible=False)
-            for o in toy_demo_20.frames[0]
-        ]
+        frame = hide(toy_demo_20.frames[0], {0, 1, 2})
         with pytest.raises(NoVisibleCandidatesError):
             infer(frame, toy_trained)
 
     def test_descriptor_width_mismatch_named(self):
         frame = scene_frame("p2p")
         model = random_kernel("p2p", frame)
-        narrow = [
-            FeatureObservation(o.id, o.pixel, o.descriptor[:8], o.visible, o.feature_class)
-            for o in frame
-        ]
+        narrow = take(frame, slice(None))
+        narrow.descriptors = narrow.descriptors[:, :8]
         with pytest.raises(TrainingError, match="10 wide .* input_dim is 18") as info:
             infer(narrow, model)
         assert not isinstance(info.value, NoVisibleCandidatesError)
 
 
-def hide(frame, ids):
-    """The frame with the given feature ids made invisible."""
-    return [
-        FeatureObservation(o.id, o.pixel, o.descriptor, False, o.feature_class)
-        if o.id in ids else o
-        for o in frame
-    ]
-
-
-def move(frame, targets):
-    """The frame with feature id -> (u, v) pixels replaced."""
-    return [
-        FeatureObservation(o.id, ImagePoint(*targets[o.id]), o.descriptor, o.visible,
-                           o.feature_class) if o.id in targets else o
-        for o in frame
-    ]
-
-
 def random_kernel(kind, frame):
     """An untrained scorer: weights that give distinct, uneven scores."""
-    input_dim = frame[0].descriptor.shape[0] + 2
+    input_dim = frame.descriptors.shape[1] + 2
     params = NetParams.init_random(8, input_dim, np.random.default_rng(0))
     return TrainedKernel(KernelKind(kind), params, TrainConfig(hidden=8), np.zeros((0, 5)))
 
@@ -558,9 +523,8 @@ def scene_frame(kind):
     return gen_demo(config).frames[1]
 
 
-def pixel_of(frame, fid):
-    obs = next(o for o in frame if o.id == fid)
-    return obs.pixel.u, obs.pixel.v
+def conic_samples(frame):
+    return [fid for fid, cls in zip(frame.ids.tolist(), frame.classes) if cls is SAMPLE]
 
 
 def frame_variants(kind):
@@ -578,7 +542,7 @@ def frame_variants(kind):
     if kind == "l2l":
         degenerate = move(frame, {7: pixel_of(frame, 6)})
         return [frame, hide(frame, {4, 5}), degenerate]
-    samples = [o.id for o in frame if o.feature_class is FeatureClass.CONIC_SAMPLE]
+    samples = conic_samples(frame)
     collinear = {fid: (100.0 + 10.0 * i, 50.0 + 20.0 * i) for i, fid in enumerate(samples[5:10])}
     return [frame, hide(frame, {6, *samples[5:10]}), move(frame, collinear)]
 
@@ -614,7 +578,7 @@ class TestAssociationError:
     def test_matches_reference(self, kind):
         kind = KernelKind(kind)
         frame = scene_frame(kind)
-        px = {o.id: (o.pixel.u, o.pixel.v) for o in frame}
+        px = dict(zip(frame.ids.tolist(), frame.pixels.tolist()))
         for cand in build_candidates(frame, kind):
             ids = reversed(cand.feature_ids)
             error, entities = association_error(frame, kind, ids)
@@ -661,7 +625,7 @@ class TestInferPartlyHiddenEntities:
 
     def test_p2c_one_hidden_sample(self):
         frame = scene_frame("p2c")
-        samples = [o.id for o in frame if o.feature_class is FeatureClass.CONIC_SAMPLE]
+        samples = conic_samples(frame)
         frame = hide(frame, {samples[7]})
         result = infer(frame, random_kernel("p2c", frame))
         conics = {c.entities[1] for c in result.candidates}
@@ -678,7 +642,7 @@ class TestCandidatesFromAllFrames:
     def test_feature_missing_from_frame_0(self):
         # ground-truth point 0 is absent from frame 0's observation list
         demo = toy_demo(n_frames=10)
-        demo.frames[0] = [o for o in demo.frames[0] if o.id != 0]
+        demo.frames[0] = take(demo.frames[0], demo.frames[0].ids != 0)
         cands = prepare_candidates(demo, KernelKind.P2P)
         assert [c.entities for c in cands] == [((0,), (1,)), ((0,), (2,)), ((1,), (2,))]
         assert cands[0].graphs[0] is None and cands[0].graphs[1] is not None
@@ -687,11 +651,7 @@ class TestCandidatesFromAllFrames:
 
     def test_id_with_two_classes_rejected(self):
         demo = toy_demo(n_frames=4)
-        demo.frames[2] = [
-            FeatureObservation(o.id, o.pixel, o.descriptor, o.visible,
-                               FeatureClass.CONIC_SAMPLE if o.id == 2 else o.feature_class)
-            for o in demo.frames[2]
-        ]
+        demo.frames[2].classes = (POINT, POINT, SAMPLE)
         with pytest.raises(TrainingError, match="feature id 2 "):
             prepare_candidates(demo, KernelKind.P2P)
 
@@ -733,7 +693,7 @@ class TestInferWorkspaces:
         config = DemoConfig(kernel_kind=KernelKind.P2P, seed=0, n_frames=2, n_distractors=6)
         frame = gen_demo(config).frames[1]
         trained = random_kernel("p2p", frame)
-        points = sorted(o.id for o in frame)
+        points = sorted(frame.ids.tolist())
         assert len(points) - 1 > INFER_WORKSPACES
         for n_hidden in range(len(points) - 1):
             infer(hide(frame, set(points[:n_hidden])), trained)
@@ -798,8 +758,8 @@ class TestPlateauStop:
 
 def test_prepare_candidates_skips_absent_members():
     demo = toy_demo(n_frames=5)
-    demo.frames[3] = [o for o in demo.frames[3] if o.id != 2]
-    demo.frames[4] = []
+    demo.frames[3] = take(demo.frames[3], demo.frames[3].ids != 2)
+    demo.frames[4] = take(demo.frames[4], [])
     cands = prepare_candidates(demo, KernelKind.P2P)
     assert [c.graphs[3] is not None for c in cands] == [True, False, False]
     assert all(c.graphs[4] is None and c.errors[4] is None for c in cands)
