@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .geometry import KernelKind
 from .metrics import evaluate, save_report, write_frame_csv
@@ -57,18 +58,13 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _read_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    payload = _load(_read_json, path, "config")
-    if not isinstance(payload, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    return payload
-
-
-def _merged_config(cls, file_payload: dict, overrides: dict):
-    merged = dict(file_payload)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+def _merged_config(cls, args: argparse.Namespace):
+    """The --config file's fields, overridden by each set flag whose dest is a field of `cls`."""
+    merged = {} if args.config is None else _load(_read_json, args.config, "config")
+    if not isinstance(merged, dict):
+        raise CliError(f"config file {args.config} must hold a JSON object")
+    names = {f.name for f in fields(cls)}
+    merged.update({k: v for k, v in vars(args).items() if k in names and v is not None})
     try:
         return cls.from_json_dict(merged)
     except (SceneError, TrainingError, ServoError, TypeError, ValueError) as exc:
@@ -76,15 +72,7 @@ def _merged_config(cls, file_payload: dict, overrides: dict):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    overrides = {
-        "seed": args.seed,
-        "kernel_kind": args.kernel,
-        "n_frames": args.n_frames,
-        "n_distractors": args.n_distractors,
-        "noise_px": args.noise_px,
-        "layout_seed": args.layout_seed,
-    }
-    config = _merged_config(DemoConfig, _read_config_file(args.config), overrides)
+    config = _merged_config(DemoConfig, args)
     demo = gen_demo(config)
     if args.perturb is not None:
         setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
@@ -99,15 +87,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    overrides = {
-        "seed": args.seed,
-        "alpha_gcr": args.alpha_gcr,
-        "alpha_rsw": args.alpha_rsw,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "hidden": args.hidden,
-    }
-    config = _merged_config(TrainConfig, _read_config_file(args.config), overrides)
+    config = _merged_config(TrainConfig, args)
     demo = _load(load_demo, args.demo, "demo")
     kind = KernelKind(args.kernel) if args.kernel else demo.kernel_kind
     trained = train(demo, kind, config)
@@ -140,14 +120,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_servo(args: argparse.Namespace) -> int:
-    overrides = {
-        "mode": args.mode,
-        "gain": args.gain,
-        "tol": args.tol,
-        "max_steps": args.max_steps,
-        "damping": args.damping,
-    }
-    config = _merged_config(ServoConfig, _read_config_file(args.config), overrides)
+    config = _merged_config(ServoConfig, args)
     seed = args.seed if args.seed is not None else 0
     trained = None
     association = None
@@ -166,8 +139,11 @@ def _cmd_servo(args: argparse.Namespace) -> int:
     echo = {"servo": config.to_json_dict(), "seed": seed, "kernel": kind.value}
     traj.to_csv(args.out, config_echo=echo)
     state = "converged" if traj.converged else "not converged"
-    final = traj.error_norms[-1] if traj.error_norms else float("nan")
-    print(f"wrote {args.out}: {traj.n_steps} steps, {state}, final error norm {final:.4g}")
+    if traj.error_norms:
+        norm = f"final error norm {traj.error_norms[-1]:.4g}"
+    else:
+        norm = f"start error norm {traj.start_norm:.4g}, tol {config.tol:.4g}"
+    print(f"wrote {args.out}: {traj.n_steps} steps, {state}, {norm}")
     return 0
 
 
@@ -182,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", help="JSON file with demo config fields")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output demo JSON path")
-    gen.add_argument("--kernel", choices=[k.value for k in KernelKind], default=None)
+    gen.add_argument("--kernel", choices=[k.value for k in KernelKind], dest="kernel_kind")
     gen.add_argument("--n-frames", type=int, default=None, dest="n_frames")
     gen.add_argument("--n-distractors", type=int, default=None, dest="n_distractors")
     gen.add_argument("--noise-px", type=float, default=None, dest="noise_px")

@@ -159,8 +159,40 @@ class Frame:
             raise SceneError("a frame needs one pixel, descriptor, visibility and class per id")
 
 
+class JsonConfig:
+    """The JSON codec of the config dataclasses: one object, fields in order.
+
+    Enums are stored by value and tuples as lists, for ``__post_init__``
+    to restore. A subclass names itself and its module's error, which an
+    unknown key raises: ``class DemoConfig(JsonConfig, name="demo",
+    error=SceneError)``.
+    """
+
+    def __init_subclass__(cls, name: str, error: type[Exception], **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._json_name, cls._json_error = name, error
+
+    def to_json_dict(self) -> dict:
+        payload = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, enum.Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            payload[f.name] = value
+        return payload
+
+    @classmethod
+    def from_json_dict(cls, payload: dict):
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise cls._json_error(f"unknown {cls._json_name} config keys: {sorted(unknown)}")
+        return cls(**payload)
+
+
 @dataclass
-class DemoConfig:
+class DemoConfig(JsonConfig, name="demo", error=SceneError):
     """Controls for demonstration generation.
 
     `seed` fixes everything including the ground-truth entities'
@@ -201,28 +233,6 @@ class DemoConfig:
     @property
     def effective_layout_seed(self) -> int:
         return self.seed if self.layout_seed is None else self.layout_seed
-
-    def to_json_dict(self) -> dict:
-        payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            elif isinstance(value, tuple):
-                value = list(value)
-            payload[f.name] = value
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DemoConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise SceneError(f"unknown demo config keys: {sorted(unknown)}")
-        kwargs = dict(payload)
-        if "image_size" in kwargs:
-            kwargs["image_size"] = tuple(kwargs["image_size"])
-        return cls(**kwargs)
 
 
 @dataclass

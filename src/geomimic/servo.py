@@ -10,13 +10,13 @@ secant updates while steering the scene's mover entity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .geometry import ENTITY_SIZE, KIND_ENTITIES, KernelKind
-from .scene import SimWorld
+from .scene import JsonConfig, SimWorld
 from .training import TrainedKernel, TrainingError, association_error, infer
 
 _SINGULAR_COND = 1e12
@@ -44,7 +44,7 @@ class LowConfidenceError(ServoError):
 
 
 @dataclass
-class ServoConfig:
+class ServoConfig(JsonConfig, name="servo", error=ServoError):
     """Loop settings shared by both modes."""
 
     mode: str = "ibvs"
@@ -67,17 +67,6 @@ class ServoConfig:
             raise ServoError("max_steps must be >= 0")
         if self.explore_step <= 0:
             raise ServoError("explore_step must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ServoConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ServoError(f"unknown servo config keys: {sorted(unknown)}")
-        return cls(**payload)
 
 
 def interaction_matrix_point(x: float, y: float, depth: float) -> np.ndarray:
@@ -279,12 +268,13 @@ class ScenePlant:
 
 @dataclass
 class ServoTrajectory:
-    """Step-by-step record of one run."""
+    """Step-by-step record of one run; ``start_norm`` is the error norm before any step."""
 
     mode: str
     q_history: list[np.ndarray]
     error_norms: list[float]
     converged: bool
+    start_norm: float
 
     @property
     def n_steps(self) -> int:
@@ -295,6 +285,8 @@ class ServoTrajectory:
         with open(path, "w") as fh:
             if config_echo is not None:
                 fh.write("# config: " + json.dumps(config_echo) + "\n")
+            if self.converged and not self.error_norms:
+                fh.write(f"# start error norm {self.start_norm!r} was already below tol\n")
             cols = ",".join(f"q{i}" for i in range(dof))
             header = "step," + (cols + "," if cols else "") + "error_norm,mode"
             fh.write(header + "\n")
@@ -303,11 +295,10 @@ class ServoTrajectory:
                 fh.write(f"{step}," + (qtxt + "," if qtxt else "") + f"{norm!r},{self.mode}\n")
 
 
-def estimate_jacobian(plant: Plant, step: float) -> np.ndarray:
-    """Forward-difference Jacobian from one exploratory motion per dof."""
+def estimate_jacobian(plant: Plant, step: float, e0: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian about the current error e0, one exploratory motion per dof."""
     if step <= 0:
         raise ServoError("exploratory step must be positive")
-    e0 = np.asarray(plant.observe(), dtype=float)
     cols = []
     for d in range(plant.dof):
         dq = np.zeros(plant.dof)
@@ -330,7 +321,7 @@ def run_loop(
     """
     error = np.asarray(plant.observe(), dtype=float)
     start_norm = float(np.linalg.norm(error))
-    traj = ServoTrajectory(config.mode, [], [], converged=start_norm < config.tol)
+    traj = ServoTrajectory(config.mode, [], [], start_norm < config.tol, start_norm)
     if traj.converged or config.max_steps == 0:
         return traj
 
@@ -339,7 +330,7 @@ def run_loop(
         jacobian = (
             np.asarray(j0, dtype=float)
             if j0 is not None
-            else estimate_jacobian(plant, config.explore_step)
+            else estimate_jacobian(plant, config.explore_step, error)
         )
         if not jacobian.any():
             raise SingularityError(

@@ -32,7 +32,7 @@ import json
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +63,7 @@ from .geometry import (  # noqa: F401
     p2p_error,
 )
 from .network import KernelGraph, NetParams, entity_wiring, graph_from_entities  # noqa: F401
-from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE
+from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE, JsonConfig
 
 QUALITY_EPS = 1e-6
 
@@ -81,7 +81,7 @@ class NoVisibleCandidatesError(TrainingError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig, name="train", error=TrainingError):
     """Objective weights and optimization settings.
 
     ``epochs`` is a cap: `train` stops earlier once the best loss has
@@ -109,17 +109,6 @@ class TrainConfig:
             raise TrainingError("lr must be positive")
         if min(self.alpha_gcr, self.alpha_rsw, self.lambda_dec, self.lambda_smooth) < 0:
             raise TrainingError("objective weights must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise TrainingError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**payload)
 
 
 @dataclass

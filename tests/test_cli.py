@@ -1,13 +1,31 @@
 """End-to-end command-line flows: gen, train, eval and servo."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from geomimic.cli import main
-from geomimic.scene import load_demo
-from geomimic.training import load_trained
+from geomimic.cli import _build_parser, main
+from geomimic.scene import DemoConfig, load_demo
+from geomimic.servo import ServoConfig
+from geomimic.training import TrainConfig, load_trained, prepare_candidates
+
+CONFIGS = {"gen": DemoConfig, "train": TrainConfig, "servo": ServoConfig}
+
+
+def _field_flags(command: str) -> dict:
+    """The flags of `command` whose dest names a field of its config, by dest."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[command]
+    names = {f.name for f in fields(CONFIGS[command])}
+    return {a.dest: a for a in sub._actions if a.dest in names}
+
+
+def _two_values(flag) -> tuple:
+    """A config-file value and a different flag value, both valid and quick to run."""
+    if flag.choices:
+        return flag.choices[-1], flag.choices[0]
+    return {int: (2, 3), float: (0.25, 0.5)}[flag.type]
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +122,26 @@ class TestGen:
         cfg.write_text(json.dumps({"n_frames": 1}))
         code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.json")])
         assert code == 2
+
+
+@pytest.mark.parametrize("command, dest", [(c, d) for c in CONFIGS for d in _field_flags(c)])
+def test_field_flag_overrides_config_file(workdir, tmp_path, command, dest):
+    # The file sets every field that has a flag; only `dest`'s flag is passed.
+    flags = _field_flags(command)
+    in_file = {d: _two_values(flag)[0] for d, flag in flags.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(in_file))
+    value = _two_values(flags[dest])[1]
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), flags[dest].option_strings[0], str(value)]
+    if command == "train":
+        argv += ["--demo", str(workdir["demo"])]
+    assert main(argv + ["--out", str(out)]) == 0
+    if command == "servo":
+        echo = json.loads(out.read_text().splitlines()[0][len("# config: "):])["servo"]
+    else:
+        echo = json.loads(out.read_text())["config"]
+    assert echo == {**CONFIGS[command]().to_json_dict(), **in_file, dest: value}
 
 
 class TestTrain:
@@ -224,6 +262,19 @@ class TestServo:
         assert len(lines) == 2  # config echo plus header, no steps
         assert "not converged" in capsys.readouterr().out
 
+    def test_zero_step_run_reports_its_start_error(self, tmp_path, capsys):
+        # The p2c error is an algebraic residual that starts below the 1 px tol.
+        out = tmp_path / "traj.csv"
+        argv = ["servo", "--kernel", "p2c", "--seed", "0", "--mode", "uvs", "--gain", "0.3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.endswith(": 0 steps, converged, start error norm 0.08791, tol 1\n")
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("# start error norm 0.0879")
+        assert lines[1].endswith(" was already below tol")
+        assert lines[2] == "step,error_norm,mode"
+
     def test_missing_model(self, tmp_path):
         code = main([
             "servo", "--model", str(tmp_path / "nope.json"),
@@ -259,6 +310,32 @@ class TestServo:
         assert echo["servo"]["gain"] == 0.25
         assert echo["servo"]["max_steps"] == 3
         assert echo["kernel"] == "p2p"
+
+
+class TestNoDistractors:
+    def test_single_candidate_scene(self, tmp_path, capsys):
+        demo, model, held = (tmp_path / n for n in ("demo.json", "model.json", "held.json"))
+        scene = ["--kernel", "p2p", "--seed", "3", "--n-frames", "12", "--n-distractors", "0"]
+        assert main(["gen", *scene, "--out", str(demo)]) == 0
+        loaded = load_demo(str(demo))
+        assert len(prepare_candidates(loaded, loaded.kernel_kind)) == 1
+        # A lone candidate always takes all the selection weight, so the loss
+        # is flat and training stops at the plateau rule's first chance.
+        assert main(["train", "--demo", str(demo), "--seed", "3", "--out", str(model)]) == 0
+        losses = load_trained(str(model)).loss_trace[:, 1]
+        assert len(losses) == 26
+        assert losses == pytest.approx(-8.3984, abs=5e-5)
+        assert main(["gen", *scene, "--layout-seed", "1003", "--out", str(held)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["eval", "--demo", str(held), "--model", str(model), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["acc"] == 100.0
+        # The default servo world adds 6 distractors, and a model that never
+        # saw one trusts none of the candidates they make.
+        capsys.readouterr()
+        assert main(["servo", "--model", str(model), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: servo loop failed: inference does not trust any candidate\n"
+        )
 
 
 class TestBadInputFiles:

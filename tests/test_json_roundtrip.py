@@ -24,8 +24,8 @@ from geomimic.scene import (
     load_demo,
     save_demo,
 )
-from geomimic.servo import ServoConfig
-from geomimic.training import TrainConfig, TrainedKernel, prepare_candidates
+from geomimic.servo import ServoConfig, ServoError
+from geomimic.training import TrainConfig, TrainedKernel, TrainingError, prepare_candidates
 
 from conftest import make_frame, take, toy_demo
 
@@ -96,6 +96,18 @@ def test_train_config(config):
 @settings(max_examples=200, deadline=None)
 def test_servo_config(config):
     assert ServoConfig.from_json_dict(through_json(config.to_json_dict())) == config
+
+
+@pytest.mark.parametrize(
+    "cls, error, name",
+    [(DemoConfig, SceneError, "demo"), (TrainConfig, TrainingError, "train"),
+     (ServoConfig, ServoError, "servo")],
+)
+def test_unknown_config_keys_raise_the_modules_error(cls, error, name):
+    payload = {**cls().to_json_dict(), "zeta": 1, "alpha": 2}
+    with pytest.raises(error) as info:
+        cls.from_json_dict(payload)
+    assert str(info.value) == f"unknown {name} config keys: ['alpha', 'zeta']"
 
 
 @st.composite

@@ -151,7 +151,7 @@ class TestLinearPlantLoop:
     def test_estimate_jacobian_recovers_matrix(self):
         matrix = np.array([[2.0, 0.5], [0.1, -1.5]])
         plant = LinearPlant(matrix, [1.0, 1.0])
-        assert estimate_jacobian(plant, 1e-4) == pytest.approx(matrix, abs=1e-6)
+        assert estimate_jacobian(plant, 1e-4, plant.observe()) == pytest.approx(matrix, abs=1e-6)
         assert plant.q == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_small_gain_monotone(self):
