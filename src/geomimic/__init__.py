@@ -11,7 +11,6 @@ image-based or uncalibrated visual-servoing loop.
 from .geometry import (
     Conic,
     CoincidentPointsError,
-    ErrorSignal,
     GeometryError,
     HomLine,
     ImagePoint,
@@ -27,7 +26,6 @@ from .geometry import (
 __all__ = [
     "Conic",
     "CoincidentPointsError",
-    "ErrorSignal",
     "GeometryError",
     "HomLine",
     "ImagePoint",

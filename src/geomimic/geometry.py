@@ -3,7 +3,8 @@
 Error signals are the raw control quantities consumed by training and by
 the servo loop: pixel offsets for point coincidence, signed point-line
 distances, endpoint residuals for line alignment, and algebraic conic
-residuals.
+residuals. An error is a plain (d,) float array, d = 2 for p2p and l2l
+and 1 for p2l and p2c; K of them are a (K, d) array.
 
 Every construction and error exists once, in batched form over K rows of
 (K, 2) pixel arrays: ``lines_through``, ``conics_through`` and the
@@ -46,14 +47,6 @@ class FeatureClass(str, enum.Enum):
     SEGMENT_ENDPOINT = "segment_endpoint"
     CONIC_SAMPLE = "conic_sample"
 
-
-# Dimension of the error vector each kind produces.
-ERROR_DIM = {
-    KernelKind.P2P: 2,
-    KernelKind.P2L: 1,
-    KernelKind.L2L: 2,
-    KernelKind.P2C: 1,
-}
 
 # Features one entity of each class holds, on consecutive ids: a point is
 # one feature, a segment two endpoints, a conic five samples.
@@ -143,9 +136,6 @@ class HomLine:
     def coeffs(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 
-    def normal(self) -> np.ndarray:
-        return np.array([self.a, self.b])
-
 
 def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrize (K, 3, 3) conic matrices, scale to unit Frobenius norm
@@ -192,28 +182,6 @@ class Conic:
         m = unit[0]
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class ErrorSignal:
-    """Control error produced by one geometric constraint on one frame."""
-
-    kernel_kind: KernelKind
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        expected = ERROR_DIM[self.kernel_kind]
-        if vals.shape != (expected,):
-            raise GeometryError(
-                f"{self.kernel_kind.value} error must have {expected} values, "
-                f"got shape {vals.shape}"
-            )
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def distinct_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -363,18 +331,17 @@ def p2c_errors(p: np.ndarray, conics: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(x[:, None, :], conics), x[:, :, None])[:, 0, 0]
 
 
-def p2p_error(p1: ImagePoint, p2: ImagePoint) -> ErrorSignal:
+def p2p_error(p1: ImagePoint, p2: ImagePoint) -> np.ndarray:
     """Pixel offset (du, dv) between two points; zero iff they coincide."""
-    return ErrorSignal(KernelKind.P2P, p2p_errors(_rows(p1), _rows(p2))[0])
+    return p2p_errors(_rows(p1), _rows(p2))[0]
 
 
-def p2l_error(p: ImagePoint, line: HomLine) -> ErrorSignal:
-    """Signed perpendicular distance of a point from a normalized line."""
-    values = p2l_errors(_rows(p), line.coeffs()[None])
-    return ErrorSignal(KernelKind.P2L, values)
+def p2l_error(p: ImagePoint, line: HomLine) -> np.ndarray:
+    """(1,) signed perpendicular distance of a point from a normalized line."""
+    return p2l_errors(_rows(p), line.coeffs()[None])
 
 
-def l2l_error(segment: tuple[ImagePoint, ImagePoint], line: HomLine) -> ErrorSignal:
+def l2l_error(segment: tuple[ImagePoint, ImagePoint], line: HomLine) -> np.ndarray:
     """Signed distances of both segment endpoints from a line.
 
     Zero iff the segment lies on the line. The endpoints must be distinct
@@ -383,9 +350,9 @@ def l2l_error(segment: tuple[ImagePoint, ImagePoint], line: HomLine) -> ErrorSig
     p, q = _rows(segment[0]), _rows(segment[1])
     if not distinct_points(p, q)[0]:
         raise CoincidentPointsError("segment endpoints coincide")
-    return ErrorSignal(KernelKind.L2L, l2l_errors(p, q, line.coeffs()[None])[0])
+    return l2l_errors(p, q, line.coeffs()[None])[0]
 
 
-def p2c_error(p: ImagePoint, conic: Conic) -> ErrorSignal:
-    """Algebraic residual x^T C x of a point against a normalized conic."""
-    return ErrorSignal(KernelKind.P2C, p2c_errors(_rows(p), conic.matrix[None]))
+def p2c_error(p: ImagePoint, conic: Conic) -> np.ndarray:
+    """(1,) algebraic residual x^T C x of a point against a normalized conic."""
+    return p2c_errors(_rows(p), conic.matrix[None])

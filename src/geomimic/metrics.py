@@ -142,7 +142,7 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
             result = infer(frame, trained)
             winner = tuple(sorted(result.winner_ids))
             winners.append(winner)
-            norms.append(result.error.norm())
+            norms.append(float(np.linalg.norm(result.error)))
         except NoVisibleCandidatesError:
             winners.append(None)
             norms.append(None)

@@ -58,7 +58,6 @@ import numpy as np
 
 from .geometry import ENTITY_SIZE, KIND_ENTITIES, KernelKind
 
-DEFAULT_HIDDEN = 32
 DEFAULT_ROUNDS = 3
 
 
@@ -66,39 +65,24 @@ class GraphStructureError(ValueError):
     """Graph does not satisfy the structural rules of its kernel kind."""
 
 
-@dataclass(frozen=True)
-class KernelGraph:
-    """One candidate association instance.
-
-    nodes:    (n, F) float array, row i encodes feature i.
-    edges:    (E, 2) int array of directed (src, dst) pairs.
-    grouping: node indices partitioned by geometric entity.
-    """
-
-    kernel_kind: KernelKind
-    nodes: np.ndarray
-    edges: np.ndarray
-    grouping: tuple[tuple[int, ...], ...]
-
-
 @functools.lru_cache(maxsize=64)
-def entity_wiring(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Edge list and node grouping of every graph whose entities have these node counts.
+def entity_wiring(sizes: tuple[int, ...]) -> np.ndarray:
+    """(E, 2) edge list of every graph whose entities have these node counts.
 
     Edges run in both directions between every pair of nodes that belong
-    to different entities, sorted by (src, dst). The edge array is shared
-    by every caller, so it is read-only.
+    to different entities, sorted by (src, dst). The array is shared by
+    every caller, so it is read-only.
     """
     group = np.repeat(np.arange(len(sizes)), sizes)
     edges = np.stack(np.nonzero(group[:, None] != group[None, :]), axis=1)
     edges.flags.writeable = False
-    starts = np.cumsum((0,) + sizes[:-1])
-    grouping = tuple(tuple(range(int(s), int(s) + n)) for s, n in zip(starts, sizes))
-    return edges, grouping
+    return edges
 
 
-def graph_from_entities(kind: KernelKind, entities: Sequence[np.ndarray]) -> KernelGraph:
-    """Assemble a kernel graph from per-entity node encodings.
+def graph_from_entities(
+    kind: KernelKind, entities: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, F) nodes and (E, 2) edges of one graph from per-entity node encodings.
 
     Edges run in both directions between every pair of nodes that belong
     to different entities; nodes inside one entity share no edge, so the
@@ -106,8 +90,8 @@ def graph_from_entities(kind: KernelKind, entities: Sequence[np.ndarray]) -> Ker
     (``entity_wiring``).
 
     The entities must be the kind's two ``KIND_ENTITIES``, in order, with
-    ``ENTITY_SIZE`` nodes each. Other wirings are built as
-    ``KernelGraph(kind, nodes, *entity_wiring(sizes))``.
+    ``ENTITY_SIZE`` nodes each. Other wirings take their edges from
+    ``entity_wiring(sizes)``.
     """
     if any(e.ndim != 2 for e in entities):
         raise GraphStructureError("each entity must be an (n, F) array of node encodings")
@@ -119,7 +103,7 @@ def graph_from_entities(kind: KernelKind, entities: Sequence[np.ndarray]) -> Ker
     if len(widths) != 1:
         raise GraphStructureError(f"inconsistent node encoding widths: {sorted(widths)}")
     nodes = np.vstack([np.asarray(e, dtype=float) for e in entities])
-    return KernelGraph(kind, nodes, *entity_wiring(sizes))
+    return nodes, entity_wiring(sizes)
 
 
 @dataclass
@@ -539,19 +523,3 @@ def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) ->
     np.sum(t1, axis=0, out=g.b_in)
     return g
 
-
-def forward(graph: KernelGraph, params: NetParams, rounds: int = DEFAULT_ROUNDS) -> float:
-    """Relevance score of one candidate graph."""
-    scores, _ = forward_batch(graph.nodes[None, :, :], graph.edges, params, rounds)
-    return float(scores[0])
-
-
-def backward(
-    graph: KernelGraph,
-    params: NetParams,
-    upstream: float,
-    rounds: int = DEFAULT_ROUNDS,
-) -> NetParams:
-    """Parameter gradients of upstream * forward(graph)."""
-    _, cache = forward_batch(graph.nodes[None, :, :], graph.edges, params, rounds)
-    return backward_batch(cache, params, np.array([float(upstream)]))

@@ -19,7 +19,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -159,12 +159,41 @@ class Frame:
             raise SceneError("a frame needs one pixel, descriptor, visibility and class per id")
 
 
+def _type_fault(value, hint) -> str | None:
+    """What a field annotated ``hint`` needs, or None if ``value`` fits it.
+
+    A number is a finite int or float, never a bool; an int field takes
+    ints only, an enum field a member's value, a tuple field a list of as
+    many fitting items, and None fits only an annotation that allows it.
+    """
+    parts = get_args(hint)
+    if get_origin(hint) is tuple:
+        fits = isinstance(value, (list, tuple)) and len(value) == len(parts)
+        if fits and not any(_type_fault(v, h) for v, h in zip(value, parts)):
+            return None
+        return f"a list of {len(parts)} items, each {_type_fault(None, parts[0])}"
+    if type(None) in parts:
+        if value is None:
+            return None
+        hint = parts[0]
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        values = [m.value for m in hint]
+        return None if value in values else f"one of {values}"
+    if hint is str:
+        return None if isinstance(value, str) else "a string"
+    need = "an integer" if hint is int else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, int if hint is int else (int, float)):
+        return need
+    return None if isinstance(value, int) or math.isfinite(value) else need
+
+
 class JsonConfig:
     """The JSON codec of the config dataclasses: one object, fields in order.
 
     Enums are stored by value and tuples as lists, for ``__post_init__``
     to restore. A subclass names itself and its module's error, which an
-    unknown key raises: ``class DemoConfig(JsonConfig, name="demo",
+    unknown key or a value that does not fit its field's annotation
+    (``_type_fault``) raises: ``class DemoConfig(JsonConfig, name="demo",
     error=SceneError)``.
     """
 
@@ -188,6 +217,12 @@ class JsonConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise cls._json_error(f"unknown {cls._json_name} config keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for name, value in payload.items():
+            fault = _type_fault(value, hints[name])
+            if fault:
+                what = f"{cls._json_name} config field {name}"
+                raise cls._json_error(f"{what} must be {fault}, got {value!r}")
         return cls(**payload)
 
 

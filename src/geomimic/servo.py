@@ -223,7 +223,7 @@ class ScenePlant:
         if self.world.kernel_kind is KernelKind.P2P:
             # Keep entity order: the error is p_first - p_second.
             self._pair = (entities[0][0], entities[1][0])
-        return error.values.copy()
+        return error
 
     def interaction(self) -> np.ndarray:
         """Pixel-error interaction matrix of the current point pair."""

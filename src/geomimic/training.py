@@ -19,9 +19,9 @@ are grouped into entities from all of a frame's features and count on the
 frame only if every member is visible and the geometry is non-degenerate.
 ``prepare_candidates`` enumerates a demo's candidates once, from the
 features of all its frames, and runs ``_frame_batch`` on every frame
-against that one layout to get the per-frame graphs and errors training
-packs; ``infer`` scores one frame's arrays in one forward pass, and
-``association_error`` measures one fixed association with them.
+against that one layout to get the per-frame node rows and errors that
+training packs; ``infer`` scores one frame's arrays in one forward pass,
+and ``association_error`` measures one fixed association with them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from . import network
 from .geometry import (
     ENTITY_SIZE,
     KIND_ENTITIES,
-    ErrorSignal,
     KernelKind,
     conics_through,
     distinct_points,
@@ -62,7 +61,8 @@ from .geometry import (  # noqa: F401
     p2l_error,
     p2p_error,
 )
-from .network import KernelGraph, NetParams, entity_wiring, graph_from_entities  # noqa: F401
+from .network import graph_from_entities  # noqa: F401
+from .network import NetParams, entity_wiring
 from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE, JsonConfig
 
 QUALITY_EPS = 1e-6
@@ -116,22 +116,20 @@ class CandidateInstance:
     """One possible feature association, tracked across frames.
 
     entities: per-entity id tuples, e.g. ((5,), (1, 2)) for point 5
-    against segment (1, 2). graphs/errors hold one entry per frame, None
-    where any member feature is invisible.
+    against segment (1, 2). On frame t, graphs[t] holds the members' (n, F)
+    node encodings, entity by entity, and errors[t] the (d,) error; both
+    are None where a member is missing or invisible or the geometry
+    degenerates.
     """
 
     kernel_kind: KernelKind
     entities: tuple[tuple[int, ...], ...]
-    graphs: list[KernelGraph | None] = field(default_factory=list)
-    errors: list[ErrorSignal | None] = field(default_factory=list)
+    graphs: list[np.ndarray | None] = field(default_factory=list)
+    errors: list[np.ndarray | None] = field(default_factory=list)
 
     @property
     def feature_ids(self) -> tuple[int, ...]:
         return tuple(fid for ent in self.entities for fid in ent)
-
-    @property
-    def id_set(self) -> frozenset[int]:
-        return frozenset(self.feature_ids)
 
 
 def _group_entities(
@@ -207,18 +205,6 @@ def _enumerate(
     return tuple(combos), _Layout(kind, tuple(len(e) for e in combos[0]), *arrays)
 
 
-def build_candidates(frame: Frame, kind: KernelKind) -> list[CandidateInstance]:
-    """Enumerate all candidate associations available on a frame.
-
-    Each candidate pairs one entity of each class its kind associates
-    (``geometry.KIND_ENTITIES``). Candidates are returned in a
-    deterministic id order.
-    """
-    kind = KernelKind(kind)
-    combos, _ = _enumerate(kind, _group_entities(frame.ids.tolist(), frame.classes))
-    return [CandidateInstance(kind, ent) for ent in combos]
-
-
 @dataclass
 class _FrameBatch:
     """Every candidate of one frame as arrays, in candidate order.
@@ -290,8 +276,8 @@ def association_error(
     frame: Frame,
     kind: KernelKind,
     ids: Iterable[int],
-) -> tuple[ErrorSignal, tuple[tuple[int, ...], ...]]:
-    """Error and entities of the one candidate made of exactly ``ids`` on a frame.
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """(d,) error and entities of the one candidate made of exactly ``ids`` on a frame.
 
     The ids are grouped into entities as ``infer`` groups a frame, so the
     entity order, and with it the sign of the error, is ``infer``'s.
@@ -316,11 +302,11 @@ def association_error(
         raise NoVisibleCandidatesError(
             f"association {sorted(wanted)} has degenerate geometry on this frame"
         )
-    return ErrorSignal(kind, batch.errors[0]), combos[0]
+    return batch.errors[0], combos[0]
 
 
 def quality_score(
-    errors: Sequence[ErrorSignal | None],
+    errors: Sequence[np.ndarray | None],
     lambda_dec: float = 1.0,
     lambda_smooth: float = 1.0,
 ) -> float:
@@ -330,7 +316,7 @@ def quality_score(
     frame-to-frame jumps; both are scale-normalized by the trace maximum.
     Frames where the candidate was invisible are skipped.
     """
-    norms = np.array([e.norm() for e in errors if e is not None])
+    norms = np.array([np.linalg.norm(e) for e in errors if e is not None])
     if norms.size < 2:
         raise TrainingError("quality needs at least 2 usable frames")
     peak = float(norms.max())
@@ -409,12 +395,12 @@ def _pack_candidates(
     # rows of one candidate are adjacent and its consecutive usable frames
     # pair up as adjacent rows.
     cand_index, frame_index = np.nonzero(usable)
-    graphs = [candidates[j].graphs[t] for j, t in zip(cand_index.tolist(), frame_index.tolist())]
+    nodes = [candidates[j].graphs[t] for j, t in zip(cand_index.tolist(), frame_index.tolist())]
     pair_rows = np.flatnonzero(cand_index[1:] == cand_index[:-1])
     live_frames, frame_row = np.unique(frame_index, return_inverse=True)
     return _Pack(
-        nodes=np.stack([g.nodes for g in graphs]),
-        edges=graphs[0].edges,
+        nodes=np.stack(nodes),
+        edges=entity_wiring(tuple(map(len, candidates[0].entities))),
         cand_index=cand_index,
         frame_row=frame_row,
         n_score_rows=len(live_frames),
@@ -480,18 +466,6 @@ def _loss_packed(
     value = -expected_quality + config.alpha_gcr * gcr + config.alpha_rsw * rsw
     grads = network.backward_batch(cache, params, d_scores)
     return LossBreakdown(float(value), expected_quality, gcr, rsw), grads
-
-
-def loss(
-    candidates: Sequence[CandidateInstance], params: NetParams, config: TrainConfig
-) -> tuple[LossBreakdown, NetParams]:
-    """Full objective and its parameter gradients.
-
-    The value is minus the per-frame expected candidate quality under the
-    soft selection, plus the score-change and selection-sharpness
-    regularizers weighted by alpha_gcr and alpha_rsw.
-    """
-    return _loss_packed(_pack_candidates(candidates, config), params, config)
 
 
 # Forward-only network workspaces ``infer`` keeps per trained kernel, one
@@ -582,7 +556,7 @@ def _observed_features(frames: Sequence[Frame]) -> tuple[list[int], list[Feature
 
 
 def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateInstance]:
-    """Candidates with graphs and errors attached for every demo frame.
+    """Candidates with node rows and errors attached for every demo frame.
 
     Candidates are enumerated once, from the features of all frames, so a
     feature missing from the first frame still takes part. Each frame is
@@ -594,7 +568,6 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
     size = demo.config.image_size if demo.config else IMAGE_SIZE
     combos, layout = _enumerate(kind, _group_entities(*_observed_features(demo.frames)))
     candidates = [CandidateInstance(kind, ent) for ent in combos]
-    edges, grouping = entity_wiring(layout.sizes)
     for frame in demo.frames:
         if not frame.ids.size:
             for cand in candidates:
@@ -604,8 +577,8 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
         batch = _frame_batch(layout, frame, size)
         nodes = batch.encodings[batch.rows]
         for cand, ok, graph_nodes, err in zip(candidates, batch.usable, nodes, batch.errors):
-            cand.graphs.append(KernelGraph(kind, graph_nodes, edges, grouping) if ok else None)
-            cand.errors.append(ErrorSignal(kind, err) if ok else None)
+            cand.graphs.append(graph_nodes if ok else None)
+            cand.errors.append(err if ok else None)
     return candidates
 
 
@@ -682,15 +655,15 @@ class InferenceResult:
     """The selection on one frame.
 
     candidates are the usable candidates, in the order of ``weights``.
-    They carry no graphs or errors: only the winner's ``error`` is
-    computed as an ErrorSignal.
+    They carry no graphs or errors; ``error`` is the winner's (d,)
+    geometric error on the frame.
     """
 
     winner_ids: frozenset[int]
     winner_entities: tuple[tuple[int, ...], ...]
     weights: np.ndarray
     candidates: list[CandidateInstance]
-    error: ErrorSignal
+    error: np.ndarray
     low_confidence: bool
 
 
@@ -744,7 +717,7 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
         raise NoVisibleCandidatesError(
             "no candidate has every member visible and non-degenerate geometry"
         )
-    edges, _ = entity_wiring(layout.sizes)
+    edges = entity_wiring(layout.sizes)
     nodes = batch.encodings[batch.rows[usable]]
     scores, _ = network.forward_batch(
         nodes, edges, trained.params, trained.config.rounds, _infer_workspace(trained, nodes, edges)
@@ -754,10 +727,10 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
     cand = candidates[winner]
     m = usable.size
     return InferenceResult(
-        winner_ids=cand.id_set,
+        winner_ids=frozenset(cand.feature_ids),
         winner_entities=cand.entities,
         weights=g,
         candidates=candidates,
-        error=ErrorSignal(kind, batch.errors[usable[winner]]),
+        error=batch.errors[usable[winner]],
         low_confidence=float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m),
     )

@@ -8,9 +8,11 @@ The tests compare the production geometry, inference and training against
 these bit for bit, and the batched scorer against the composed building
 blocks to 1e-12. They return raw numpy values rather than library objects.
 Apart from ``train_fixed_epochs``, which keeps the production candidate
-packing and loss, nothing here runs production geometry.
+packing and loss, nothing here runs production geometry or candidate
+enumeration.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +24,6 @@ from geomimic.training import (
     GRAD_CLIP_NORM,
     _loss_packed,
     _pack_candidates,
-    build_candidates,
     prepare_candidates,
     select_out,
 )
@@ -146,6 +147,19 @@ def edges_between(entities):
     return np.array(sorted(edges), dtype=int).reshape(-1, 2)
 
 
+def candidate_entities(frame, kind):
+    """Sorted entity tuples of every ``kind`` candidate: each class's sorted
+    ids cut into runs of 1 (point), 2 (segment) or 5 (conic samples)."""
+    runs = {}
+    for cls, size in (("point", 1), ("segment_endpoint", 2), ("conic_sample", 5)):
+        ids = sorted(f for f, c in zip(frame.ids.tolist(), frame.classes) if c.value == cls)
+        runs[cls] = [tuple(ids[i:i + size]) for i in range(0, len(ids), size)]
+    pt, seg, con = runs.values()
+    pairs = {"p2p": itertools.combinations(pt, 2), "p2l": itertools.product(pt, seg),
+             "l2l": itertools.combinations(seg, 2), "p2c": itertools.product(pt, con)}
+    return sorted(pairs[KernelKind(kind).value])
+
+
 def infer(frame, trained):
     """Per-candidate inference: candidates from the visible features only,
     one error and one graph per candidate, then one forward over them.
@@ -158,17 +172,17 @@ def infer(frame, trained):
     by_id = dict(zip(visible.ids.tolist(), visible.descriptors))
     px = dict(zip(visible.ids.tolist(), visible.pixels.tolist()))
     usable, errors, graphs = [], [], []
-    for cand in build_candidates(visible, kind):
+    for entities in candidate_entities(visible, kind):
         try:
-            err = candidate_error(kind, cand.entities, px)
+            err = candidate_error(kind, entities, px)
         except Degenerate:
             continue
-        usable.append(cand.entities)
+        usable.append(entities)
         errors.append(err)
         graphs.append(np.stack([encode_node(by_id[f], px[f], trained.image_size)
-                                for f in cand.feature_ids]))
+                                for f in sum(entities, ())]))
     scores, _ = network.forward_batch(
-        np.stack(graphs), edges_between(cand.entities), trained.params, trained.config.rounds
+        np.stack(graphs), edges_between(entities), trained.params, trained.config.rounds
     )
     g, winner = select_out(scores, trained.config.alpha_conf)
     m = len(usable)
@@ -186,13 +200,13 @@ def pack(candidates):
     rows, cand_index, frame_index, pairs = [], [], [], []
     for j, cand in enumerate(candidates):
         prev_row = None
-        for t, graph in enumerate(cand.graphs):
-            if graph is None:
+        for t, nodes in enumerate(cand.graphs):
+            if nodes is None:
                 continue
             if prev_row is not None:
                 pairs.append((prev_row, len(rows)))
             prev_row = len(rows)
-            rows.append(graph.nodes)
+            rows.append(nodes)
             cand_index.append(j)
             frame_index.append(t)
     return (np.stack(rows), np.array(cand_index), np.array(frame_index),
@@ -290,6 +304,21 @@ def observe_tracks(world_tracks, bases, camera, config, noise_rng, jitter_rng):
         )
         for points in world_tracks
     ]
+
+
+# One graph scored through the batched scorer, for tests of single graphs.
+
+
+def score(nodes, edges, params, rounds=3):
+    """Score of one (n, F) graph: ``forward_batch`` on a batch of one."""
+    scores, _ = network.forward_batch(nodes[None], edges, params, rounds)
+    return float(scores[0])
+
+
+def score_grads(nodes, edges, params, upstream, rounds=3):
+    """Parameter gradients of upstream * score: ``backward_batch`` on a batch of one."""
+    _, cache = network.forward_batch(nodes[None], edges, params, rounds)
+    return network.backward_batch(cache, params, np.array([float(upstream)]))
 
 
 # Single-sample scorer building blocks: the formulas network.forward_batch

@@ -16,10 +16,9 @@ from statistics import median
 import numpy as np
 import pytest
 
-from geomimic import network
 from geomimic.geometry import KernelKind
 from geomimic.metrics import autocorr, evaluate
-from geomimic.network import NetParams, backward, forward, graph_from_entities
+from geomimic.network import NetParams, graph_from_entities
 from geomimic.scene import (
     DemoConfig,
     PerturbationKind,
@@ -37,12 +36,14 @@ from geomimic.servo import (
 )
 from geomimic.training import (
     TrainConfig,
+    _loss_packed,
+    _pack_candidates,
     infer,
-    loss,
     prepare_candidates,
     quality_score,
     train,
 )
+from reference import score, score_grads
 
 ENTITY_SHAPES = {
     KernelKind.P2P: (1, 1),
@@ -91,18 +92,13 @@ def test_readout_is_permutation_invariant():
     for i in range(1000):
         kind = KINDS[i % 4]
         ents = [rng.normal(size=(s, dim)) for s in ENTITY_SHAPES[kind]]
-        g = graph_from_entities(kind, ents)
-        n = g.nodes.shape[0]
+        nodes, edges = graph_from_entities(kind, ents)
+        n = nodes.shape[0]
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=int)
         inv[perm] = np.arange(n)
-        shuffled = network.KernelGraph(
-            kind,
-            g.nodes[perm],
-            inv[g.edges],
-            tuple(tuple(inv[list(grp)]) for grp in g.grouping),
-        )
-        worst = max(worst, abs(forward(g, params) - forward(shuffled, params)))
+        shuffled = score(nodes[perm], inv[edges], params)
+        worst = max(worst, abs(score(nodes, edges, params) - shuffled))
     dt = time.perf_counter() - t0
     _verdict(
         "1 permutation invariance",
@@ -136,7 +132,8 @@ def test_gradients_match_finite_differences():
         g = graph_from_entities(
             KernelKind.P2P, [rng.normal(size=(1, dim)), rng.normal(size=(1, dim))]
         )
-        worst = max(worst, fd_worst(lambda p: forward(g, p), params, backward(g, params, 1.0), rng))
+        grads = score_grads(*g, params, 1.0)
+        worst = max(worst, fd_worst(lambda p: score(*g, p), params, grads, rng))
         demo = gen_demo(
             DemoConfig(
                 kernel_kind=KernelKind.P2P, seed=seed, n_frames=8,
@@ -146,12 +143,13 @@ def test_gradients_match_finite_differences():
         cands = prepare_candidates(demo, KernelKind.P2P)
         cfg = TrainConfig(seed=seed)
         full_params = NetParams.init_random(
-            cfg.hidden, cands[0].graphs[0].nodes.shape[1], np.random.default_rng(seed + 200)
+            cfg.hidden, cands[0].graphs[0].shape[1], np.random.default_rng(seed + 200)
         )
-        _, grads = loss(cands, full_params, cfg)
+        pack = _pack_candidates(cands, cfg)
+        _, grads = _loss_packed(pack, full_params, cfg)
         worst = max(
             worst,
-            fd_worst(lambda p: loss(cands, p, cfg)[0].value, full_params, grads, rng),
+            fd_worst(lambda p: _loss_packed(pack, p, cfg)[0].value, full_params, grads, rng),
         )
     dt = time.perf_counter() - t0
     _verdict(

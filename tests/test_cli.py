@@ -144,6 +144,33 @@ def test_field_flag_overrides_config_file(workdir, tmp_path, command, dest):
     assert echo == {**CONFIGS[command]().to_json_dict(), **in_file, dest: value}
 
 
+@pytest.mark.parametrize("command, config, flags, field", [
+    ("gen", {"n_frames": "ten"}, [], "n_frames"),
+    ("gen", {"image_size": [5]}, [], "image_size"),
+    ("gen", None, ["--noise-px", "nan"], "noise_px"),
+    ("train", {"lr": "x"}, [], "lr"),
+    ("train", {"epochs": 2.5}, [], "epochs"),
+    ("train", None, ["--lr", "nan"], "lr"),
+    ("servo", {"max_steps": 1.5}, [], "max_steps"),
+    ("servo", None, ["--kernel", "p2p", "--tol", "nan"], "tol"),
+    ("servo", None, ["--kernel", "p2p", "--mode", "uvs", "--gain", "nan"], "gain"),
+])
+def test_config_value_of_wrong_type_names_its_field(
+    workdir, tmp_path, capsys, command, config, flags, field
+):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), *flags]
+    if command == "train":
+        argv += ["--demo", str(workdir["demo"])]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and f" config field {field} must be " in err
+    assert not out.exists()
+
+
 class TestTrain:
     def test_artifacts(self, workdir):
         trained = load_trained(str(workdir["model"]))

@@ -12,11 +12,9 @@ from geomimic.geometry import (
     COINCIDENT_TOL_PX,
     Conic,
     CoincidentPointsError,
-    ErrorSignal,
     GeometryError,
     HomLine,
     ImagePoint,
-    KernelKind,
     conic_through,
     conics_through,
     distinct_points,
@@ -86,42 +84,42 @@ class TestLineThrough:
             if math.hypot(p.u - q.u, p.v - q.v) < 1e-6:
                 continue
             line = line_through(p, q)
-            assert abs(p2l_error(p, line).values[0]) < 1e-9
-            assert abs(p2l_error(q, line).values[0]) < 1e-9
+            assert abs(p2l_error(p, line)[0]) < 1e-9
+            assert abs(p2l_error(q, line)[0]) < 1e-9
 
 
 class TestPointErrors:
     def test_p2p_coincident_zero(self):
-        assert p2p_error(ImagePoint(3, 4), ImagePoint(3, 4)).values == pytest.approx([0, 0])
+        assert p2p_error(ImagePoint(3, 4), ImagePoint(3, 4)) == pytest.approx([0, 0])
 
     def test_p2p_offset_and_norm(self):
         err = p2p_error(ImagePoint(0, 0), ImagePoint(3, 4))
-        assert err.values == pytest.approx([-3.0, -4.0])
-        assert err.norm() == pytest.approx(5.0)
+        assert err == pytest.approx([-3.0, -4.0])
+        assert np.linalg.norm(err) == pytest.approx(5.0)
 
     def test_p2p_fractional(self):
         err = p2p_error(ImagePoint(1.5, 2.0), ImagePoint(0.5, 1.0))
-        assert err.values == pytest.approx([1.0, 1.0])
+        assert err == pytest.approx([1.0, 1.0])
 
     def test_p2p_antisymmetric(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             p = ImagePoint(*rng.uniform(0, 640, 2))
             q = ImagePoint(*rng.uniform(0, 640, 2))
-            assert p2p_error(p, q).values == pytest.approx(-p2p_error(q, p).values)
+            assert p2p_error(p, q) == pytest.approx(-p2p_error(q, p))
 
     def test_p2l_point_on_line(self):
         line = line_through(ImagePoint(0, 0), ImagePoint(2, 2))
-        assert p2l_error(ImagePoint(1, 1), line).values[0] == pytest.approx(0.0, abs=1e-12)
+        assert p2l_error(ImagePoint(1, 1), line)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_p2l_unit_distance(self):
         line = HomLine(0.0, 1.0, 0.0)
-        assert p2l_error(ImagePoint(0, 1), line).values[0] == pytest.approx(1.0)
+        assert p2l_error(ImagePoint(0, 1), line)[0] == pytest.approx(1.0)
 
     def test_p2l_normalizes_input_scale(self):
         # 3u + 4v - 5 = 0 scaled down by the normal's length 5
         err = p2l_error(ImagePoint(2, 3), HomLine(3.0, 4.0, -5.0))
-        assert err.values[0] == pytest.approx(2.6)
+        assert err[0] == pytest.approx(2.6)
 
     def test_p2l_is_euclidean_distance(self):
         rng = np.random.default_rng(2)
@@ -132,7 +130,7 @@ class TestPointErrors:
             if math.hypot(p.u - q.u, p.v - q.v) < 1e-3:
                 continue
             line = line_through(p, q)
-            d = abs(p2l_error(x, line).values[0])
+            d = abs(p2l_error(x, line)[0])
             # distance from x to the infinite line through p, q
             ab = np.array([q.u - p.u, q.v - p.v])
             ax = np.array([x.u - p.u, x.v - p.v])
@@ -144,17 +142,17 @@ class TestSegmentErrors:
     def test_collinear_zero(self):
         line = line_through(ImagePoint(2, 2), ImagePoint(3, 3))
         err = l2l_error((ImagePoint(0, 0), ImagePoint(1, 1)), line)
-        assert err.values == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert err == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_parallel_offset(self):
         axis = HomLine(0.0, 1.0, 0.0)
         err = l2l_error((ImagePoint(0, 1), ImagePoint(1, 1)), axis)
-        assert err.values == pytest.approx([1.0, 1.0])
+        assert err == pytest.approx([1.0, 1.0])
 
     def test_perpendicular(self):
         axis = HomLine(0.0, 1.0, 0.0)
         err = l2l_error((ImagePoint(0, 0), ImagePoint(0, 2)), axis)
-        assert err.values == pytest.approx([0.0, 2.0])
+        assert err == pytest.approx([0.0, 2.0])
 
     def test_coincident_endpoints_rejected(self):
         axis = HomLine(0.0, 1.0, 0.0)
@@ -166,9 +164,9 @@ class TestConic:
     def test_unit_circle_residuals(self):
         c = Conic(np.diag([1.0, 1.0, -1.0]))
         s3 = math.sqrt(3.0)
-        assert p2c_error(ImagePoint(1, 0), c).values[0] == pytest.approx(0.0, abs=1e-12)
-        assert p2c_error(ImagePoint(0, 0), c).values[0] == pytest.approx(-1.0 / s3)
-        assert p2c_error(ImagePoint(2, 0), c).values[0] == pytest.approx(3.0 / s3)
+        assert p2c_error(ImagePoint(1, 0), c)[0] == pytest.approx(0.0, abs=1e-12)
+        assert p2c_error(ImagePoint(0, 0), c)[0] == pytest.approx(-1.0 / s3)
+        assert p2c_error(ImagePoint(2, 0), c)[0] == pytest.approx(3.0 / s3)
 
     def test_normalization(self):
         c = Conic(np.diag([2.0, 2.0, -2.0]))
@@ -189,12 +187,12 @@ class TestConic:
         pts = circle_points(320, 240, 80, [0, 70, 140, 210, 280])
         conic = conic_through(pts)
         for p in pts:
-            assert abs(p2c_error(p, conic).values[0]) < 1e-9
+            assert abs(p2c_error(p, conic)[0]) < 1e-9
         # a sixth point of the same circle also fits
         extra = circle_points(320, 240, 80, [333])[0]
-        assert abs(p2c_error(extra, conic).values[0]) < 1e-9
+        assert abs(p2c_error(extra, conic)[0]) < 1e-9
         # the center clearly does not
-        assert abs(p2c_error(ImagePoint(320, 240), conic).values[0]) > 1e-4
+        assert abs(p2c_error(ImagePoint(320, 240), conic)[0]) > 1e-4
 
     def test_through_rejects_wrong_count(self):
         pts = circle_points(0, 0, 1, [0, 60, 120, 180])
@@ -205,23 +203,6 @@ class TestConic:
         pts = [ImagePoint(float(i), 2.0 * i + 1.0) for i in range(5)]
         with pytest.raises(GeometryError):
             conic_through(pts)
-
-
-class TestErrorSignal:
-    def test_dimensions_enforced(self):
-        assert ErrorSignal(KernelKind.P2P, [1.0, 2.0]).values.shape == (2,)
-        with pytest.raises(GeometryError):
-            ErrorSignal(KernelKind.P2P, [1.0])
-        with pytest.raises(GeometryError):
-            ErrorSignal(KernelKind.P2L, [1.0, 2.0])
-
-    def test_norm(self):
-        assert ErrorSignal(KernelKind.L2L, [3.0, 4.0]).norm() == pytest.approx(5.0)
-
-    def test_values_read_only(self):
-        err = ErrorSignal(KernelKind.P2L, [1.0])
-        with pytest.raises(ValueError):
-            err.values[0] = 2.0
 
 
 # ---------------------------------------------------------------- batched
@@ -310,7 +291,7 @@ class TestBatchedLines:
             assert d1[k] == reference.p2l(x[k], line)[0]
             assert d2[k, 0] == d1[k] and d2[k, 1] == reference.p2l(p[k], line)[0]
             scalar = p2l_error(ImagePoint(*x[k]), line_through(ImagePoint(*p[k]), ImagePoint(*q[k])))
-            assert scalar.values[0] == d1[k]
+            assert scalar[0] == d1[k]
         assert np.array_equal(p2p_errors(p, q)[:, 0], p[:, 0] - q[:, 0])
 
     def test_random_sweep_bit_equal(self):
@@ -351,7 +332,7 @@ class TestBatchedConics:
             assert residuals[k] == reference.p2c(x[k], expect)[0]
             scalar = conic_through(points)
             assert np.array_equal(scalar.matrix, expect)
-            assert p2c_error(ImagePoint(*x[k]), scalar).values[0] == residuals[k]
+            assert p2c_error(ImagePoint(*x[k]), scalar)[0] == residuals[k]
 
     @given(st.lists(coord, min_size=6, max_size=6), st.sampled_from([0.0, 1e-9, 1e-3, 50.0]))
     def test_conic_constructor_matches_reference(self, upper, skew):

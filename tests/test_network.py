@@ -6,17 +6,14 @@ import pytest
 from geomimic.geometry import KernelKind
 from geomimic.network import (
     GraphStructureError,
-    KernelGraph,
     NetParams,
     Workspace,
-    backward,
     backward_batch,
     entity_wiring,
-    forward,
     forward_batch,
     graph_from_entities,
 )
-from reference import aggregate, embed, gru_update, message
+from reference import aggregate, embed, gru_update, message, score, score_grads
 
 HIDDEN = 8
 DIM = 6
@@ -30,6 +27,7 @@ ENTITY_SIZES = {
 
 
 def random_graph(kind, rng, dim=DIM):
+    """(nodes, edges) of one random graph of ``kind``."""
     ents = [rng.normal(size=(s, dim)) for s in ENTITY_SIZES[kind]]
     return graph_from_entities(kind, ents)
 
@@ -38,12 +36,12 @@ def random_params(rng, hidden=HIDDEN, dim=DIM):
     return NetParams.init_random(hidden, dim, rng)
 
 
-def reference_forward(graph, params, rounds):
+def reference_forward(nodes, edges, params, rounds):
     """Score recomputed by composing the single-sample building blocks."""
-    h = [embed(x, params) for x in graph.nodes]
+    h = [embed(x, params) for x in nodes]
     for _ in range(rounds):
         incoming = [[] for _ in range(len(h))]
-        for src, dst in graph.edges:
+        for src, dst in edges:
             incoming[dst].append(message(h[src], h[dst], params))
         new_h = []
         for i, msgs in enumerate(incoming):
@@ -58,9 +56,9 @@ def reference_forward(graph, params, rounds):
 class TestGraphConstruction:
     def test_edges_cross_entities_only(self):
         rng = np.random.default_rng(0)
-        g = random_graph(KernelKind.P2L, rng)
+        _, edges = random_graph(KernelKind.P2L, rng)
         # point node 0, segment nodes 1-2: no edge inside the segment
-        edge_set = {tuple(e) for e in g.edges}
+        edge_set = {tuple(e) for e in edges}
         assert edge_set == {(0, 1), (0, 2), (1, 0), (2, 0)}
 
     def test_node_counts_enforced(self):
@@ -165,7 +163,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         params = NetParams.zeros(HIDDEN, DIM)
         for kind in KernelKind:
-            assert forward(random_graph(kind, rng), params) == 0.0
+            assert score(*random_graph(kind, rng), params) == 0.0
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("rounds", [0, 1, 3])
@@ -173,28 +171,22 @@ class TestForward:
         rng = np.random.default_rng(6)
         params = random_params(rng)
         g = random_graph(kind, rng)
-        assert forward(g, params, rounds) == pytest.approx(
-            reference_forward(g, params, rounds), abs=1e-12
+        assert score(*g, params, rounds) == pytest.approx(
+            reference_forward(*g, params, rounds), abs=1e-12
         )
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_permutation_invariant(self, kind):
         rng = np.random.default_rng(8)
         params = random_params(rng)
-        g = random_graph(kind, rng)
-        base = forward(g, params)
-        n = g.nodes.shape[0]
+        nodes, edges = random_graph(kind, rng)
+        base = score(nodes, edges, params)
+        n = nodes.shape[0]
         for _ in range(20):
             perm = rng.permutation(n)
             inv = np.empty(n, dtype=int)
             inv[perm] = np.arange(n)
-            shuffled = KernelGraph(
-                kind,
-                g.nodes[perm],
-                inv[g.edges],
-                tuple(tuple(int(inv[i]) for i in grp) for grp in g.grouping),
-            )
-            assert forward(shuffled, params) == pytest.approx(base, abs=1e-9)
+            assert score(nodes[perm], inv[edges], params) == pytest.approx(base, abs=1e-9)
 
     def test_handles_two_to_seven_nodes(self):
         # same params score any graph size: grouping drives the wiring
@@ -202,8 +194,7 @@ class TestForward:
         params = random_params(rng)
         for extra in range(6):
             nodes = np.vstack([rng.normal(size=(1, DIM)), rng.normal(size=(1 + extra, DIM))])
-            g = KernelGraph(KernelKind.P2P, nodes, *entity_wiring((1, 1 + extra)))
-            assert np.isfinite(forward(g, params))
+            assert np.isfinite(score(nodes, entity_wiring((1, 1 + extra)), params))
 
     def test_grouping_changes_score(self):
         # regrouping the same four features rewires the graph and must
@@ -214,9 +205,9 @@ class TestForward:
         for _ in range(10):
             params = random_params(rng)
             nodes = rng.normal(size=(4, DIM))
-            a = KernelGraph(KernelKind.P2L, nodes, *entity_wiring((1, 3)))
-            b = KernelGraph(KernelKind.P2L, nodes, *entity_wiring((3, 1)))
-            if abs(forward(a, params) - forward(b, params)) > 1e-6:
+            a = score(nodes, entity_wiring((1, 3)), params)
+            b = score(nodes, entity_wiring((3, 1)), params)
+            if abs(a - b) > 1e-6:
                 differ += 1
         assert differ >= 9
 
@@ -224,15 +215,15 @@ class TestForward:
         rng = np.random.default_rng(11)
         params = random_params(rng)
         g = random_graph(KernelKind.L2L, rng)
-        assert forward(g, params) == forward(g, params)
+        assert score(*g, params) == score(*g, params)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(12)
         params = random_params(rng)
         graphs = [random_graph(KernelKind.P2P, rng) for _ in range(7)]
-        nodes = np.stack([g.nodes for g in graphs])
-        scores, _ = forward_batch(nodes, graphs[0].edges, params, 3)
-        singles = [forward(g, params) for g in graphs]
+        nodes = np.stack([g_nodes for g_nodes, _ in graphs])
+        scores, _ = forward_batch(nodes, graphs[0][1], params, 3)
+        singles = [score(*g, params) for g in graphs]
         assert scores == pytest.approx(singles, abs=1e-12)
 
 
@@ -268,7 +259,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         params = random_params(rng)
         g = random_graph(KernelKind.P2P, rng)
-        grads = backward(g, params, 0.0)
+        grads = score_grads(*g, params, 0.0)
         assert np.all(grads.flat() == 0.0)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
@@ -279,8 +270,8 @@ class TestBackward:
             prng = np.random.default_rng(seed)
             params = random_params(prng)
             g = random_graph(kind, prng)
-            grads = backward(g, params, 1.0)
-            numeric = fd_gradients(lambda p: forward(g, p), params, 3, rng)
+            grads = score_grads(*g, params, 1.0)
+            numeric = fd_gradients(lambda p: score(*g, p), params, 3, rng)
             worst = max(worst, max_rel_error(grads, numeric))
         assert worst < 1e-4
 
@@ -289,16 +280,16 @@ class TestBackward:
         rng = np.random.default_rng(20)
         params = random_params(rng)
         g = random_graph(KernelKind.P2C, rng)
-        grads = backward(g, params, 1.0, rounds=0)
-        numeric = fd_gradients(lambda p: forward(g, p, rounds=0), params, 3, rng)
+        grads = score_grads(*g, params, 1.0, rounds=0)
+        numeric = fd_gradients(lambda p: score(*g, p, rounds=0), params, 3, rng)
         assert max_rel_error(grads, numeric) < 1e-4
 
     def test_upstream_scales_linearly(self):
         rng = np.random.default_rng(15)
         params = random_params(rng)
         g = random_graph(KernelKind.P2L, rng)
-        g1 = backward(g, params, 1.0).flat()
-        g3 = backward(g, params, 3.0).flat()
+        g1 = score_grads(*g, params, 1.0).flat()
+        g3 = score_grads(*g, params, 3.0).flat()
         assert g3 == pytest.approx(3.0 * g1, abs=1e-12)
 
     def test_duplicate_node_graph_gradcheck(self):
@@ -308,20 +299,20 @@ class TestBackward:
         params = random_params(rng)
         x = rng.normal(size=(1, DIM))
         g = graph_from_entities(KernelKind.P2P, [x, x.copy()])
-        grads = backward(g, params, 1.0)
-        numeric = fd_gradients(lambda p: forward(g, p), params, 3, rng)
+        grads = score_grads(*g, params, 1.0)
+        numeric = fd_gradients(lambda p: score(*g, p), params, 3, rng)
         assert max_rel_error(grads, numeric) < 1e-4
 
 
 def edge_free_graph(rng):
     # one entity: its nodes share no edge, so messages never flow
-    return KernelGraph(KernelKind.P2L, rng.normal(size=(3, DIM)), *entity_wiring((3,)))
+    return rng.normal(size=(3, DIM)), entity_wiring((3,))
 
 
 def duplicate_edge_graph(rng):
     # edge (0, 1) listed twice: node 1 receives the same message twice
-    g = random_graph(KernelKind.P2L, rng)
-    return KernelGraph(g.kernel_kind, g.nodes, np.vstack([g.edges, g.edges[:1]]), g.grouping)
+    nodes, edges = random_graph(KernelKind.P2L, rng)
+    return nodes, np.vstack([edges, edges[:1]])
 
 
 class TestDegenerateWiring:
@@ -330,22 +321,22 @@ class TestDegenerateWiring:
         rng = np.random.default_rng(30)
         params = random_params(rng)
         g = make(rng)
-        assert forward(g, params) == pytest.approx(reference_forward(g, params, 3), abs=1e-12)
+        assert score(*g, params) == pytest.approx(reference_forward(*g, params, 3), abs=1e-12)
 
     @pytest.mark.parametrize("make", [edge_free_graph, duplicate_edge_graph])
     def test_gradcheck(self, make):
         rng = np.random.default_rng(31)
         params = random_params(rng)
         g = make(rng)
-        grads = backward(g, params, 1.0)
-        numeric = fd_gradients(lambda p: forward(g, p), params, 3, rng)
+        grads = score_grads(*g, params, 1.0)
+        numeric = fd_gradients(lambda p: score(*g, p), params, 3, rng)
         assert max_rel_error(grads, numeric) < 1e-4
 
 
 class TestWorkspace:
     def batch(self, rng):
         graphs = [random_graph(KernelKind.P2C, rng) for _ in range(5)]
-        return np.stack([g.nodes for g in graphs]), graphs[0].edges
+        return np.stack([nodes for nodes, _ in graphs]), graphs[0][1]
 
     def test_reuse_is_bit_identical_to_fresh_calls(self):
         rng = np.random.default_rng(33)

@@ -40,7 +40,7 @@ from geomimic.scene import (
     rodrigues,
     save_demo,
 )
-from geomimic.training import build_candidates
+from geomimic.training import prepare_candidates
 
 from conftest import make_frame, pixel_of
 
@@ -126,7 +126,7 @@ class TestProjection:
             mid = 0.5 * (a + b)
             pa, pb, pm = (ImagePoint(*p) for p in observe_points([a, b, mid], cam).pixels.tolist())
             line = line_through(pa, pb)
-            assert abs(p2l_error(pm, line).values[0]) < 1e-6
+            assert abs(p2l_error(pm, line)[0]) < 1e-6
 
 
 class TestRodrigues:
@@ -163,7 +163,7 @@ class TestGenDemo:
 
     def test_candidate_count_from_default_layout(self):
         demo = gen_demo(DemoConfig(kernel_kind=KernelKind.P2P, seed=0, n_distractors=8))
-        cands = build_candidates(demo.frames[0], KernelKind.P2P)
+        cands = prepare_candidates(demo, KernelKind.P2P)
         assert len(cands) == 45  # 10 points
 
     def test_deterministic_per_seed(self):
@@ -219,11 +219,27 @@ class TestGenDemo:
         with pytest.raises(SceneError):
             DemoConfig(noise_px=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_frames", "ten"), ("n_frames", None), ("n_frames", 12.0), ("seed", False),
+        ("noise_px", float("nan")), ("approach_rate", float("-inf")), ("noise_px", "0.5"),
+        ("kernel_kind", "x2y"), ("kernel_kind", None), ("image_size", [5]),
+        ("image_size", [640, 480, 3]), ("image_size", [640.0, 480]), ("image_size", "640x480"),
+        ("start_error_px", float("nan")), ("layout_seed", 1.5),
+    ])
+    def test_json_value_of_wrong_type_names_its_field(self, field, value):
+        with pytest.raises(SceneError, match=f"^demo config field {field} must be "):
+            DemoConfig.from_json_dict({field: value})
+
+    def test_json_values_are_checked_not_converted(self):
+        payload = {"noise_px": 0, "start_error_px": None, "layout_seed": None,
+                   "image_size": [640, 480], "kernel_kind": "p2l", "approach_rate": 0.5}
+        config = DemoConfig.from_json_dict(payload)
+        assert config.to_json_dict() == {**DemoConfig().to_json_dict(), **payload}
+        assert type(config.noise_px) is int
+
     def test_unique_monotone_decreaser_is_ground_truth(self):
         # with zero noise only the demonstrated association's error norm
         # decreases on every frame pair
-        from geomimic.training import prepare_candidates
-
         demo = gen_demo(
             DemoConfig(kernel_kind=KernelKind.P2P, seed=9, n_frames=15, noise_px=0.0,
                        descriptor_jitter=0.0, n_distractors=4)
@@ -231,7 +247,7 @@ class TestGenDemo:
         cands = prepare_candidates(demo, KernelKind.P2P)
         monotone = []
         for cand in cands:
-            norms = [e.norm() for e in cand.errors if e is not None]
+            norms = [np.linalg.norm(e) for e in cand.errors if e is not None]
             if len(norms) == demo.n_frames and np.all(np.diff(norms) < 0):
                 monotone.append(frozenset(cand.feature_ids))
         assert monotone == [frozenset(demo.ground_truth)]
@@ -312,7 +328,7 @@ class TestPerturbations:
         mid_world = 0.5 * (tracks[0, i] + tracks[0, j])
         line = line_through(*(ImagePoint(*pixel_of(out.frames[0], f)) for f in (i, j)))
         mid_pix = ImagePoint(*observe_points([mid_world], out.camera).pixels[0].tolist())
-        assert abs(p2l_error(mid_pix, line).values[0]) < 1e-6
+        assert abs(p2l_error(mid_pix, line)[0]) < 1e-6
 
     def test_random_target_moves_pair_rigidly(self):
         demo = gen_demo(

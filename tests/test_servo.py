@@ -130,6 +130,15 @@ class TestConfig:
         with pytest.raises(ServoError):
             ServoConfig.from_json_dict({"mode": "uvs", "lam": 0.1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("mode", 1), ("mode", None), ("gain", float("nan")), ("tol", float("nan")),
+        ("tol", float("inf")), ("damping", "0"), ("max_steps", 1.5), ("max_steps", True),
+        ("explore_step", None),
+    ])
+    def test_value_of_wrong_type_names_its_field(self, field, value):
+        with pytest.raises(ServoError, match=f"^servo config field {field} must be "):
+            ServoConfig.from_json_dict({field: value})
+
 
 class TestLinearPlantLoop:
     def test_known_jacobian_converges_fast(self):

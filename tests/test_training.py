@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import reference
 from geomimic import network
-from geomimic.geometry import ErrorSignal, KernelKind
+from geomimic.geometry import KernelKind
 from geomimic.metrics import evaluate, save_report
 from geomimic.network import NetParams
 from geomimic.scene import (
+    CameraModel,
     DemoConfig,
+    DemoSequence,
     FeatureClass,
     demo_to_json_dict,
     gen_demo,
@@ -31,10 +33,8 @@ from geomimic.training import (
     TrainedKernel,
     TrainingError,
     association_error,
-    build_candidates,
     infer,
     load_trained,
-    loss,
     prepare_candidates,
     quality_score,
     save_trained,
@@ -59,50 +59,55 @@ def random_frame(rng, *groups):
 
 
 def norms_to_errors(norms):
-    return [ErrorSignal(KernelKind.P2L, [float(n)]) for n in norms]
+    return [np.array([float(n)]) for n in norms]
+
+
+def candidates_on(frame, kind):
+    """``prepare_candidates`` on a demo of this one frame."""
+    return prepare_candidates(DemoSequence([frame], (), CameraModel(), 0, kind), kind)
 
 
 class TestBuildCandidates:
     def test_p2p_pair_count(self):
         rng = np.random.default_rng(0)
-        cands = build_candidates(random_frame(rng, (POINT, range(10))), KernelKind.P2P)
+        cands = candidates_on(random_frame(rng, (POINT, range(10))), KernelKind.P2P)
         assert len(cands) == 45
 
     def test_p2l_cross_count(self):
         rng = np.random.default_rng(1)
         feats = random_frame(rng, (POINT, range(5)), (ENDPOINT, range(10, 16)))
-        cands = build_candidates(feats, KernelKind.P2L)
+        cands = candidates_on(feats, KernelKind.P2L)
         assert len(cands) == 15  # 5 points x 3 segments
 
     def test_l2l_pair_count(self):
         rng = np.random.default_rng(2)
         feats = random_frame(rng, (ENDPOINT, range(8)))
-        cands = build_candidates(feats, KernelKind.L2L)
+        cands = candidates_on(feats, KernelKind.L2L)
         assert len(cands) == 6  # C(4,2) segments
 
     def test_p2c_cross_count(self):
         rng = np.random.default_rng(3)
         feats = random_frame(rng, (POINT, range(2)), (SAMPLE, range(10, 15)))
-        cands = build_candidates(feats, KernelKind.P2C)
+        cands = candidates_on(feats, KernelKind.P2C)
         assert len(cands) == 2
         assert cands[0].entities[1] == (10, 11, 12, 13, 14)
 
     def test_entity_grouping(self):
         rng = np.random.default_rng(4)
         feats = random_frame(rng, (POINT, [0]), (ENDPOINT, [5, 6]))
-        cands = build_candidates(feats, KernelKind.P2L)
+        cands = candidates_on(feats, KernelKind.P2L)
         assert cands[0].entities == ((0,), (5, 6))
 
     def test_too_few_features(self):
         rng = np.random.default_rng(5)
         with pytest.raises(TooFewFeaturesError):
-            build_candidates(random_frame(rng, (POINT, [0])), KernelKind.P2P)
+            candidates_on(random_frame(rng, (POINT, [0])), KernelKind.P2P)
 
     def test_odd_endpoints_rejected(self):
         rng = np.random.default_rng(6)
         feats = random_frame(rng, (ENDPOINT, range(3)))
         with pytest.raises(TrainingError):
-            build_candidates(feats, KernelKind.L2L)
+            candidates_on(feats, KernelKind.L2L)
 
     @pytest.mark.parametrize("kind, cls, ids, bad", [
         (KernelKind.P2L, FeatureClass.SEGMENT_ENDPOINT, (5, 6, 8, 9, 11), [11]),
@@ -114,7 +119,7 @@ class TestBuildCandidates:
         rng = np.random.default_rng(7)
         feats = random_frame(rng, (POINT, range(2)), (cls, ids))
         with pytest.raises(TrainingError, match=re.escape(f"{cls.value} ids {bad} ")):
-            build_candidates(feats, kind)
+            candidates_on(feats, kind)
 
 
 class TestQualityScore:
@@ -231,29 +236,29 @@ def toy_candidates():
 
 class TestLoss:
     def input_dim(self, cands):
-        return cands[0].graphs[0].nodes.shape[1]
+        return cands[0].graphs[0].shape[1]
 
     def test_uniform_selection_value(self, toy_candidates):
         # zero params give uniform weights, so the expected quality per
         # frame is the plain mean over candidates
         config = TrainConfig(alpha_gcr=0.0, alpha_rsw=0.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
-        breakdown, _ = loss(toy_candidates, params, config)
         pack = _pack_candidates(toy_candidates, config)
+        breakdown, _ = _loss_packed(pack, params, config)
         t = len(toy_candidates[0].graphs)
         assert breakdown.value == pytest.approx(-pack.quality.mean() * t, abs=1e-9)
 
     def test_constant_scores_no_gcr(self, toy_candidates):
         config = TrainConfig(alpha_gcr=0.5, alpha_rsw=0.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
-        breakdown, _ = loss(toy_candidates, params, config)
+        breakdown, _ = _loss_packed(_pack_candidates(toy_candidates, config), params, config)
         assert breakdown.gcr_term == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_rsw_mass(self, toy_candidates):
         # three candidates at uniform weights: 1 - 3 (1/3)^2 = 2/3 per frame
         config = TrainConfig(alpha_gcr=0.0, alpha_rsw=1.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
-        breakdown, _ = loss(toy_candidates, params, config)
+        breakdown, _ = _loss_packed(_pack_candidates(toy_candidates, config), params, config)
         t = len(toy_candidates[0].graphs)
         assert breakdown.rsw_term == pytest.approx(t * (2.0 / 3.0), abs=1e-9)
         uniform = np.full(4, 0.25)
@@ -264,7 +269,8 @@ class TestLoss:
         params = NetParams.init_random(
             8, self.input_dim(toy_candidates), np.random.default_rng(21)
         )
-        _, grads = loss(toy_candidates, params, config)
+        pack = _pack_candidates(toy_candidates, config)
+        _, grads = _loss_packed(pack, params, config)
         rng = np.random.default_rng(22)
         eps = 1e-6
         worst = 0.0
@@ -274,8 +280,8 @@ class TestLoss:
                 plus.blocks()[name].reshape(-1)[k] += eps
                 minus = params.copy()
                 minus.blocks()[name].reshape(-1)[k] -= eps
-                num = (loss(toy_candidates, plus, config)[0].value
-                       - loss(toy_candidates, minus, config)[0].value) / (2 * eps)
+                num = (_loss_packed(pack, plus, config)[0].value
+                       - _loss_packed(pack, minus, config)[0].value) / (2 * eps)
                 ana = grads.blocks()[name].reshape(-1)[k]
                 worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
         assert worst < 1e-4
@@ -327,13 +333,14 @@ def test_loss_ignores_b_read2_bit_for_bit():
                                    n_distractors=4, noise_px=0.5))
         cands = prepare_candidates(demo, KernelKind.P2P)
         config = TrainConfig(seed=seed)
-        params = NetParams.init_random(config.hidden, cands[0].graphs[0].nodes.shape[1],
+        params = NetParams.init_random(config.hidden, cands[0].graphs[0].shape[1],
                                        np.random.default_rng(seed + 200))
+        pack = _pack_candidates(cands, config)
         values = []
         for shift in (1e-6, -1e-6):
             shifted = params.copy()
             shifted.b_read2[0] += shift
-            values.append(loss(cands, shifted, config)[0].value)
+            values.append(_loss_packed(pack, shifted, config)[0].value)
         assert values[0] == values[1], f"seed {seed}"
 
 
@@ -348,7 +355,7 @@ class TestVectorizedLoss:
         assert sum(c.graphs[3] is not None for c in cands) == 1
         assert all(c.graphs[6] is None for c in cands)
         config = TrainConfig(alpha_conf=0.7)
-        params = NetParams.init_random(8, cands[0].graphs[0].nodes.shape[1],
+        params = NetParams.init_random(8, cands[0].graphs[0].shape[1],
                                        np.random.default_rng(23))
         breakdown, grads = _loss_packed(_pack_candidates(cands, config), params, config)
         ref_terms, ref_grads = reference_loss(cands, params, config)
@@ -415,6 +422,14 @@ class TestTrain:
         with pytest.raises(TrainingError):
             TrainConfig(alpha_gcr=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "x"), ("lr", float("nan")), ("alpha_gcr", float("inf")), ("lambda_dec", None),
+        ("epochs", 2.5), ("epochs", True), ("hidden", "32"), ("rounds", None),
+    ])
+    def test_json_value_of_wrong_type_names_its_field(self, field, value):
+        with pytest.raises(TrainingError, match=f"^train config field {field} must be "):
+            TrainConfig.from_json_dict({field: value})
+
     def test_round_trip(self, tmp_path, toy_trained):
         path = tmp_path / "kernel.json"
         save_trained(toy_trained, str(path))
@@ -477,14 +492,14 @@ class TestInfer:
         base = infer(frame, toy_trained)
         flipped = infer(take(frame, slice(None, None, -1)), toy_trained)
         assert flipped.winner_ids == base.winner_ids
-        assert flipped.error.values == pytest.approx(base.error.values)
+        assert flipped.error == pytest.approx(base.error)
 
     def test_winner_error_matches_pixels(self, toy_trained, toy_demo_20):
         frame = toy_demo_20.frames[3]
         result = infer(frame, toy_trained)
         px = dict(zip(frame.ids.tolist(), frame.pixels.tolist()))
         recomputed = reference.candidate_error(KernelKind.P2P, result.winner_entities, px)
-        assert result.error.values == pytest.approx(recomputed)
+        assert result.error == pytest.approx(recomputed)
 
     def test_weights_sum_to_one(self, toy_trained, toy_demo_20):
         result = infer(toy_demo_20.frames[0], toy_trained)
@@ -561,7 +576,7 @@ class TestInferAgainstReference:
             assert np.array_equal(result.weights, weights)
             assert result.winner_entities == usable[winner]
             assert result.winner_ids == frozenset(i for e in usable[winner] for i in e)
-            assert np.array_equal(result.error.values, error)
+            assert np.array_equal(result.error, error)
             assert result.low_confidence is low
 
     def test_degenerate_candidate_left_out(self):
@@ -579,11 +594,11 @@ class TestAssociationError:
         kind = KernelKind(kind)
         frame = scene_frame(kind)
         px = dict(zip(frame.ids.tolist(), frame.pixels.tolist()))
-        for cand in build_candidates(frame, kind):
+        for cand in candidates_on(frame, kind):
             ids = reversed(cand.feature_ids)
             error, entities = association_error(frame, kind, ids)
             assert entities == cand.entities
-            assert np.array_equal(error.values, reference.candidate_error(kind, entities, px))
+            assert np.array_equal(error, reference.candidate_error(kind, entities, px))
 
     def test_hidden_member(self):
         frame = hide(scene_frame("l2l"), {3})
@@ -659,9 +674,9 @@ class TestCandidatesFromAllFrames:
         for kind, n_frames in (("p2p", 20), ("l2l", 12), ("p2c", 12)):
             demo = gen_demo(DemoConfig(kernel_kind=KernelKind(kind), seed=0, n_frames=n_frames,
                                        n_distractors=2))
-            from_first = build_candidates(demo.frames[0], KernelKind(kind))
+            from_first = reference.candidate_entities(demo.frames[0], kind)
             cands = prepare_candidates(demo, KernelKind(kind))
-            assert [c.entities for c in cands] == [c.entities for c in from_first]
+            assert [c.entities for c in cands] == from_first
 
 
 class TestInferWorkspaces:
