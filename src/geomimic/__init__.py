@@ -8,32 +8,6 @@ error trajectories look, and the selected constraint can then be fed to an
 image-based or uncalibrated visual-servoing loop.
 """
 
-from .geometry import (
-    Conic,
-    CoincidentPointsError,
-    GeometryError,
-    HomLine,
-    ImagePoint,
-    KernelKind,
-    conic_through,
-    l2l_error,
-    line_through,
-    p2c_error,
-    p2l_error,
-    p2p_error,
-)
+from .geometry import GeometryError, KernelKind
 
-__all__ = [
-    "Conic",
-    "CoincidentPointsError",
-    "GeometryError",
-    "HomLine",
-    "ImagePoint",
-    "KernelKind",
-    "conic_through",
-    "l2l_error",
-    "line_through",
-    "p2c_error",
-    "p2l_error",
-    "p2p_error",
-]
+__all__ = ["GeometryError", "KernelKind"]

@@ -75,7 +75,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     config = _merged_config(DemoConfig, args)
     demo = gen_demo(config)
     if args.perturb is not None:
-        setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
+        try:
+            setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
+        except SceneError as exc:
+            raise CliError(f"invalid --magnitude: {exc}") from exc
         demo = apply_perturbation(demo, setting, seed=config.seed)
     save_demo(demo, args.out)
     n_feats = demo.frames[0].ids.size
@@ -129,7 +132,10 @@ def _cmd_servo(args: argparse.Namespace) -> int:
         kind = trained.kernel_kind
     else:
         kind = KernelKind(args.kernel or "p2p")
-    world = make_servo_world(kind=kind, seed=seed, start_error_px=args.start_error_px)
+    try:
+        world = make_servo_world(kind=kind, seed=seed, start_error_px=args.start_error_px)
+    except SceneError as exc:
+        raise CliError(f"invalid --start-error-px: {exc}") from exc
     if trained is None:
         association = world.ground_truth
     try:

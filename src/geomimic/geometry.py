@@ -6,22 +6,20 @@ distances, endpoint residuals for line alignment, and algebraic conic
 residuals. An error is a plain (d,) float array, d = 2 for p2p and l2l
 and 1 for p2l and p2c; K of them are a (K, d) array.
 
-Every construction and error exists once, in batched form over K rows of
-(K, 2) pixel arrays: ``lines_through``, ``conics_through`` and the
-``p2*_errors`` functions. Degenerate rows do not raise there; they come
-back as NaN with False in a mask, so one bad candidate cannot fail a
-whole frame. The scalar ``line_through``, ``conic_through`` and
-``p2*_error`` functions and the ``HomLine`` and ``Conic`` constructors
-run the same code on one row and raise ``GeometryError`` where a row is
-degenerate. Scalar and batched results are bit-identical.
+Every construction and error works on K rows at once, over (K, 2) pixel
+arrays: ``lines_through``, ``conics_through`` and the ``p2*_errors``
+functions. A line (a, b, c), a*u + b*v + c = 0, is scaled to
+a^2 + b^2 = 1 with the first nonzero of (a, b) positive, so ``p2l_errors``
+is a true signed distance. A conic is a symmetric 3x3 matrix scaled to
+unit Frobenius norm with its entry of largest magnitude positive.
+Degenerate rows do not raise; they come back as NaN with False in a
+mask, so one bad candidate cannot fail a whole frame.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -69,72 +67,19 @@ class GeometryError(ValueError):
     """Invalid geometric construction."""
 
 
-class CoincidentPointsError(GeometryError):
-    """Two points expected to be distinct nearly coincide."""
-
-
-@dataclass(frozen=True)
-class ImagePoint:
-    """A 2D pixel location."""
-
-    u: float
-    v: float
-
-
-def _rows(*points: ImagePoint) -> np.ndarray:
-    """(K, 2) pixel array of K image points."""
-    return np.array([[p.u, p.v] for p in points])
-
-
-def _unit_lines(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_lines(raw: np.ndarray) -> np.ndarray:
     """Scale (K, 3) line coefficients to a^2 + b^2 = 1, sign-fixed.
 
-    The first nonzero of (a, b) becomes positive. Also returns each row's
-    norm hypot(a, b); rows with a ~zero norm come back as NaN or inf.
-    ``math.hypot`` is correctly rounded, ``np.hypot`` is not always.
+    The first nonzero of (a, b) becomes positive; rows with a ~zero norm
+    hypot(a, b) come back as NaN or inf. ``math.hypot`` is correctly
+    rounded, ``np.hypot`` is not always.
     """
     norm = np.array([math.hypot(a, b) for a, b, _ in raw.tolist()]).reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         unit = raw / norm[:, None]
     lead = np.where(np.abs(unit[:, 0]) > _DEGENERATE_NORM, unit[:, 0], unit[:, 1])
     np.negative(unit, out=unit, where=(lead < 0)[:, None])
-    return unit, norm
-
-
-@dataclass(frozen=True)
-class HomLine:
-    """Line a*u + b*v + c = 0 in normalized homogeneous form.
-
-    Coefficients are rescaled on construction so that a^2 + b^2 = 1 and
-    the first nonzero of (a, b) is positive; with that convention
-    ``p2l_error`` returns a true signed distance and equal lines compare
-    equal coefficient-wise.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        unit, norm = _unit_lines(np.array([[self.a, self.b, self.c]], dtype=float))
-        if norm[0] < _DEGENERATE_NORM:
-            raise GeometryError("degenerate line: a and b are both ~0")
-        a, b, c = unit[0].tolist()
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def _of_unit(cls, coeffs: np.ndarray) -> "HomLine":
-        """A line from coefficients ``_unit_lines`` already normalized;
-        normalizing them again could move their last bits."""
-        line = object.__new__(cls)
-        for name, value in zip("abc", coeffs.tolist()):
-            object.__setattr__(line, name, value)
-        return line
-
-    def coeffs(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
+    return unit
 
 
 def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,30 +105,6 @@ def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return unit, symmetric, norm
 
 
-@dataclass(frozen=True)
-class Conic:
-    """Symmetric 3x3 conic matrix with unit Frobenius norm.
-
-    The overall sign is fixed by making the entry of largest magnitude
-    positive, so a conic constructed from the same point set is unique.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise GeometryError(f"conic matrix must be 3x3, got {m.shape}")
-        unit, symmetric, norm = _unit_conics(m[None])
-        if not symmetric[0]:
-            raise GeometryError("conic matrix must be symmetric")
-        if norm[0] < _DEGENERATE_NORM:
-            raise GeometryError("degenerate conic: zero matrix")
-        m = unit[0]
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
 def distinct_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(K,) mask: row k of p and of q are not within COINCIDENT_TOL_PX."""
     gap = [math.hypot(du, dv) for du, dv in (p - q).tolist()]
@@ -197,9 +118,9 @@ def lines_through(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         p, q: (K, 2) pixel arrays.
 
     Returns:
-        (K, 3) line coefficients (a, b, c), normalized as ``HomLine``
-        normalizes them, and the (K,) ``distinct_points`` mask. Rows whose
-        points coincide are NaN.
+        (K, 3) line coefficients (a, b, c) with a^2 + b^2 = 1 and the
+        first nonzero of (a, b) positive, and the (K,) ``distinct_points``
+        mask. Rows whose points coincide are NaN.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -210,29 +131,9 @@ def lines_through(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     np.subtract(q[:, 0], p[:, 0], out=raw[:, 1])
     np.subtract(p[:, 0] * q[:, 1], p[:, 1] * q[:, 0], out=raw[:, 2])
     ok = distinct_points(p, q)
-    unit, _ = _unit_lines(raw)
+    unit = _unit_lines(raw)
     unit[~ok] = np.nan
     return unit, ok
-
-
-def line_through(p: ImagePoint, q: ImagePoint) -> HomLine:
-    """Line through two distinct image points via the homogeneous cross product.
-
-    Raises:
-        CoincidentPointsError: if the points are closer than COINCIDENT_TOL_PX.
-    """
-    coeffs, ok = lines_through(_rows(p), _rows(q))
-    if not ok[0]:
-        raise CoincidentPointsError(f"cannot build a line through coincident points {p} and {q}")
-    return HomLine._of_unit(coeffs[0])
-
-
-# Why _fit_conics rejects a row, by code.
-_CONIC_FAULTS = {
-    1: "conic points are all coincident",
-    2: "points do not determine a unique conic",
-    3: "conic points must be finite",
-}
 
 
 def _fit_conics(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,26 +141,24 @@ def _fit_conics(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Points are shifted and scaled before solving so the fit stays
     well-conditioned at pixel scale; each conic is mapped back
-    afterwards. Returns the (K, 3, 3) matrices and a (K,) fault code,
-    0 where the fit is valid (see _CONIC_FAULTS).
+    afterwards. Returns the (K, 3, 3) matrices and a (K,) mask of the
+    point sets that are finite, not all coincident and determine a unique
+    conic.
     """
     pts = np.asarray(points, dtype=float)
     k = len(pts)
     center = pts.mean(axis=1)
     spread = np.sqrt(((pts - center[:, None, :]) ** 2).sum(axis=2).mean(axis=1))
-    fault = np.zeros(k, dtype=int)
     coincident = spread < _DEGENERATE_NORM
-    fault[coincident] = 1
     scale = _SQRT2 / np.where(coincident, 1.0, spread)
     x = scale[:, None] * (pts[:, :, 0] - center[:, None, 0])
     y = scale[:, None] * (pts[:, :, 1] - center[:, None, 1])
     design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=2)
     finite = np.isfinite(design).all(axis=(1, 2))
-    fault[~finite] = 3
     design[~finite] = 0.0
     _, svals, vt = np.linalg.svd(design)
     # Rank < 5 means several conics fit (e.g. repeated or collinear points).
-    fault[(fault == 0) & (svals[:, -1] < 1e-9 * svals[:, 0])] = 2
+    ok = ~coincident & finite & ~(svals[:, -1] < 1e-9 * svals[:, 0])
     av, bv, cv, dv, ev, fv = vt[:, -1].T
     normed = np.stack(
         [av, bv / 2.0, dv / 2.0, bv / 2.0, cv, ev / 2.0, dv / 2.0, ev / 2.0, fv], axis=1
@@ -270,7 +169,7 @@ def _fit_conics(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t[:, 0, 2] = -scale * center[:, 0]
     t[:, 1, 2] = -scale * center[:, 1]
     t[:, 2, 2] = 1.0
-    return np.matmul(np.matmul(t.transpose(0, 2, 1), normed), t), fault
+    return np.matmul(np.matmul(t.transpose(0, 2, 1), normed), t), ok
 
 
 def conics_through(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,28 +179,18 @@ def conics_through(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points: (K, 5, 2) pixel arrays.
 
     Returns:
-        (K, 3, 3) conic matrices, normalized as ``Conic`` normalizes them,
-        and a (K,) mask of the point sets that determine a unique conic.
-        Other rows are NaN.
+        (K, 3, 3) symmetric conic matrices with unit Frobenius norm and
+        their entry of largest magnitude positive, and a (K,) mask of the
+        point sets that determine a unique conic. Other rows are NaN.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3 or pts.shape[1:] != (5, 2):
         raise GeometryError(f"conic construction needs (K, 5, 2) points, got {pts.shape}")
-    raw, fault = _fit_conics(pts)
+    raw, fit = _fit_conics(pts)
     unit, symmetric, norm = _unit_conics(raw)
-    ok = (fault == 0) & symmetric & (norm >= _DEGENERATE_NORM)
+    ok = fit & symmetric & (norm >= _DEGENERATE_NORM)
     unit[~ok] = np.nan
     return unit, ok
-
-
-def conic_through(points: Sequence[ImagePoint]) -> Conic:
-    """Conic through exactly five points in general position."""
-    if len(points) != 5:
-        raise GeometryError(f"conic construction needs exactly 5 points, got {len(points)}")
-    raw, fault = _fit_conics(_rows(*points)[None])
-    if fault[0]:
-        raise GeometryError(_CONIC_FAULTS[int(fault[0])])
-    return Conic(raw[0])
 
 
 def p2p_errors(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -329,30 +218,3 @@ def p2c_errors(p: np.ndarray, conics: np.ndarray) -> np.ndarray:
     x[:, :2] = p
     # Stacked matmuls make the same BLAS calls, item by item, as x @ C @ x.
     return np.matmul(np.matmul(x[:, None, :], conics), x[:, :, None])[:, 0, 0]
-
-
-def p2p_error(p1: ImagePoint, p2: ImagePoint) -> np.ndarray:
-    """Pixel offset (du, dv) between two points; zero iff they coincide."""
-    return p2p_errors(_rows(p1), _rows(p2))[0]
-
-
-def p2l_error(p: ImagePoint, line: HomLine) -> np.ndarray:
-    """(1,) signed perpendicular distance of a point from a normalized line."""
-    return p2l_errors(_rows(p), line.coeffs()[None])
-
-
-def l2l_error(segment: tuple[ImagePoint, ImagePoint], line: HomLine) -> np.ndarray:
-    """Signed distances of both segment endpoints from a line.
-
-    Zero iff the segment lies on the line. The endpoints must be distinct
-    so the residual really constrains an alignment.
-    """
-    p, q = _rows(segment[0]), _rows(segment[1])
-    if not distinct_points(p, q)[0]:
-        raise CoincidentPointsError("segment endpoints coincide")
-    return l2l_errors(p, q, line.coeffs()[None])[0]
-
-
-def p2c_error(p: ImagePoint, conic: Conic) -> np.ndarray:
-    """(1,) algebraic residual x^T C x of a point against a normalized conic."""
-    return p2c_errors(_rows(p), conic.matrix[None])

@@ -72,6 +72,11 @@ class PerturbationSetting:
     kind: PerturbationKind
     magnitude: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            kind = PerturbationKind(self.kind).value
+            raise SceneError(f"{kind} magnitude must be finite and >= 0, got {self.magnitude!r}")
+
 
 @dataclass
 class CameraModel:
@@ -966,6 +971,8 @@ def make_servo_world(
     mover starts `start_error_px` away from it, and every distractor is
     a point.
     """
+    if not (math.isfinite(start_error_px) and start_error_px > 0):
+        raise SceneError(f"start_error_px must be finite and > 0, got {start_error_px!r}")
     kind = KernelKind(kind)
     rng = np.random.default_rng([seed, _TAG_SERVO])
     w, h = image_size

@@ -50,16 +50,16 @@ from .geometry import (
     p2l_errors,
     p2p_errors,
 )
-# These names stay importable from here: tooling that times line and
-# conic fits, error functions and graph assembly binds them by this
-# module's name.
+# Nothing calls these seven names. perfbench's tracer binds them by
+# this module's name to time fits, errors and graph assembly; ROADMAP
+# item 1 will unbind them, and then they go.
 from .geometry import (  # noqa: F401
-    conic_through,
-    l2l_error,
-    line_through,
-    p2c_error,
-    p2l_error,
-    p2p_error,
+    conics_through as conic_through,
+    l2l_errors as l2l_error,
+    lines_through as line_through,
+    p2c_errors as p2c_error,
+    p2l_errors as p2l_error,
+    p2p_errors as p2p_error,
 )
 from .network import graph_from_entities  # noqa: F401
 from .network import NetParams, entity_wiring

@@ -38,7 +38,7 @@ class Degenerate(Exception):
 
 
 def unit_line(a, b, c):
-    """HomLine's normalization: a^2 + b^2 = 1, first nonzero of (a, b) positive."""
+    """Line normalization: a^2 + b^2 = 1, first nonzero of (a, b) positive."""
     norm = math.hypot(a, b)
     if norm < _DEGENERATE_NORM:
         raise Degenerate("degenerate line")
@@ -58,7 +58,7 @@ def line_through(p, q):
 
 
 def unit_conic(m):
-    """Conic's normalization: symmetric, unit Frobenius norm, largest entry positive."""
+    """Conic normalization: symmetric, unit Frobenius norm, largest entry positive."""
     m = np.asarray(m, dtype=float)
     if not np.allclose(m, m.T, atol=1e-9 * max(1.0, float(np.abs(m).max()))):
         raise Degenerate("asymmetric")

@@ -171,6 +171,42 @@ def test_config_value_of_wrong_type_names_its_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("perturb, magnitude", [
+    ("occlusion", "nan"),
+    ("outside_fov", "nan"),
+    ("change_illumination", "-1"),
+    ("change_illumination", "nan"),
+    ("change_illumination", "inf"),
+    ("change_camera", "-1"),
+    ("change_camera", "inf"),
+    ("change_camera", "nan"),
+    ("random_target", "nan"),
+    ("random_target", "inf"),
+])
+def test_bad_perturbation_magnitude_names_the_flag(tmp_path, capsys, perturb, magnitude):
+    out = tmp_path / "demo.json"
+    assert main([
+        "gen", "--seed", "0", "--n-frames", "12", "--n-distractors", "2",
+        "--perturb", perturb, "--magnitude", magnitude, "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid --magnitude: {perturb} magnitude must be ")
+    assert err.rstrip().endswith(f"got {float(magnitude)!r}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start_error_px", ["nan", "inf", "0", "-5"])
+def test_bad_servo_start_error_names_the_flag(tmp_path, capsys, start_error_px):
+    out = tmp_path / "traj.csv"
+    assert main([
+        "servo", "--kernel", "p2p", "--start-error-px", start_error_px, "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid --start-error-px: start_error_px must be ")
+    assert err.rstrip().endswith(f"got {float(start_error_px)!r}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestTrain:
     def test_artifacts(self, workdir):
         trained = load_trained(str(workdir["model"]))

@@ -12,10 +12,9 @@ import reference
 from geomimic.geometry import (
     ENTITY_SIZE,
     KIND_ENTITIES,
-    ImagePoint,
     KernelKind,
-    line_through,
-    p2l_error,
+    lines_through,
+    p2l_errors,
 )
 from geomimic.scene import (
     _TAG_JITTER,
@@ -124,9 +123,9 @@ class TestProjection:
             a = rng.uniform([-0.2, -0.2, 0.8], [0.2, 0.2, 1.2])
             b = rng.uniform([-0.2, -0.2, 0.8], [0.2, 0.2, 1.2])
             mid = 0.5 * (a + b)
-            pa, pb, pm = (ImagePoint(*p) for p in observe_points([a, b, mid], cam).pixels.tolist())
-            line = line_through(pa, pb)
-            assert abs(p2l_error(pm, line)[0]) < 1e-6
+            pa, pb, pm = observe_points([a, b, mid], cam).pixels[:, None]
+            line, ok = lines_through(pa, pb)
+            assert ok[0] and abs(p2l_errors(pm, line)[0]) < 1e-6
 
 
 class TestRodrigues:
@@ -291,6 +290,10 @@ class TestPerturbations:
         out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OCCLUSION, 0.0))
         assert demo_to_json_dict(out) == demo_to_json_dict(demo)
 
+    @pytest.mark.parametrize("kind", list(PerturbationKind))
+    def test_zero_magnitude_is_legal(self, kind):
+        assert PerturbationSetting(kind, 0.0).magnitude == 0.0
+
     def test_occlusion_hides_ground_truth_window(self, demo):
         out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OCCLUSION, 0.3))
         hidden = [t for t in range(out.n_frames) if not out.gt_visible(t)]
@@ -326,9 +329,9 @@ class TestPerturbations:
         i, j = out.ground_truth[2], out.ground_truth[3]
         tracks = out.world_tracks
         mid_world = 0.5 * (tracks[0, i] + tracks[0, j])
-        line = line_through(*(ImagePoint(*pixel_of(out.frames[0], f)) for f in (i, j)))
-        mid_pix = ImagePoint(*observe_points([mid_world], out.camera).pixels[0].tolist())
-        assert abs(p2l_error(mid_pix, line)[0]) < 1e-6
+        line, ok = lines_through(*(np.array([pixel_of(out.frames[0], f)]) for f in (i, j)))
+        mid_pix = observe_points([mid_world], out.camera).pixels
+        assert ok[0] and abs(p2l_errors(mid_pix, line)[0]) < 1e-6
 
     def test_random_target_moves_pair_rigidly(self):
         demo = gen_demo(
