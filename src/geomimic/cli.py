@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -72,13 +73,14 @@ def _merged_config(cls, args: argparse.Namespace):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # --magnitude is checked even without --perturb, its only reader.
+    if not (math.isfinite(args.magnitude) and args.magnitude >= 0):
+        raise CliError(f"invalid --magnitude: {args.perturb or 'perturbation'} magnitude "
+                       f"must be finite and >= 0, got {args.magnitude!r}")
     config = _merged_config(DemoConfig, args)
     demo = gen_demo(config)
     if args.perturb is not None:
-        try:
-            setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
-        except SceneError as exc:
-            raise CliError(f"invalid --magnitude: {exc}") from exc
+        setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
         demo = apply_perturbation(demo, setting, seed=config.seed)
     save_demo(demo, args.out)
     n_feats = demo.frames[0].ids.size

@@ -8,10 +8,10 @@ relevance score. Forward and reverse passes are written out by hand in
 numpy; the reverse pass is checked against finite differences in the test
 suite rather than relying on an autodiff framework.
 
-Batches use a node-major layout: ``forward_batch`` scores B graphs that
-share one wiring, and keeps node states as (n*B, H) matrices whose row
-i*B + b holds node i of graph b. Every per-node linear map is then one
-GEMM over the whole batch:
+Batches use a node-major layout: ``forward_batch`` scores B graphs over
+the wiring of its ``Workspace``, and keeps node states as (n*B, H)
+matrices whose row i*B + b holds node i of graph b. Every per-node linear
+map is then one GEMM over the whole batch:
 
 - The four (H, H) blocks that read the node state h (the message MLP's
   src and dst halves, the update gate's and the reset gate's h halves)
@@ -39,10 +39,10 @@ over the rounds and is written into the parameter blocks once per call.
 ``NetParams`` keeps every block as a view into one flat float64 vector,
 so a gradient step, the clip norm and a snapshot are one vector op each.
 
-A ``Workspace`` holds every array of one batch shape: the forward cache,
-the reverse-pass temporaries and the gradient. Training builds one and
-passes it to every epoch, which then writes into it instead of
-allocating; inference keeps a few forward-only ones per trained kernel.
+A ``Workspace`` holds every array of one batch shape, wiring and round
+count: forward cache, reverse-pass temporaries and gradient. Training
+passes one to every epoch, which writes into it instead of allocating;
+inference keeps a few forward-only ones per trained kernel.
 
 Apart from writing into the workspace they are given, the functions are
 pure, so results do not depend on call order.
@@ -57,8 +57,6 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import ENTITY_SIZE, KIND_ENTITIES, KernelKind
-
-DEFAULT_ROUNDS = 3
 
 
 class GraphStructureError(ValueError):
@@ -257,11 +255,12 @@ class Workspace:
         hidden: int,
         rounds: int,
     ) -> None:
+        if rounds < 0:
+            raise ValueError("rounds must be >= 0")
         edges = np.asarray(edges, dtype=int).reshape(-1, 2)
         b, n, k, r, e = batch, n_nodes, hidden, rounds, len(edges)
         nb = n * b
         self.key = (b, n, input_dim, k, r)
-        self.edges = edges.copy()
         # 0/1 incidence. Row e of `gather` adds edge e's src projection
         # (column src) to its dst projection (column n + dst).
         self.gather = np.zeros((e, 2 * n))
@@ -304,7 +303,7 @@ class Workspace:
 
     def _allocate_reverse(self) -> None:
         b, n, f, k, r = self.key
-        nb, e = n * b, len(self.edges)
+        nb, e = n * b, len(self.gather)
         # Pre-activation gradients of one round: message src half, dst
         # half, update, reset, candidate.
         self.du = np.empty((5, nb, k))
@@ -324,42 +323,23 @@ class Workspace:
         self.grads = NetParams.zeros(k, f)
 
 
-def forward_batch(
-    nodes: np.ndarray,
-    edges: np.ndarray,
-    params: NetParams,
-    rounds: int = DEFAULT_ROUNDS,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, Workspace]:
-    """Score a batch of graphs sharing one edge topology.
+def forward_batch(nodes: np.ndarray, params: NetParams, ws: Workspace) -> np.ndarray:
+    """Score a batch of graphs over the workspace's wiring and rounds.
 
     Args:
-        nodes: (B, n, F) node encodings for B graphs over the same wiring.
-        edges: (E, 2) directed edge list shared by the whole batch.
-        params: network weights.
-        rounds: number of synchronous message-passing rounds.
-        workspace: arrays to compute in, from an earlier call on a batch
-            of the same shape and wiring; a fresh one when None.
+        nodes: (B, n, F) node encodings, in the shape ``ws`` was built for.
+        params: network weights of the workspace's hidden size.
+        ws: arrays to compute in; they cache what backward_batch needs.
 
     Returns:
-        (B,) scores and the workspace, which caches what backward_batch
-        needs. The scores live in the workspace, so the next call with it
+        (B,) scores. They live in the workspace, so the next call with it
         overwrites them.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 3:
-        raise ValueError(f"expected (B, n, F) nodes, got shape {nodes.shape}")
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    b_sz, n, f = nodes.shape
+    b_sz, n, f, k, rounds = ws.key
+    if nodes.shape != (b_sz, n, f) or params.hidden != k:
+        raise ValueError(f"workspace wants ({b_sz}, {n}, {f}) nodes and hidden size {k}")
     p = params
-    k = p.hidden
-    ws = workspace
-    if ws is None:
-        ws = Workspace(b_sz, n, f, edges, k, rounds)
-    elif ws.key != (b_sz, n, f, k, rounds) or ws.edges.tobytes() != edges.tobytes():
-        raise ValueError("workspace was built for another batch shape or wiring")
     w = ws.w_blocks
     for dst, block in zip(w, _halves(p)):
         np.copyto(dst, block.T)
@@ -415,7 +395,7 @@ def forward_batch(
     np.tanh(ws.read_act, out=ws.read_act)
     np.matmul(ws.read_act, p.w_read2[0], out=ws.raw_scores)
     np.add(ws.raw_scores, p.b_read2[0], out=ws.scores)
-    return ws.scores, ws
+    return ws.scores
 
 
 def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) -> NetParams:

@@ -969,7 +969,8 @@ def make_servo_world(
     kernel trained on ``gen_demo(DemoConfig(seed=seed))`` recognizes them.
     The layout has its own random stream: the target is static, the
     mover starts `start_error_px` away from it, and every distractor is
-    a point.
+    a point. A `start_error_px` that puts a ground-truth feature outside
+    the image raises SceneError.
     """
     if not (math.isfinite(start_error_px) and start_error_px > 0):
         raise SceneError(f"start_error_px must be finite and > 0, got {start_error_px!r}")
@@ -1000,10 +1001,16 @@ def make_servo_world(
             movers = [end + dist for end in _segment_tracks(center, angle, 0.5 * _HALF_LEN)]
         layout.add_task(kind, movers, endpoints)
     layout.add_points(rng, n_distractors)
-
+    positions = _px_to_world(np.concatenate(layout.tracks_px), camera, DESK_DEPTH_M)
+    gt = np.array(layout.ground_truth)
+    pixels, in_front = project(positions[gt], camera)
+    outside = gt[~(in_front & ((pixels >= 0.0) & (pixels < image_size)).all(axis=-1))]
+    if outside.size:
+        raise SceneError(f"start_error_px {start_error_px!r} puts ground-truth feature ids "
+                         f"{outside.tolist()} outside the {w}x{h} image")
     return SimWorld(
         camera=camera,
-        positions=_px_to_world(np.concatenate(layout.tracks_px), camera, DESK_DEPTH_M),
+        positions=positions,
         classes=tuple(layout.classes),
         bases=_descriptor_bases(
             len(layout.classes), layout.ground_truth, descriptor_dim, seed, seed

@@ -8,9 +8,10 @@ concentrates on high-quality ones, stays consistent across frames (score
 change regularizer) and sharpens toward a single winner (selection
 entropy-style regularizer).
 
-Gradients of the full objective are assembled analytically: the softmax
-and regularizer parts in closed form here, the network part through
-``network.backward_batch``.
+A training epoch scores every (candidate, frame) graph with
+``network.forward_batch``, turns the scores into the loss and its
+gradient per score in closed form (``_objective``), and carries that
+gradient into the parameters with ``network.backward_batch``.
 
 One frame becomes a candidate batch in one place, ``_frame_batch``: every
 feature is encoded once, every line or conic entity is fitted once, and
@@ -356,8 +357,6 @@ class _Pack:
     n_score_rows: int  # frames where at least one candidate is visible
     gcr_pairs: np.ndarray  # (P, 2) batch rows of consecutive usable frames
     quality: np.ndarray  # (m,)
-    n_frames: int
-    rounds: int
 
 
 def _pack_candidates(
@@ -406,8 +405,6 @@ def _pack_candidates(
         n_score_rows=len(live_frames),
         gcr_pairs=np.stack([pair_rows, pair_rows + 1], axis=1),
         quality=quality,
-        n_frames=n_frames,
-        rounds=config.rounds,
     )
 
 
@@ -419,17 +416,14 @@ class LossBreakdown:
     rsw_term: float
 
 
-def _loss_packed(
-    pack: _Pack,
-    params: NetParams,
-    config: TrainConfig,
-    workspace: network.Workspace | None = None,
-) -> tuple[LossBreakdown, NetParams]:
-    _, cache = network.forward_batch(pack.nodes, pack.edges, params, pack.rounds, workspace)
-    # The objective ignores a uniform shift of the scores, so it reads them
-    # before b_read2 is added: b_read2 then drops out exactly, not only up
-    # to rounding.
-    scores = cache.raw_scores
+def _objective(
+    pack: _Pack, scores: np.ndarray, config: TrainConfig
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Loss of the (B,) scores of ``pack``'s rows and its (B,) gradient w.r.t. them.
+
+    The loss ignores a uniform shift of the scores, so callers pass
+    ``Workspace.raw_scores``, the readout before b_read2 is added: b_read2
+    then drops out exactly, not only up to rounding."""
     alpha = config.alpha_conf
     q = pack.quality
 
@@ -464,8 +458,7 @@ def _loss_packed(
         np.add.at(d_scores, prev_rows, -2.0 * config.alpha_gcr * diffs)
 
     value = -expected_quality + config.alpha_gcr * gcr + config.alpha_rsw * rsw
-    grads = network.backward_batch(cache, params, d_scores)
-    return LossBreakdown(float(value), expected_quality, gcr, rsw), grads
+    return LossBreakdown(float(value), expected_quality, gcr, rsw), d_scores
 
 
 # Forward-only network workspaces ``infer`` keeps per trained kernel, one
@@ -604,6 +597,8 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     PLATEAU_RTOL * |best[e - PLATEAU_EPOCHS]|``, and the trace keeps the
     ``e + 1`` epochs that ran. The kernel's config records those epochs
     as ``epochs``, so training again with it rebuilds the same kernel.
+    The stop rules run between the objective and the reverse pass, so the
+    epoch that stops training takes no reverse pass and no step.
     Deterministic for a fixed config: init, packing order and the
     single-threaded numpy math are all seed-driven.
     """
@@ -623,7 +618,8 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     best_loss = math.inf
     best_params = params.copy()
     for epoch in range(config.epochs):
-        breakdown, grads = _loss_packed(pack, params, config, workspace)
+        network.forward_batch(pack.nodes, params, workspace)
+        breakdown, d_scores = _objective(pack, workspace.raw_scores, config)
         if breakdown.value < best_loss:
             best_loss = breakdown.value
             np.copyto(best_params.vector, params.vector)
@@ -635,16 +631,19 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
             breakdown.rsw_term,
             breakdown.expected_quality,
         )
+        if epoch + 1 == config.epochs:
+            break
         if epoch >= PLATEAU_EPOCHS:
             before = best[epoch - PLATEAU_EPOCHS]
             if before - best_loss <= PLATEAU_RTOL * abs(before):
-                trace = trace[: epoch + 1]
                 break
+        grads = network.backward_batch(workspace, params, d_scores)
         gnorm = float(np.linalg.norm(grads.vector))
         scale = -config.lr
         if gnorm > GRAD_CLIP_NORM:
             scale *= GRAD_CLIP_NORM / gnorm
         params.add_scaled(grads, scale)
+    trace = trace[: epoch + 1]
     if not np.isfinite(trace[:, 1]).all():
         raise TrainingError("training diverged: non-finite loss")
     return TrainedKernel(kind, best_params, replace(config, epochs=len(trace)), trace, size)
@@ -719,9 +718,7 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
         )
     edges = entity_wiring(layout.sizes)
     nodes = batch.encodings[batch.rows[usable]]
-    scores, _ = network.forward_batch(
-        nodes, edges, trained.params, trained.config.rounds, _infer_workspace(trained, nodes, edges)
-    )
+    scores = network.forward_batch(nodes, trained.params, _infer_workspace(trained, nodes, edges))
     g, winner = select_out(scores, trained.config.alpha_conf)
     candidates = [CandidateInstance(kind, combos[j]) for j in usable]
     cand = candidates[winner]

