@@ -19,9 +19,7 @@ from .training import (
     TooFewFeaturesError,
     TrainedKernel,
     TrainingError,
-    _enumerate,
-    _group_entities,
-    _observed_features,
+    enumerate_candidates,
     infer,
 )
 
@@ -124,14 +122,11 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
     usable winner. A demo whose features, over all frames, build no
     candidate of the model's kind raises TrainingError.
     """
-    ids, classes = _observed_features(demo.frames)
     try:
-        _enumerate(trained.kernel_kind, _group_entities(ids, classes))
+        enumerate_candidates(demo, trained.kernel_kind)
     except TooFewFeaturesError as exc:
-        held = sorted({cls.value for cls in classes})
         raise TrainingError(
-            f"a {trained.kernel_kind.value} model cannot score this demo: it holds "
-            f"{', '.join(held) or 'no'} features only, so {exc}"
+            f"a {trained.kernel_kind.value} model cannot score this demo: {exc}"
         ) from exc
     gt = frozenset(demo.ground_truth)
     winners: list[tuple[int, ...] | None] = []

@@ -42,7 +42,7 @@ so a gradient step, the clip norm and a snapshot are one vector op each.
 A ``Workspace`` holds every array of one batch shape, wiring and round
 count: forward cache, reverse-pass temporaries and gradient. Training
 passes one to every epoch, which writes into it instead of allocating;
-inference keeps a few forward-only ones per trained kernel.
+inference keeps one forward-only one per trained kernel.
 
 Apart from writing into the workspace they are given, the functions are
 pure, so results do not depend on call order.
@@ -207,10 +207,30 @@ class NetParams:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "NetParams":
+        """Params from ``to_json_dict``'s payload.
+
+        ``w_in``'s shape gives the hidden size and input width, and every
+        block must hold the shape ``zeros`` gives it for them; a block
+        that does not raises ValueError naming it.
+        """
+        dims = payload["w_in"]["shape"]
+        if not (
+            isinstance(dims, list)
+            and len(dims) == 2
+            and all(type(d) is int and d > 0 for d in dims)
+        ):
+            raise ValueError(f"params block w_in needs a shape of two positive ints, got {dims!r}")
         kwargs = {}
-        for f in fields(cls):
-            entry = payload[f.name]
-            kwargs[f.name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        for name, want in cls.zeros(*dims).blocks().items():
+            entry = payload[name]
+            data = np.array(entry["data"], dtype=float)
+            if entry["shape"] != list(want.shape) or data.shape != (want.size,):
+                raise ValueError(
+                    f"params block {name} holds {data.size} values of shape {entry['shape']}, "
+                    f"but hidden size {dims[0]} and input width {dims[1]} need shape "
+                    f"{list(want.shape)}"
+                )
+            kwargs[name] = data.reshape(want.shape)
         return cls(**kwargs)
 
 

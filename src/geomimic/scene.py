@@ -257,6 +257,8 @@ class DemoConfig(JsonConfig, name="demo", error=SceneError):
     def __post_init__(self) -> None:
         self.kernel_kind = KernelKind(self.kernel_kind)
         self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
+        if min(self.image_size) <= 0:
+            raise SceneError(f"image_size entries must be > 0, got {list(self.image_size)}")
         if self.n_frames < 2:
             raise SceneError("a demonstration needs at least 2 frames")
         if not 0.0 < self.approach_rate < 1.0:

@@ -199,7 +199,8 @@ class ScenePlant:
         else:
             self.dof = 3 if world.kernel_kind is KernelKind.L2L else 2
         self._q = np.zeros(self.dof)
-        self._pair: tuple[int, int] | None = None
+        # The winner's, or the fixed association's, entities on the last frame.
+        self._entities: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def q(self) -> np.ndarray:
@@ -211,29 +212,26 @@ class ScenePlant:
             result = infer(frame, self.trained)
             if result.low_confidence:
                 raise LowConfidenceError("inference does not trust any candidate")
-            error = result.error
-            entities = result.winner_entities
-        else:
-            try:
-                error, entities = association_error(
-                    frame, self.world.kernel_kind, self.association
-                )
-            except TrainingError as exc:
-                raise ServoError(str(exc)) from exc
-        if self.world.kernel_kind is KernelKind.P2P:
-            # Keep entity order: the error is p_first - p_second.
-            self._pair = (entities[0][0], entities[1][0])
+            self._entities = result.winner_entities
+            return result.error
+        try:
+            error, self._entities = association_error(
+                frame, self.world.kernel_kind, self.association
+            )
+        except TrainingError as exc:
+            raise ServoError(str(exc)) from exc
         return error
 
     def interaction(self) -> np.ndarray:
         """Pixel-error interaction matrix of the current point pair."""
         if self.mode != "ibvs":
             raise ServoError("interaction matrices are an ibvs-mode facility")
-        if self._pair is None:
+        if self._entities is None:
             self.observe()
         cam = self.world.camera
         rows = []
-        for fid in self._pair:
+        # Entity order: the error is p_first - p_second.
+        for (fid,) in self._entities:
             if fid in self.world.mover_ids:
                 # Held feature: rigid with the camera, zero image motion.
                 rows.append(np.zeros((2, 6)))

@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -461,19 +460,13 @@ def _objective(
     return LossBreakdown(float(value), expected_quality, gcr, rsw), d_scores
 
 
-# Forward-only network workspaces ``infer`` keeps per trained kernel, one
-# per batch shape: frames of one scene share their wiring and, unless
-# features are hidden, their number of usable candidates.
-INFER_WORKSPACES = 4
-
-
 @dataclass
 class TrainedKernel:
     """A trained scorer plus everything needed to reuse it.
 
-    ``infer`` keeps up to INFER_WORKSPACES forward-only network workspaces
-    on the kernel and reuses them across frames, so one TrainedKernel must
-    not serve two threads at once.
+    ``infer`` keeps one forward-only network workspace on the kernel and
+    reuses it across frames with the same number of usable candidates, so
+    one TrainedKernel must not serve two threads at once.
     """
 
     kernel_kind: KernelKind
@@ -481,8 +474,8 @@ class TrainedKernel:
     config: TrainConfig
     loss_trace: np.ndarray  # columns: epoch, loss, gcr_term, rsw_term, expected_quality
     image_size: tuple[int, int] = IMAGE_SIZE
-    _workspaces: OrderedDict = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
+    _workspace: network.Workspace | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def to_json_dict(self) -> dict:
@@ -496,17 +489,28 @@ class TrainedKernel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedKernel":
-        """Rebuild a kernel; params holding NaN or inf are rejected."""
+        """Rebuild a kernel. An image_size that is not two positive ints,
+        a params block of the wrong shape and params holding NaN or inf
+        are rejected, each naming its field or block."""
         params = NetParams.from_json_dict(payload["params"])
         for name, block in params.blocks().items():
             if not np.isfinite(block).all():
                 raise TrainingError(f"model params block {name} holds NaN or infinite values")
+        size = payload.get("image_size", IMAGE_SIZE)
+        if not (
+            isinstance(size, (list, tuple))
+            and len(size) == 2
+            and all(type(v) is int and v > 0 for v in size)
+        ):
+            raise TrainingError(
+                f"model field image_size must be two positive integers, got {size!r}"
+            )
         return cls(
             kernel_kind=KernelKind(payload["kernel_kind"]),
             params=params,
             config=TrainConfig.from_json_dict(payload["config"]),
             loss_trace=np.array(payload["loss_trace"], dtype=float).reshape(-1, 5),
-            image_size=tuple(payload.get("image_size", IMAGE_SIZE)),
+            image_size=tuple(size),
         )
 
 
@@ -531,21 +535,29 @@ def write_loss_csv(trained: TrainedKernel, path: str) -> None:
             fh.write(f"{epoch},{cells}\n")
 
 
-def _observed_features(frames: Sequence[Frame]) -> tuple[list[int], list[FeatureClass]]:
-    """Every feature id seen on any frame, and its class.
+def enumerate_candidates(
+    demo: DemoSequence, kind: KernelKind
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], _Layout]:
+    """Every candidate of ``kind`` over the features of all demo frames, and their layout.
 
-    A feature absent from some frames still yields candidates; a feature
-    id observed with two feature classes is rejected.
+    A feature absent from some frames still takes part. A feature id
+    observed with two feature classes raises TrainingError, and a demo
+    whose features build no candidate of ``kind`` raises
+    TooFewFeaturesError naming the feature classes it holds.
     """
     first: dict[int, FeatureClass] = {}
-    for frame in frames:
+    for frame in demo.frames:
         for fid, cls in zip(frame.ids.tolist(), frame.classes):
             seen = first.setdefault(fid, cls)
             if seen is not cls:
                 raise TrainingError(
                     f"feature id {fid} is observed both as {seen.value} and as {cls.value}"
                 )
-    return list(first), list(first.values())
+    try:
+        return _enumerate(KernelKind(kind), _group_entities(list(first), list(first.values())))
+    except TooFewFeaturesError as exc:
+        held = ", ".join(sorted({cls.value for cls in first.values()})) or "no"
+        raise TooFewFeaturesError(f"the demo holds {held} features only, so {exc}") from exc
 
 
 def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateInstance]:
@@ -559,7 +571,7 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
     """
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
-    combos, layout = _enumerate(kind, _group_entities(*_observed_features(demo.frames)))
+    combos, layout = enumerate_candidates(demo, kind)
     candidates = [CandidateInstance(kind, ent) for ent in combos]
     for frame in demo.frames:
         if not frame.ids.size:
@@ -653,35 +665,18 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
 class InferenceResult:
     """The selection on one frame.
 
-    candidates are the usable candidates, in the order of ``weights``.
-    They carry no graphs or errors; ``error`` is the winner's (d,)
+    candidates are the usable candidates' entity tuples, in the order of
+    ``weights``, e.g. ((5,), (1, 2)) for point 5 against segment (1, 2);
+    ``winner_entities`` is one of them. ``error`` is the winner's (d,)
     geometric error on the frame.
     """
 
     winner_ids: frozenset[int]
     winner_entities: tuple[tuple[int, ...], ...]
     weights: np.ndarray
-    candidates: list[CandidateInstance]
+    candidates: list[tuple[tuple[int, ...], ...]]
     error: np.ndarray
     low_confidence: bool
-
-
-def _infer_workspace(
-    trained: TrainedKernel, nodes: np.ndarray, edges: np.ndarray
-) -> network.Workspace:
-    """The kernel's workspace for this batch shape and wiring; the least
-    recently used one makes room when the cache is full."""
-    b_sz, n_nodes, input_dim = nodes.shape
-    hidden, rounds = trained.params.hidden, trained.config.rounds
-    key = (b_sz, n_nodes, input_dim, edges.tobytes(), hidden, rounds)
-    cache = trained._workspaces
-    workspace = cache.pop(key, None)
-    if workspace is None:
-        workspace = network.Workspace(b_sz, n_nodes, input_dim, edges, hidden, rounds)
-        if len(cache) >= INFER_WORKSPACES:
-            cache.popitem(last=False)
-    cache[key] = workspace
-    return workspace
 
 
 def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
@@ -696,6 +691,8 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
     second bound only matters for m <= 2, where 2/m would distrust even a
     certain winner; a lone candidate is trusted. A frame whose node
     encodings do not match the model's input width raises TrainingError.
+    The kernel's one workspace is rebuilt when the number of usable
+    candidates changes; the kind fixes the wiring.
     """
     if not frame.visible.any():
         raise NoVisibleCandidatesError("no visible features on this frame")
@@ -716,16 +713,20 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
         raise NoVisibleCandidatesError(
             "no candidate has every member visible and non-degenerate geometry"
         )
-    edges = entity_wiring(layout.sizes)
     nodes = batch.encodings[batch.rows[usable]]
-    scores = network.forward_batch(nodes, trained.params, _infer_workspace(trained, nodes, edges))
+    hidden, rounds = trained.params.hidden, trained.config.rounds
+    ws = trained._workspace
+    if ws is None or ws.key != (*nodes.shape, hidden, rounds):
+        wiring = entity_wiring(layout.sizes)
+        ws = trained._workspace = network.Workspace(*nodes.shape, wiring, hidden, rounds)
+    scores = network.forward_batch(nodes, trained.params, ws)
     g, winner = select_out(scores, trained.config.alpha_conf)
-    candidates = [CandidateInstance(kind, combos[j]) for j in usable]
-    cand = candidates[winner]
+    candidates = [combos[j] for j in usable]
+    entities = candidates[winner]
     m = usable.size
     return InferenceResult(
-        winner_ids=frozenset(cand.feature_ids),
-        winner_entities=cand.entities,
+        winner_ids=frozenset(fid for ent in entities for fid in ent),
+        winner_entities=entities,
         weights=g,
         candidates=candidates,
         error=batch.errors[usable[winner]],

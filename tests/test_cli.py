@@ -455,6 +455,7 @@ class TestBadInputFiles:
         assert code == 2
         assert err.startswith("error: ")
         assert str(bad_path) in err
+        assert not (tmp_path / "out").exists()
         return err
 
     @pytest.mark.parametrize("content", sorted(BAD))
@@ -504,3 +505,45 @@ class TestBadInputFiles:
             tmp_path, capsys, ["eval", "--demo", str(workdir["demo"]), "--model", str(bad)], bad
         )
         assert "w_z" in err
+
+    def edited_model(self, tmp_path, workdir, edit):
+        payload = json.loads(workdir["model"].read_text())
+        edit(payload)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        return bad
+
+    @pytest.mark.parametrize("size", [[0, 480], [640], ["a", 480], [-640, 480]])
+    def test_model_with_bad_image_size(self, tmp_path, capsys, workdir, size):
+        bad = self.edited_model(tmp_path, workdir, lambda p: p.update(image_size=size))
+        for argv in (["eval", "--demo", str(workdir["demo"]), "--model", str(bad)],
+                     ["servo", "--model", str(bad)]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert f"model field image_size must be two positive integers, got {size!r}" in err
+
+    @pytest.mark.parametrize("block, shape, n_values", [
+        ("w_msg2", [16, 64], 1024),  # all 32 x 32 values, declared 16 x 64
+        ("b_in", [31], 31),
+    ], ids=["w_msg2_16x64", "b_in_31"])
+    def test_model_with_misshapen_params(self, tmp_path, capsys, workdir, block, shape, n_values):
+        def edit(payload):
+            entry = payload["params"][block]
+            entry["shape"], entry["data"] = shape, entry["data"][:n_values]
+
+        bad = self.edited_model(tmp_path, workdir, edit)
+        for argv in (["eval", "--demo", str(workdir["demo"]), "--model", str(bad)],
+                     ["servo", "--model", str(bad)]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert (f"params block {block} holds {n_values} values of shape {shape}, "
+                    "but hidden size 32 and input width 18 need shape") in err
+
+    @pytest.mark.parametrize("size", [[0, 480], [-640, 480]])
+    def test_demo_with_bad_image_size(self, tmp_path, capsys, workdir, size):
+        payload = json.loads(workdir["demo"].read_text())
+        payload["config"]["image_size"] = size
+        bad = tmp_path / "demo.json"
+        bad.write_text(json.dumps(payload))
+        for argv in (["train", "--demo", str(bad)],
+                     ["eval", "--demo", str(bad), "--model", str(workdir["model"])]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert f"image_size entries must be > 0, got {size}" in err

@@ -217,6 +217,9 @@ class TestGenDemo:
             DemoConfig(approach_rate=1.0)
         with pytest.raises(SceneError):
             DemoConfig(noise_px=-0.1)
+        for size in ((0, 480), (640, 0), (-640, 480)):
+            with pytest.raises(SceneError, match=r"^image_size entries must be > 0, got \["):
+                DemoConfig(image_size=size)
 
     @pytest.mark.parametrize("field, value", [
         ("n_frames", "ten"), ("n_frames", None), ("n_frames", 12.0), ("seed", False),

@@ -24,7 +24,6 @@ from geomimic.scene import (
     save_demo,
 )
 from geomimic.training import (
-    INFER_WORKSPACES,
     PLATEAU_EPOCHS,
     PLATEAU_RTOL,
     NoVisibleCandidatesError,
@@ -465,6 +464,25 @@ class TestTrain:
         with pytest.raises(TrainingError, match=f"block {block} holds NaN or infinite"):
             TrainedKernel.from_json_dict(payload)
 
+    @pytest.mark.parametrize("size", [[0, 480], [640], ["a", 480], [-640, 480], [640.0, 480],
+                                      [True, 480], "640x480"])
+    def test_bad_image_size_rejected(self, toy_trained, size):
+        payload = json.loads(json.dumps(toy_trained.to_json_dict()))
+        payload["image_size"] = size
+        with pytest.raises(TrainingError, match="^model field image_size must be two positive"):
+            TrainedKernel.from_json_dict(payload)
+
+    @pytest.mark.parametrize("block, shape", [
+        ("w_in", [32]), ("w_in", [32, 0]), ("w_msg2", [16, 64]), ("w_z", [64, 32]),
+        ("b_in", [31]), ("b_read2", [1, 1]),
+    ])
+    def test_misshapen_params_block_named(self, toy_trained, block, shape):
+        payload = json.loads(json.dumps(toy_trained.to_json_dict()))
+        entry = payload["params"][block]
+        entry["shape"], entry["data"] = shape, entry["data"][: math.prod(shape)]
+        with pytest.raises(ValueError, match=f"^params block {block} "):
+            TrainedKernel.from_json_dict(payload)
+
 
 def p2l_frame(n_segments):
     """One point against n_segments segments: n_segments candidates."""
@@ -590,7 +608,7 @@ class TestInferAgainstReference:
             trained = random_kernel(kind, frame)
             result = infer(frame, trained)
             usable, weights, winner, error, low = reference.infer(frame, trained)
-            assert [c.entities for c in result.candidates] == usable
+            assert result.candidates == usable
             assert np.array_equal(result.weights, weights)
             assert result.winner_entities == usable[winner]
             assert result.winner_ids == frozenset(i for e in usable[winner] for i in e)
@@ -600,7 +618,7 @@ class TestInferAgainstReference:
     def test_degenerate_candidate_left_out(self):
         frame = frame_variants("l2l")[2]
         result = infer(frame, random_kernel("l2l", frame))
-        assert all((6, 7) not in c.entities for c in result.candidates)
+        assert all((6, 7) not in c for c in result.candidates)
         assert len(result.candidates) == 6  # C(4, 2) of the five segments
 
 
@@ -642,26 +660,26 @@ class TestInferPartlyHiddenEntities:
         result = infer(frame, random_kernel("l2l", frame))
         segments = [(0, 1), (2, 3), (6, 7), (8, 9)]
         expect = [(a, b) for i, a in enumerate(segments) for b in segments[i + 1:]]
-        assert [c.entities for c in result.candidates] == expect
+        assert result.candidates == expect
 
     def test_l2l_no_bogus_segments(self):
         frame = hide(scene_frame("l2l"), {4, 9})
         result = infer(frame, random_kernel("l2l", frame))
-        entities = {e for c in result.candidates for e in c.entities}
+        entities = {e for c in result.candidates for e in c}
         assert entities == {(0, 1), (2, 3), (6, 7)}
 
     def test_p2l_one_hidden_endpoint(self):
         frame = hide(scene_frame("p2l"), {7})
         result = infer(frame, random_kernel("p2l", frame))
         assert len(result.candidates) == 4 * 2  # 4 points x segments (1, 2), (8, 9)
-        assert all(c.entities[1] != (6, 7) for c in result.candidates)
+        assert all(c[1] != (6, 7) for c in result.candidates)
 
     def test_p2c_one_hidden_sample(self):
         frame = scene_frame("p2c")
         samples = conic_samples(frame)
         frame = hide(frame, {samples[7]})
         result = infer(frame, random_kernel("p2c", frame))
-        conics = {c.entities[1] for c in result.candidates}
+        conics = {c[1] for c in result.candidates}
         assert tuple(samples[5:10]) not in conics
         assert tuple(samples[:5]) in conics
 
@@ -697,6 +715,11 @@ class TestCandidatesFromAllFrames:
             assert [c.entities for c in cands] == from_first
 
 
+def workspaces(trained):
+    """The network workspaces the kernel holds."""
+    return [v for v in vars(trained).values() if isinstance(v, network.Workspace)]
+
+
 class TestInferWorkspaces:
     def results(self, trained, frames):
         return [(r.weights, r.winner_entities) for r in (infer(f, trained) for f in frames)]
@@ -715,23 +738,27 @@ class TestInferWorkspaces:
             ]
             for (w, win), (w_fresh, win_fresh) in zip(reused, fresh):
                 assert np.array_equal(w, w_fresh) and win == win_fresh
-            assert len(trained._workspaces) == 2
-            # new params, same workspaces
+            [ws] = workspaces(trained)
+            assert ws.key[0] == len(reused[-1][0]) and ws.grads is None
+            # new params, same workspace
             trained.params.vector[:] += np.random.default_rng(1).normal(
                 0.0, 0.1, trained.params.vector.shape
             )
 
     def test_cache_stays_bounded_and_forward_only(self):
-        # hiding 0, 1, 2, ... of 8 points gives as many usable-candidate counts
+        # hiding 0, 1, 2, ... of 8 points gives as many usable-candidate counts;
+        # the kernel keeps one forward-only workspace, reused while the count holds
         config = DemoConfig(kernel_kind=KernelKind.P2P, seed=0, n_frames=2, n_distractors=6)
         frame = gen_demo(config).frames[1]
         trained = random_kernel("p2p", frame)
         points = sorted(frame.ids.tolist())
-        assert len(points) - 1 > INFER_WORKSPACES
         for n_hidden in range(len(points) - 1):
-            infer(hide(frame, set(points[:n_hidden])), trained)
-        assert len(trained._workspaces) == INFER_WORKSPACES
-        assert all(ws.grads is None for ws in trained._workspaces.values())
+            shown = hide(frame, set(points[:n_hidden]))
+            n_usable = len(infer(shown, trained).candidates)
+            [ws] = workspaces(trained)
+            assert ws.key[0] == n_usable and ws.grads is None
+            infer(shown, trained)
+            assert workspaces(trained) == [ws]
 
 
 def _plateaued(best, epoch):
