@@ -22,6 +22,7 @@ from .scene import (
     PerturbationKind,
     PerturbationSetting,
     SceneError,
+    StartErrorPxError,
     apply_perturbation,
     gen_demo,
     load_demo,
@@ -129,15 +130,20 @@ def _cmd_servo(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     trained = None
     association = None
+    shape = {}
     if args.model:
         trained = _load(load_trained, args.model, "model")
         kind = trained.kernel_kind
+        # The world renders what the model reads: its descriptor width and image size.
+        shape = {"descriptor_dim": trained.params.input_dim - 2, "image_size": trained.image_size}
     else:
         kind = KernelKind(args.kernel or "p2p")
     try:
-        world = make_servo_world(kind=kind, seed=seed, start_error_px=args.start_error_px)
-    except SceneError as exc:
+        world = make_servo_world(kind=kind, seed=seed, start_error_px=args.start_error_px, **shape)
+    except StartErrorPxError as exc:
         raise CliError(f"invalid --start-error-px: {exc}") from exc
+    except SceneError as exc:
+        raise CliError(f"no servo world fits model file {args.model}: {exc}") from exc
     if trained is None:
         association = world.ground_truth
     try:

@@ -67,33 +67,13 @@ class GeometryError(ValueError):
     """Invalid geometric construction."""
 
 
-def _unit_lines(raw: np.ndarray) -> np.ndarray:
-    """Scale (K, 3) line coefficients to a^2 + b^2 = 1, sign-fixed.
-
-    The first nonzero of (a, b) becomes positive; rows with a ~zero norm
-    hypot(a, b) come back as NaN or inf. ``math.hypot`` is correctly
-    rounded, ``np.hypot`` is not always.
-    """
-    norm = np.array([math.hypot(a, b) for a, b, _ in raw.tolist()]).reshape(-1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        unit = raw / norm[:, None]
-    lead = np.where(np.abs(unit[:, 0]) > _DEGENERATE_NORM, unit[:, 0], unit[:, 1])
-    np.negative(unit, out=unit, where=(lead < 0)[:, None])
-    return unit
-
-
-def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrize (K, 3, 3) conic matrices, scale to unit Frobenius norm
     and make each one's entry of largest magnitude positive.
 
-    Also returns a (K,) mask of the inputs that were symmetric to
-    rounding, and each symmetrized matrix's norm.
+    Also returns each symmetrized matrix's norm.
     """
-    mt = m.transpose(0, 2, 1)
-    atol = 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-    # np.allclose(m, m.T, atol=atol), one matrix per row.
-    symmetric = (np.abs(m - mt) <= atol[:, None, None] + 1e-5 * np.abs(mt)).all(axis=(1, 2))
-    sym = 0.5 * (m + mt)
+    sym = 0.5 * (m + m.transpose(0, 2, 1))
     flat = sym.reshape(-1, 9)
     # A stacked (1, 9) @ (9, 1) matmul is the BLAS dot np.linalg.norm uses.
     norm = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
@@ -102,7 +82,7 @@ def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = unit.reshape(-1, 9)
     lead = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
     np.negative(unit, out=unit, where=(lead < 0)[:, None, None])
-    return unit, symmetric, norm
+    return unit, norm
 
 
 def distinct_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -130,8 +110,14 @@ def lines_through(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     np.subtract(p[:, 1], q[:, 1], out=raw[:, 0])
     np.subtract(q[:, 0], p[:, 0], out=raw[:, 1])
     np.subtract(p[:, 0] * q[:, 1], p[:, 1] * q[:, 0], out=raw[:, 2])
-    ok = distinct_points(p, q)
-    unit = _unit_lines(raw)
+    # hypot(a, b) is |p - q| bit for bit, so its mask is distinct_points'.
+    # ``math.hypot`` is correctly rounded, ``np.hypot`` is not always.
+    norm = np.array([math.hypot(a, b) for a, b, _ in raw.tolist()]).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        unit = raw / norm[:, None]
+    lead = np.where(np.abs(unit[:, 0]) > _DEGENERATE_NORM, unit[:, 0], unit[:, 1])
+    np.negative(unit, out=unit, where=(lead < 0)[:, None])
+    ok = ~(norm < COINCIDENT_TOL_PX)
     unit[~ok] = np.nan
     return unit, ok
 
@@ -187,8 +173,8 @@ def conics_through(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if pts.ndim != 3 or pts.shape[1:] != (5, 2):
         raise GeometryError(f"conic construction needs (K, 5, 2) points, got {pts.shape}")
     raw, fit = _fit_conics(pts)
-    unit, symmetric, norm = _unit_conics(raw)
-    ok = fit & symmetric & (norm >= _DEGENERATE_NORM)
+    unit, norm = _unit_conics(raw)
+    ok = fit & (norm >= _DEGENERATE_NORM)
     unit[~ok] = np.nan
     return unit, ok
 

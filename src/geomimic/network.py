@@ -192,13 +192,6 @@ class NetParams:
     def copy(self) -> "NetParams":
         return NetParams(**self.blocks())
 
-    def add_scaled(self, other: "NetParams", scale: float) -> None:
-        """In-place self += scale * other, used for gradient steps."""
-        self.vector += scale * other.vector
-
-    def flat(self) -> np.ndarray:
-        return self.vector.copy()
-
     def to_json_dict(self) -> dict:
         return {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}

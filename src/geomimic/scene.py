@@ -50,6 +50,11 @@ class SceneError(ValueError):
     """Invalid scene configuration or operation."""
 
 
+class StartErrorPxError(SceneError):
+    """A servo world's start_error_px is not finite and > 0, or puts a
+    ground-truth feature outside the image."""
+
+
 class PerturbationKind(str, enum.Enum):
     RANDOM_TARGET = "random_target"
     CHANGE_CAMERA = "change_camera"
@@ -834,15 +839,41 @@ def demo_to_json_dict(demo: DemoSequence) -> dict:
     return payload
 
 
+# The types a stored number may have: never a bool or a string.
+_NUMBER = {int, float}
+# Each scalar field of a stored feature: the types it takes and what they mean.
+_ENTRY_TYPES = (
+    ("id", {int}, "an integer"),
+    ("visible", {bool}, "true or false"),
+    ("u", _NUMBER, "a number"),
+    ("v", _NUMBER, "a number"),
+)
+
+
 def _frame_from_json(entries: list[dict], t: int, width: int, width_frame: int | None) -> Frame:
-    """One stored frame; every descriptor must have the `width` entries of
-    frame `width_frame`'s, and pixels and descriptors must be finite."""
+    """One stored frame. Each entry needs an int `id` that no earlier
+    entry of the frame holds, a bool `visible`, and numbers for `u`, `v`
+    and every entry of a descriptor as wide as frame `width_frame`'s
+    first, `width`; pixels and descriptors must be finite."""
+    seen = set()
     for entry in entries:
-        if len(entry["descriptor"]) != width:
+        for key, types, need in _ENTRY_TYPES:
+            if type(entry[key]) not in types:
+                raise SceneError(f"frame {t}, feature {entry['id']!r}: "
+                                 f"field {key} must be {need}, got {entry[key]!r}")
+        fid, descriptor = entry["id"], entry["descriptor"]
+        if fid in seen:
+            raise SceneError(f"frame {t}, feature {fid}: field id {fid} appears twice in the frame")
+        seen.add(fid)
+        if len(descriptor) != width:
             raise SceneError(
-                f"frame {t}, feature {entry['id']}: descriptor width {len(entry['descriptor'])} "
+                f"frame {t}, feature {fid}: descriptor width {len(descriptor)} "
                 f"differs from width {width} of frame {width_frame}"
             )
+        if not set(map(type, descriptor)) <= _NUMBER:
+            bad = next(v for v in descriptor if type(v) not in _NUMBER)
+            raise SceneError(f"frame {t}, feature {fid}: field descriptor must hold numbers, "
+                             f"got {bad!r}")
     frame = Frame(
         ids=np.array([entry["id"] for entry in entries], dtype=int),
         pixels=np.array([(entry["u"], entry["v"]) for entry in entries], dtype=float).reshape(-1, 2),
@@ -971,11 +1002,14 @@ def make_servo_world(
     kernel trained on ``gen_demo(DemoConfig(seed=seed))`` recognizes them.
     The layout has its own random stream: the target is static, the
     mover starts `start_error_px` away from it, and every distractor is
-    a point. A `start_error_px` that puts a ground-truth feature outside
-    the image raises SceneError.
+    a point. A `start_error_px` that is not finite and > 0 or that puts a
+    ground-truth feature outside the image raises StartErrorPxError, and
+    a `descriptor_dim` below 2 raises SceneError.
     """
     if not (math.isfinite(start_error_px) and start_error_px > 0):
-        raise SceneError(f"start_error_px must be finite and > 0, got {start_error_px!r}")
+        raise StartErrorPxError(f"start_error_px must be finite and > 0, got {start_error_px!r}")
+    if descriptor_dim < 2:
+        raise SceneError(f"descriptor_dim must be >= 2, got {descriptor_dim}")
     kind = KernelKind(kind)
     rng = np.random.default_rng([seed, _TAG_SERVO])
     w, h = image_size
@@ -1008,7 +1042,7 @@ def make_servo_world(
     pixels, in_front = project(positions[gt], camera)
     outside = gt[~(in_front & ((pixels >= 0.0) & (pixels < image_size)).all(axis=-1))]
     if outside.size:
-        raise SceneError(f"start_error_px {start_error_px!r} puts ground-truth feature ids "
+        raise StartErrorPxError(f"start_error_px {start_error_px!r} puts ground-truth feature ids "
                          f"{outside.tolist()} outside the {w}x{h} image")
     return SimWorld(
         camera=camera,

@@ -122,7 +122,6 @@ class CandidateInstance:
     degenerates.
     """
 
-    kernel_kind: KernelKind
     entities: tuple[tuple[int, ...], ...]
     graphs: list[np.ndarray | None] = field(default_factory=list)
     errors: list[np.ndarray | None] = field(default_factory=list)
@@ -361,20 +360,13 @@ class _Pack:
 def _pack_candidates(
     candidates: Sequence[CandidateInstance], config: TrainConfig
 ) -> _Pack:
-    if not candidates:
-        raise TrainingError("no candidates to train on")
-    n_frames = len(candidates[0].graphs)
-    if any(len(c.graphs) != n_frames for c in candidates):
-        raise TrainingError("candidates disagree on frame count")
-    if n_frames == 0:
-        raise TrainingError("candidates carry no frames; build them with prepare_candidates")
     usable = np.array([[g is not None for g in c.graphs] for c in candidates])  # (C, T)
     # quality_score needs two usable frames; a candidate seen on fewer
     # cannot be scored, so it leaves the training set.
     kept = usable.sum(axis=1) >= 2
     if not kept.any():
         raise NoVisibleCandidatesError(
-            f"no candidate is usable on at least 2 of {n_frames} frames, "
+            f"no candidate is usable on at least 2 of {usable.shape[1]} frames, "
             "so no demonstration quality can be scored"
         )
     if not kept.all():
@@ -490,12 +482,19 @@ class TrainedKernel:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedKernel":
         """Rebuild a kernel. An image_size that is not two positive ints,
-        a params block of the wrong shape and params holding NaN or inf
-        are rejected, each naming its field or block."""
+        a params block of the wrong shape, params holding NaN or inf and
+        a config whose hidden size is not the params' are rejected, each
+        naming its field or block."""
         params = NetParams.from_json_dict(payload["params"])
         for name, block in params.blocks().items():
             if not np.isfinite(block).all():
                 raise TrainingError(f"model params block {name} holds NaN or infinite values")
+        config = TrainConfig.from_json_dict(payload["config"])
+        if config.hidden != params.hidden:
+            raise TrainingError(
+                f"model field config.hidden is {config.hidden}, "
+                f"but the params have hidden size {params.hidden}"
+            )
         size = payload.get("image_size", IMAGE_SIZE)
         if not (
             isinstance(size, (list, tuple))
@@ -508,7 +507,7 @@ class TrainedKernel:
         return cls(
             kernel_kind=KernelKind(payload["kernel_kind"]),
             params=params,
-            config=TrainConfig.from_json_dict(payload["config"]),
+            config=config,
             loss_trace=np.array(payload["loss_trace"], dtype=float).reshape(-1, 5),
             image_size=tuple(size),
         )
@@ -572,7 +571,7 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
     combos, layout = enumerate_candidates(demo, kind)
-    candidates = [CandidateInstance(kind, ent) for ent in combos]
+    candidates = [CandidateInstance(ent) for ent in combos]
     for frame in demo.frames:
         if not frame.ids.size:
             for cand in candidates:
@@ -654,7 +653,7 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
         scale = -config.lr
         if gnorm > GRAD_CLIP_NORM:
             scale *= GRAD_CLIP_NORM / gnorm
-        params.add_scaled(grads, scale)
+        params.vector += scale * grads.vector
     trace = trace[: epoch + 1]
     if not np.isfinite(trace[:, 1]).all():
         raise TrainingError("training diverged: non-finite loss")

@@ -256,7 +256,7 @@ def train_fixed_epochs(demo, kind, config):
         scale = -config.lr
         if gnorm > GRAD_CLIP_NORM:
             scale *= GRAD_CLIP_NORM / gnorm
-        params.add_scaled(grads, scale)
+        params.vector += scale * grads.vector
         trace[epoch] = (epoch, breakdown.value, breakdown.gcr_term,
                         breakdown.rsw_term, breakdown.expected_quality)
     return trace, best_params

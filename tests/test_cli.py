@@ -385,17 +385,33 @@ class TestServo:
         assert code == 2
 
     def test_model_of_another_descriptor_width(self, tmp_path, capsys):
+        # the servo world renders 8-wide descriptors for a model trained on them
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"descriptor_dim": 8}))
         demo, model = tmp_path / "narrow.json", tmp_path / "narrow_model.json"
         assert main([
-            "gen", "--config", str(cfg), "--n-frames", "5", "--n-distractors", "2",
+            "gen", "--config", str(cfg), "--n-frames", "12", "--n-distractors", "2",
             "--out", str(demo),
         ]) == 0
-        assert main(["train", "--demo", str(demo), "--epochs", "2", "--out", str(model)]) == 0
-        code = main(["servo", "--model", str(model), "--out", str(tmp_path / "t.csv")])
-        assert code == 1
-        assert "input_dim is 10" in capsys.readouterr().err
+        assert main(["train", "--demo", str(demo), "--epochs", "5", "--out", str(model)]) == 0
+        out = tmp_path / "t.csv"
+        assert main(["servo", "--model", str(model), "--out", str(out)]) == 0
+        assert ", converged, " in capsys.readouterr().out
+        assert out.exists()
+
+    def test_world_too_small_for_the_models_image(self, tmp_path, capsys, workdir):
+        # the world takes the model's image size; one with no room for its
+        # distractors is the model's fault, not --start-error-px's
+        payload = json.loads(workdir["model"].read_text())
+        payload["image_size"] = [100, 100]
+        model, out = tmp_path / "small_model.json", tmp_path / "t.csv"
+        model.write_text(json.dumps(payload))
+        assert main(["servo", "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no servo world fits model file {model}: image size 100x100 is too small: "
+            "a feature kept 60 px + inset 0 px inside the image has no room\n"
+        )
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -536,6 +552,38 @@ class TestBadInputFiles:
             err = self.run(tmp_path, capsys, argv, bad)
             assert (f"params block {block} holds {n_values} values of shape {shape}, "
                     "but hidden size 32 and input width 18 need shape") in err
+
+    # Edits of feature 1 on frame 3, and the field each one breaks.
+    BAD_ENTRY = {
+        "id_float": (lambda e: e.update(id=1.5), "feature 1.5: field id must be an integer"),
+        "visible_string": (lambda e: e.update(visible="no"),
+                           "feature 1: field visible must be true or false, got 'no'"),
+        "u_string": (lambda e: e.update(u="301.5"),
+                     "feature 1: field u must be a number, got '301.5'"),
+        "v_bool": (lambda e: e.update(v=True), "feature 1: field v must be a number, got True"),
+        "descriptor_bool": (lambda e: e["descriptor"].__setitem__(2, True),
+                            "feature 1: field descriptor must hold numbers, got True"),
+        "duplicate_id": (lambda e: e.update(id=0), "feature 0: field id 0 appears twice"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRY))
+    def test_demo_with_bad_feature_entry(self, tmp_path, capsys, workdir, case):
+        edit, message = self.BAD_ENTRY[case]
+        payload = json.loads(workdir["demo"].read_text())
+        edit(payload["frames"][3][1])
+        bad = tmp_path / "demo.json"
+        bad.write_text(json.dumps(payload))
+        for argv in (["train", "--demo", str(bad)],
+                     ["eval", "--demo", str(bad), "--model", str(workdir["model"])]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert f"frame 3, {message}" in err
+
+    def test_model_whose_config_hidden_disagrees(self, tmp_path, capsys, workdir):
+        bad = self.edited_model(tmp_path, workdir, lambda p: p["config"].update(hidden=16))
+        for argv in (["eval", "--demo", str(workdir["demo"]), "--model", str(bad)],
+                     ["servo", "--model", str(bad)]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert "model field config.hidden is 16, but the params have hidden size 32" in err
 
     @pytest.mark.parametrize("size", [[0, 480], [-640, 480]])
     def test_demo_with_bad_image_size(self, tmp_path, capsys, workdir, size):

@@ -1,6 +1,7 @@
 """JSON round trips of configs, demos and trained kernels, as properties."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,7 +153,8 @@ def test_demo(demo):
 
 @st.composite
 def trained_kernels(draw):
-    params = NetParams.zeros(draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    hidden = draw(st.integers(1, 4))
+    params = NetParams.zeros(hidden, draw(st.integers(1, 6)))
     size = params.vector.size
     params.vector[:] = draw(st.lists(finite, min_size=size, max_size=size))
     epochs = draw(st.integers(0, 4))
@@ -160,7 +162,8 @@ def trained_kernels(draw):
     return TrainedKernel(
         kernel_kind=draw(st.sampled_from(KernelKind)),
         params=params,
-        config=draw(train_configs),
+        # a model whose config disagrees with its params on hidden is rejected
+        config=replace(draw(train_configs), hidden=hidden),
         loss_trace=trace.reshape(epochs, 5),
         image_size=draw(st.tuples(st.integers(1, 4096), st.integers(1, 4096))),
     )

@@ -261,7 +261,7 @@ class TestBackward:
         params = random_params(rng)
         g = random_graph(KernelKind.P2P, rng)
         grads = score_grads(*g, params, 0.0)
-        assert np.all(grads.flat() == 0.0)
+        assert np.all(grads.vector == 0.0)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_matches_finite_differences(self, kind):
@@ -289,8 +289,8 @@ class TestBackward:
         rng = np.random.default_rng(15)
         params = random_params(rng)
         g = random_graph(KernelKind.P2L, rng)
-        g1 = score_grads(*g, params, 1.0).flat()
-        g3 = score_grads(*g, params, 3.0).flat()
+        g1 = score_grads(*g, params, 1.0).vector
+        g3 = score_grads(*g, params, 3.0).vector
         assert g3 == pytest.approx(3.0 * g1, abs=1e-12)
 
     def test_duplicate_node_graph_gradcheck(self):
@@ -353,9 +353,9 @@ class TestWorkspace:
             fresh_scores = forward_batch(nodes, params, fresh)
             fresh_grads = backward_batch(fresh, params, upstream)
             assert np.array_equal(scores, fresh_scores)
-            assert np.array_equal(grads.flat(), fresh_grads.flat())
+            assert np.array_equal(grads.vector, fresh_grads.vector)
             # a gradient step between calls, as in training
-            params.add_scaled(grads, -0.1)
+            params.vector -= 0.1 * grads.vector
 
     def test_shape_or_wiring_mismatch_rejected(self):
         rng = np.random.default_rng(34)
@@ -377,10 +377,3 @@ class TestParamsIO:
         clone = params.copy()
         clone.w_in[0, 0] += 1.0
         assert params.w_in[0, 0] != clone.w_in[0, 0]
-
-    def test_add_scaled(self):
-        params = NetParams.zeros(HIDDEN, DIM)
-        rng = np.random.default_rng(19)
-        other = random_params(rng)
-        params.add_scaled(other, -0.5)
-        assert params.flat() == pytest.approx(-0.5 * other.flat())

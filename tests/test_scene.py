@@ -517,6 +517,12 @@ class TestServoWorld:
         with pytest.raises(SceneError, match="jitter"):
             make_servo_world(KernelKind.P2P, seed=0, descriptor_jitter=-0.1)
 
+    @pytest.mark.parametrize("dim", [1, -1])
+    def test_too_narrow_descriptor_rejected(self, dim):
+        # `servo --model` asks for the model's width, which a model file sets
+        with pytest.raises(SceneError, match=f"descriptor_dim must be >= 2, got {dim}"):
+            make_servo_world(KernelKind.P2P, seed=0, descriptor_dim=dim)
+
     def test_move_object_translates_mover(self):
         world = make_servo_world(KernelKind.P2P, seed=3)
         before = world.positions[0].copy()

@@ -379,7 +379,7 @@ class TestVectorizedLoss:
         terms = (breakdown.value, breakdown.expected_quality, breakdown.gcr_term,
                  breakdown.rsw_term)
         assert terms == pytest.approx(ref_terms, abs=1e-12)
-        assert grads.flat() == pytest.approx(ref_grads.flat(), abs=1e-12)
+        assert grads.vector == pytest.approx(ref_grads.vector, abs=1e-12)
 
     def test_pack_matches_candidate_loop(self):
         # frame 2 hides point 0 and frame 5 leaves no candidate usable, so
@@ -415,7 +415,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=40, seed=3)
         t1 = train(demo, KernelKind.P2P, cfg)
         t2 = train(demo, KernelKind.P2P, TrainConfig(epochs=40, seed=3))
-        assert np.array_equal(t1.params.flat(), t2.params.flat())
+        assert np.array_equal(t1.params.vector, t2.params.vector)
         assert np.array_equal(t1.loss_trace, t2.loss_trace)
 
     def test_final_loss_below_initial(self, toy_trained):
@@ -452,7 +452,7 @@ class TestTrain:
         save_trained(toy_trained, str(path))
         loaded = load_trained(str(path))
         assert loaded.kernel_kind == toy_trained.kernel_kind
-        assert np.array_equal(loaded.params.flat(), toy_trained.params.flat())
+        assert np.array_equal(loaded.params.vector, toy_trained.params.vector)
         assert loaded.config == toy_trained.config
         assert np.array_equal(loaded.loss_trace, toy_trained.loss_trace)
 
