@@ -85,6 +85,23 @@ def _unit_conics(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norm
 
 
+def _square_excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^2 + b^2 - 1 over (K,) arrays, exact up to one final rounding.
+
+    Each square is split into its rounded product and that product's
+    error (Dekker's two-product: the Veltkamp split makes every partial
+    product exact for |x| <= 1), and ``math.fsum`` rounds their sum once.
+    """
+    terms = [np.full(a.shape, -1.0)]
+    for x in (a, b):
+        square = x * x
+        scaled = 134217729.0 * x  # 2**27 + 1
+        hi = scaled - (scaled - x)
+        lo = x - hi
+        terms += [square, ((hi * hi - square) + 2.0 * hi * lo) + lo * lo]
+    return np.array([math.fsum(row) for row in np.stack(terms, axis=1).tolist()]).reshape(-1)
+
+
 def distinct_points(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(K,) mask: row k of p and of q are not within COINCIDENT_TOL_PX."""
     gap = [math.hypot(du, dv) for du, dv in (p - q).tolist()]
@@ -115,6 +132,10 @@ def lines_through(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     norm = np.array([math.hypot(a, b) for a, b, _ in raw.tolist()]).reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         unit = raw / norm[:, None]
+        # Dividing by the rounded norm leaves a^2 + b^2 up to two ulps
+        # off 1; one Newton step on the exact excess brings it within one.
+        half = _square_excess(unit[:, 0], unit[:, 1]) / 2
+        unit -= unit * half[:, None]
     lead = np.where(np.abs(unit[:, 0]) > _DEGENERATE_NORM, unit[:, 0], unit[:, 1])
     np.negative(unit, out=unit, where=(lead < 0)[:, None])
     ok = ~(norm < COINCIDENT_TOL_PX)

@@ -160,20 +160,18 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
     )
 
 
-def save_report(report: EvalReport, path: str, config_echo: dict | None = None) -> None:
+def save_report(report: EvalReport, path: str, config_echo: dict) -> None:
     payload = report.to_json_dict()
-    if config_echo is not None:
-        payload["config"] = config_echo
+    payload["config"] = config_echo
     text = json.dumps(payload)
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def write_frame_csv(report: EvalReport, path: str, config_echo: dict | None = None) -> None:
+def write_frame_csv(report: EvalReport, path: str, config_echo: dict) -> None:
     """Per-frame results: frame,winner_ids,error_norm,correct."""
     with open(path, "w") as fh:
-        if config_echo is not None:
-            fh.write("# config: " + json.dumps(config_echo) + "\n")
+        fh.write("# config: " + json.dumps(config_echo) + "\n")
         fh.write("frame,winner_ids,error_norm,correct\n")
         for t in range(report.n_frames):
             winner = report.per_frame_winners[t]

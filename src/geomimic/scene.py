@@ -29,6 +29,7 @@ IMAGE_SIZE = (640, 480)
 DEFAULT_FOCAL = 800.0
 DESK_DEPTH_M = 1.0
 _MIN_DEPTH = 1e-6
+_SERVO_DISTRACTORS = 6  # point distractors of every servo world
 
 # Sub-stream tags so every random quantity hangs off one seed.
 _TAG_LAYOUT = 1
@@ -103,8 +104,10 @@ class CameraModel:
         if not math.isclose(float(np.linalg.det(self.rotation)), 1.0, abs_tol=1e-9):
             raise SceneError("camera rotation must have determinant +1")
 
-    def world_to_camera(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
+    def world_to_camera(self, points: np.ndarray) -> np.ndarray:
+        """Camera-frame coordinates (..., 3) of world points (..., 3)."""
+        # The stacked matvec rounds as ``rotation @ point`` does; ``points @ rotation.T`` does not.
+        return np.matmul(self.rotation, points[..., None])[..., 0] + self.translation
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,8 +131,7 @@ class CameraModel:
 
 def project(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     """Pixels (..., 2) and in-front mask of world points (..., 3); depth <= 1e-6 gives (-1, -1)."""
-    # The stacked matvec rounds as ``rotation @ point`` does; ``points @ rotation.T`` does not.
-    xc = np.matmul(camera.rotation, points[..., None])[..., 0] + camera.translation
+    xc = camera.world_to_camera(points)
     in_front = xc[..., 2] > _MIN_DEPTH
     pixels = np.full((*in_front.shape, 2), -1.0)
     front = xc[in_front]
@@ -608,8 +610,8 @@ def observe(
     bases: np.ndarray,
     camera: CameraModel,
     image_size: tuple[int, int],
-    jitter: float,
-    jitter_rng: np.random.Generator,
+    jitter: float = 0.0,
+    jitter_rng: np.random.Generator | None = None,
     noise_px: float = 0.0,
     noise_rng: np.random.Generator | None = None,
 ) -> list[Frame]:
@@ -619,7 +621,8 @@ def observe(
     A point at camera depth <= 1e-6 gets pixel (-1, -1), is not visible
     and draws no pixel noise. Pixel noise is drawn u then v for every
     point in front of the camera, frame by frame in column order.
-    Descriptor jitter (>= 0) is drawn for every point, in the same order.
+    Descriptor jitter (>= 0, none by default) is drawn for every point,
+    in the same order.
     """
     pixels, in_front = project(points, camera)
     if noise_px > 0:
@@ -777,13 +780,8 @@ def apply_perturbation(
         angle = math.radians(3.0 * setting.magnitude)
         rot = rodrigues(axis * angle)
         shift = rng.normal(0.0, 0.02 * setting.magnitude / math.sqrt(3.0), 3)
-        camera = CameraModel(
-            f=demo.camera.f,
-            cu=demo.camera.cu,
-            cv=demo.camera.cv,
-            rotation=rot @ demo.camera.rotation,
-            translation=rot @ demo.camera.translation + shift,
-        )
+        cam = demo.camera
+        camera = replace(cam, rotation=rot @ cam.rotation, translation=rot @ cam.translation + shift)
         return _reproject(demo, demo.world_tracks, camera, seed, _TAG_PERTURB[kind.value])
 
     # random_target: one rigid in-plane motion applied to both the target
@@ -851,10 +849,10 @@ _ENTRY_TYPES = (
 
 
 def _frame_from_json(entries: list[dict], t: int, width: int, width_frame: int | None) -> Frame:
-    """One stored frame. Each entry needs an int `id` that no earlier
-    entry of the frame holds, a bool `visible`, and numbers for `u`, `v`
-    and every entry of a descriptor as wide as frame `width_frame`'s
-    first, `width`; pixels and descriptors must be finite."""
+    """One stored frame. Each entry needs an int `id` that fits in 64 bits
+    and that no earlier entry of the frame holds, a bool `visible`, and
+    numbers for `u`, `v` and every entry of a descriptor as wide as frame
+    `width_frame`'s first, `width`; pixels and descriptors must be finite."""
     seen = set()
     for entry in entries:
         for key, types, need in _ENTRY_TYPES:
@@ -862,6 +860,8 @@ def _frame_from_json(entries: list[dict], t: int, width: int, width_frame: int |
                 raise SceneError(f"frame {t}, feature {entry['id']!r}: "
                                  f"field {key} must be {need}, got {entry[key]!r}")
         fid, descriptor = entry["id"], entry["descriptor"]
+        if not -(2**63) <= fid < 2**63:
+            raise SceneError(f"frame {t}, feature {fid}: field id must fit in 64 bits")
         if fid in seen:
             raise SceneError(f"frame {t}, feature {fid}: field id {fid} appears twice in the frame")
         seen.add(fid)
@@ -892,7 +892,8 @@ def _frame_from_json(entries: list[dict], t: int, width: int, width_frame: int |
 
 def demo_from_json_dict(payload: dict) -> DemoSequence:
     """A stored demo; its frames must agree on the descriptor width, the
-    width of the first non-empty frame, which an empty frame takes too."""
+    width of the first non-empty frame, which an empty frame takes too,
+    and its `ground_truth` must list distinct int ids that its frames list."""
     config = DemoConfig.from_json_dict(payload["config"]) if "config" in payload else None
     stored = payload["frames"]
     first = next((t for t, entries in enumerate(stored) if entries), None)
@@ -900,10 +901,16 @@ def demo_from_json_dict(payload: dict) -> DemoSequence:
     if first is not None and width < 2:
         raise SceneError(f"frame {first}: a descriptor needs at least 2 entries, not {width}")
     frames = [_frame_from_json(entries, t, width, first) for t, entries in enumerate(stored)]
+    gt = payload["ground_truth"]
+    if not (type(gt) is list and {type(i) for i in gt} <= {int} and len(set(gt)) == len(gt)):
+        raise SceneError(f"field ground_truth must be a list of distinct integer ids, got {gt!r}")
+    unlisted = sorted(set(gt).difference(*(frame.ids.tolist() for frame in frames)))
+    if unlisted:
+        raise SceneError(f"field ground_truth holds ids {unlisted} that no frame lists")
     kind = config.kernel_kind if config else KernelKind.P2P
     return DemoSequence(
         frames=frames,
-        ground_truth=tuple(payload["ground_truth"]),
+        ground_truth=tuple(gt),
         camera=CameraModel.from_json_dict(payload["camera"]),
         seed=payload["seed"],
         kernel_kind=kind,
@@ -941,25 +948,9 @@ class SimWorld:
     ground_truth: tuple[int, ...]
     kernel_kind: KernelKind
     image_size: tuple[int, int] = IMAGE_SIZE
-    descriptor_jitter: float = 0.0
-    jitter_rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0)
-    )
-
-    def __post_init__(self) -> None:
-        if self.descriptor_jitter < 0:
-            raise SceneError("descriptor jitter must be >= 0")
 
     def render(self) -> Frame:
-        return observe(
-            self.positions[None],
-            self.classes,
-            self.bases,
-            self.camera,
-            self.image_size,
-            self.descriptor_jitter,
-            self.jitter_rng,
-        )[0]
+        return observe(self.positions[None], self.classes, self.bases, self.camera, self.image_size)[0]
 
     def move_object(self, delta_xy: np.ndarray, d_theta: float = 0.0) -> None:
         """Rigidly move the mover entity in the desk plane."""
@@ -967,33 +958,24 @@ class SimWorld:
         ids = list(self.mover_ids)
         centroid = self.positions[ids].mean(axis=0)
         rot = rodrigues(np.array([0.0, 0.0, float(d_theta)]))
-        for fid in ids:
-            moved = rot @ (self.positions[fid] - centroid) + centroid
-            moved[0] += delta[0]
-            moved[1] += delta[1]
-            self.positions[fid] = moved
+        moved = np.matmul(rot, (self.positions[ids] - centroid)[..., None])[..., 0] + centroid
+        moved[:, :2] += delta
+        self.positions[ids] = moved
 
     def move_camera(self, twist: np.ndarray) -> None:
         """Integrate a camera-frame velocity screw (vx, vy, vz, wx, wy, wz)."""
         twist = np.asarray(twist, dtype=float).reshape(6)
         v, omega = twist[:3], twist[3:]
         rot = rodrigues(-omega)
-        self.camera = CameraModel(
-            f=self.camera.f,
-            cu=self.camera.cu,
-            cv=self.camera.cv,
-            rotation=rot @ self.camera.rotation,
-            translation=rot @ self.camera.translation - v,
-        )
+        cam = self.camera
+        self.camera = replace(cam, rotation=rot @ cam.rotation, translation=rot @ cam.translation - v)
 
 
 def make_servo_world(
     kind: KernelKind = KernelKind.P2P,
     seed: int = 0,
-    n_distractors: int = 6,
     start_error_px: float = 60.0,
     descriptor_dim: int = 16,
-    descriptor_jitter: float = 0.0,
     image_size: tuple[int, int] = IMAGE_SIZE,
 ) -> SimWorld:
     """Build a static scene matching the demo generator's conventions.
@@ -1001,10 +983,11 @@ def make_servo_world(
     Ground-truth entities reuse the descriptor streams of `seed`, so a
     kernel trained on ``gen_demo(DemoConfig(seed=seed))`` recognizes them.
     The layout has its own random stream: the target is static, the
-    mover starts `start_error_px` away from it, and every distractor is
-    a point. A `start_error_px` that is not finite and > 0 or that puts a
-    ground-truth feature outside the image raises StartErrorPxError, and
-    a `descriptor_dim` below 2 raises SceneError.
+    mover starts `start_error_px` away from it, each of the 6 distractors
+    is a point, and no descriptor carries jitter. A `start_error_px` that
+    is not finite and > 0 or that hides a ground-truth feature on the
+    world's first render raises StartErrorPxError, and a `descriptor_dim`
+    below 2 raises SceneError.
     """
     if not (math.isfinite(start_error_px) and start_error_px > 0):
         raise StartErrorPxError(f"start_error_px must be finite and > 0, got {start_error_px!r}")
@@ -1036,17 +1019,10 @@ def make_servo_world(
             dist = (start_error_px / math.sqrt(2.0)) * normal
             movers = [end + dist for end in _segment_tracks(center, angle, 0.5 * _HALF_LEN)]
         layout.add_task(kind, movers, endpoints)
-    layout.add_points(rng, n_distractors)
-    positions = _px_to_world(np.concatenate(layout.tracks_px), camera, DESK_DEPTH_M)
-    gt = np.array(layout.ground_truth)
-    pixels, in_front = project(positions[gt], camera)
-    outside = gt[~(in_front & ((pixels >= 0.0) & (pixels < image_size)).all(axis=-1))]
-    if outside.size:
-        raise StartErrorPxError(f"start_error_px {start_error_px!r} puts ground-truth feature ids "
-                         f"{outside.tolist()} outside the {w}x{h} image")
-    return SimWorld(
+    layout.add_points(rng, _SERVO_DISTRACTORS)
+    world = SimWorld(
         camera=camera,
-        positions=positions,
+        positions=_px_to_world(np.concatenate(layout.tracks_px), camera, DESK_DEPTH_M),
         classes=tuple(layout.classes),
         bases=_descriptor_bases(
             len(layout.classes), layout.ground_truth, descriptor_dim, seed, seed
@@ -1055,6 +1031,10 @@ def make_servo_world(
         ground_truth=layout.ground_truth,
         kernel_kind=kind,
         image_size=image_size,
-        descriptor_jitter=descriptor_jitter,
-        jitter_rng=np.random.default_rng([seed, _TAG_SERVO, 2]),
     )
+    gt = np.array(world.ground_truth)
+    outside = gt[~world.render().visible[gt]]
+    if outside.size:
+        raise StartErrorPxError(f"start_error_px {start_error_px!r} puts ground-truth feature ids "
+                         f"{outside.tolist()} outside the {w}x{h} image")
+    return world

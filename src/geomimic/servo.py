@@ -247,16 +247,13 @@ class ScenePlant:
         if dq.shape != (self.dof,):
             raise ServoError(f"expected a {self.dof}-dof command, got shape {dq.shape}")
         if self.mode == "ibvs":
-            cam = self.world.camera
-            held = {
-                fid: cam.world_to_camera(self.world.positions[fid])
-                for fid in self.world.mover_ids
-            }
+            ids = list(self.world.mover_ids)
+            held = self.world.camera.world_to_camera(self.world.positions[ids])
             self.world.move_camera(dq)
             cam = self.world.camera
-            for fid, xc in held.items():
-                # Carried rigidly: same camera-frame coords after the move.
-                self.world.positions[fid] = cam.rotation.T @ (xc - cam.translation)
+            # Carried rigidly: same camera-frame coords after the move.
+            rel = (held - cam.translation)[..., None]
+            self.world.positions[ids] = np.matmul(cam.rotation.T, rel)[..., 0]
         elif self.dof == 3:
             self.world.move_object(dq[:2], dq[2])
         else:
@@ -278,11 +275,10 @@ class ServoTrajectory:
     def n_steps(self) -> int:
         return len(self.error_norms)
 
-    def to_csv(self, path: str, config_echo: dict | None = None) -> None:
+    def to_csv(self, path: str, config_echo: dict) -> None:
         dof = len(self.q_history[0]) if self.q_history else 0
         with open(path, "w") as fh:
-            if config_echo is not None:
-                fh.write("# config: " + json.dumps(config_echo) + "\n")
+            fh.write("# config: " + json.dumps(config_echo) + "\n")
             if self.converged and not self.error_norms:
                 fh.write(f"# start error norm {self.start_norm!r} was already below tol\n")
             cols = ",".join(f"q{i}" for i in range(dof))

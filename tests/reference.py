@@ -1,8 +1,9 @@
 """Reference copies of the per-candidate scalar code that batched
 geometry and array inference replaced, the fixed-epoch training loop the
 plateau stop replaced, the per-feature observation loop that
-``scene.observe`` replaced, and the single-sample building blocks of the
-scorer.
+``scene.observe`` replaced, the per-feature servo-world moves and the
+field-by-field camera moves that stacked matvecs and ``dataclasses.replace``
+replaced, and the single-sample building blocks of the scorer.
 
 The tests compare the production geometry, inference and training against
 these bit for bit, and the batched scorer against the composed building
@@ -14,12 +15,14 @@ geometry or candidate enumeration.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from geomimic import network
 from geomimic.geometry import COINCIDENT_TOL_PX, KernelKind
 from geomimic.network import NetParams
+from geomimic.scene import CameraModel, rodrigues
 from geomimic.training import (
     GRAD_CLIP_NORM,
     _objective,
@@ -43,6 +46,9 @@ def unit_line(a, b, c):
     if norm < _DEGENERATE_NORM:
         raise Degenerate("degenerate line")
     a, b, c = a / norm, b / norm, c / norm
+    # One Newton step towards a^2 + b^2 = 1 on the exactly computed excess.
+    half = float(Fraction(a) ** 2 + Fraction(b) ** 2 - 1) / 2
+    a, b, c = a - a * half, b - b * half, c - c * half
     lead = a if abs(a) > _DEGENERATE_NORM else b
     if lead < 0:
         a, b, c = -a, -b, -c
@@ -320,6 +326,52 @@ def observe_tracks(world_tracks, bases, camera, config, noise_rng, jitter_rng):
         )
         for points in world_tracks
     ]
+
+
+# The moves of the servo world and of the change_camera perturbation: one
+# feature at a time, and the camera built field by field.
+
+
+def moved_camera(camera, rot, shift):
+    """``camera`` turned by ``rot`` and then shifted by ``shift``."""
+    return CameraModel(
+        f=camera.f,
+        cu=camera.cu,
+        cv=camera.cv,
+        rotation=rot @ camera.rotation,
+        translation=rot @ camera.translation + shift,
+    )
+
+
+def change_camera(camera, rng, magnitude):
+    """The camera of the change_camera perturbation, drawn from ``rng``."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    rot = rodrigues(axis * math.radians(3.0 * magnitude))
+    return moved_camera(camera, rot, rng.normal(0.0, 0.02 * magnitude / math.sqrt(3.0), 3))
+
+
+def move_object(positions, ids, delta_xy, rot):
+    """World ``positions`` after features ``ids`` turn by ``rot`` about
+    their centroid and then shift by ``delta_xy`` in the desk plane."""
+    out = positions.copy()
+    centroid = positions[list(ids)].mean(axis=0)
+    for fid in ids:
+        moved = rot @ (positions[fid] - centroid) + centroid
+        moved[0] += delta_xy[0]
+        moved[1] += delta_xy[1]
+        out[fid] = moved
+    return out
+
+
+def carry(positions, ids, before, after):
+    """World ``positions`` after features ``ids`` keep their camera-frame
+    coordinates while the camera moves from ``before`` to ``after``."""
+    out = positions.copy()
+    for fid in ids:
+        xc = before.rotation @ positions[fid] + before.translation
+        out[fid] = after.rotation.T @ (xc - after.translation)
+    return out
 
 
 # One graph scored through the batched scorer, for tests of single graphs.

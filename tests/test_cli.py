@@ -556,6 +556,8 @@ class TestBadInputFiles:
     # Edits of feature 1 on frame 3, and the field each one breaks.
     BAD_ENTRY = {
         "id_float": (lambda e: e.update(id=1.5), "feature 1.5: field id must be an integer"),
+        "id_beyond_int64": (lambda e: e.update(id=2**70),
+                            f"feature {2**70}: field id must fit in 64 bits"),
         "visible_string": (lambda e: e.update(visible="no"),
                            "feature 1: field visible must be true or false, got 'no'"),
         "u_string": (lambda e: e.update(u="301.5"),
@@ -577,6 +579,22 @@ class TestBadInputFiles:
                      ["eval", "--demo", str(bad), "--model", str(workdir["model"])]):
             err = self.run(tmp_path, capsys, argv, bad)
             assert f"frame 3, {message}" in err
+
+    @pytest.mark.parametrize("ground_truth, message", [
+        (["0", "1"], "field ground_truth must be a list of distinct integer ids, got ['0', '1']"),
+        ([0, 0], "field ground_truth must be a list of distinct integer ids, got [0, 0]"),
+        ([0, 7], "field ground_truth holds ids [7] that no frame lists"),
+    ], ids=["strings", "repeated_id", "unlisted_id"])
+    def test_demo_with_bad_ground_truth(self, tmp_path, capsys, workdir, ground_truth, message):
+        # the workdir demo lists ids 0-5
+        payload = json.loads(workdir["demo"].read_text())
+        payload["ground_truth"] = ground_truth
+        bad = tmp_path / "demo.json"
+        bad.write_text(json.dumps(payload))
+        for argv in (["train", "--demo", str(bad)],
+                     ["eval", "--demo", str(bad), "--model", str(workdir["model"])]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert message in err
 
     def test_model_whose_config_hidden_disagrees(self, tmp_path, capsys, workdir):
         bad = self.edited_model(tmp_path, workdir, lambda p: p["config"].update(hidden=16))

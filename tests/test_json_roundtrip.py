@@ -132,7 +132,7 @@ def demos(draw):
     config = draw(st.none() | demo_configs)
     return DemoSequence(
         frames=frames,
-        ground_truth=tuple(draw(st.lists(st.integers(0, n_features - 1), max_size=4))),
+        ground_truth=tuple(draw(st.lists(st.integers(0, n_features - 1), max_size=4, unique=True))),
         camera=CameraModel(f=draw(positive), cu=draw(finite), cv=draw(finite)),
         seed=draw(seeds),
         kernel_kind=config.kernel_kind if config else KernelKind.P2P,
@@ -219,6 +219,7 @@ class TestHandBuiltFrames:
     def test_demo_of_empty_frames_only(self, tmp_path):
         demo = toy_demo(n_frames=2)
         demo.frames = [take(f, []) for f in demo.frames]
+        demo.ground_truth = ()  # a ground truth may only hold ids the frames list
         loaded = saved_and_loaded(demo, tmp_path / "demo.json")
         assert [f.descriptors.shape for f in loaded.frames] == [(0, 0), (0, 0)]
 

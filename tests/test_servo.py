@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from geomimic.geometry import KernelKind
 from geomimic.scene import make_servo_world
 from geomimic.servo import (
@@ -280,8 +281,12 @@ class TestScenePlant:
         plant = ScenePlant(world, mode="ibvs", association=world.ground_truth)
         # a servo world renders feature i on row i
         before = world.render().pixels
+        camera, positions = world.camera, world.positions.copy()
         plant.apply(np.array([0.01, -0.02, 0.005, 0.002, -0.001, 0.003]))
         after = world.render().pixels
+        # the stacked carry against the per-feature loop it replaced, bit for bit
+        want = reference.carry(positions, world.mover_ids, camera, world.camera)
+        assert np.array_equal(world.positions, want)
         mover = world.mover_ids[0]
         target = world.ground_truth[-1]
         assert after[mover] == pytest.approx(before[mover], abs=1e-9)

@@ -868,7 +868,8 @@ def test_json_writers_use_one_dumps(tmp_path, toy_trained):
     cases = [
         (save_demo, demo, demo_to_json_dict(demo)),
         (save_trained, toy_trained, toy_trained.to_json_dict()),
-        (save_report, report, report.to_json_dict()),
+        (lambda r, path: save_report(r, path, {"seed": 3}), report,
+         {**report.to_json_dict(), "config": {"seed": 3}}),
     ]
     for save, obj, payload in cases:
         path = tmp_path / "out.json"
