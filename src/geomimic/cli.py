@@ -75,13 +75,13 @@ def _merged_config(cls, args: argparse.Namespace):
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     # --magnitude is checked even without --perturb, its only reader.
-    if not (math.isfinite(args.magnitude) and args.magnitude >= 0):
+    if args.magnitude is not None and not (math.isfinite(args.magnitude) and args.magnitude >= 0):
         raise CliError(f"invalid --magnitude: {args.perturb or 'perturbation'} magnitude "
                        f"must be finite and >= 0, got {args.magnitude!r}")
     config = _merged_config(DemoConfig, args)
     demo = gen_demo(config)
     if args.perturb is not None:
-        setting = PerturbationSetting(PerturbationKind(args.perturb), args.magnitude)
+        setting = PerturbationSetting(args.perturb, args.magnitude)
         demo = apply_perturbation(demo, setting, seed=config.seed)
     save_demo(demo, args.out)
     n_feats = demo.frames[0].ids.size
@@ -127,9 +127,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_servo(args: argparse.Namespace) -> int:
     config = _merged_config(ServoConfig, args)
-    seed = args.seed if args.seed is not None else 0
     trained = None
-    association = None
     shape = {}
     if args.model:
         trained = _load(load_trained, args.model, "model")
@@ -139,18 +137,17 @@ def _cmd_servo(args: argparse.Namespace) -> int:
     else:
         kind = KernelKind(args.kernel or "p2p")
     try:
-        world = make_servo_world(kind=kind, seed=seed, start_error_px=args.start_error_px, **shape)
+        world = make_servo_world(kind, seed=args.seed, start_error_px=args.start_error_px, **shape)
     except StartErrorPxError as exc:
         raise CliError(f"invalid --start-error-px: {exc}") from exc
     except SceneError as exc:
         raise CliError(f"no servo world fits model file {args.model}: {exc}") from exc
-    if trained is None:
-        association = world.ground_truth
+    association = world.ground_truth if trained is None else None
     try:
         traj = closed_loop(world, trained, config, association=association)
     except ServoError as exc:
         raise CliError(f"servo loop failed: {exc}") from exc
-    echo = {"servo": config.to_json_dict(), "seed": seed, "kernel": kind.value}
+    echo = {"servo": config.to_json_dict(), "seed": args.seed, "kernel": kind.value}
     traj.to_csv(args.out, config_echo=echo)
     state = "converged" if traj.converged else "not converged"
     if traj.error_norms:
@@ -180,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--perturb", choices=[k.value for k in PerturbationKind], default=None
     )
-    gen.add_argument("--magnitude", type=float, default=1.0)
+    gen.add_argument("--magnitude", type=float, default=None)
     gen.set_defaults(func=_cmd_gen)
 
     tr = sub.add_parser("train", help="fit a kernel scorer on a demo")
@@ -206,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("servo", help="run the closed control loop in simulation")
     sv.add_argument("--config", help="JSON file with servo config fields")
-    sv.add_argument("--seed", type=int, default=None)
+    sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--out", required=True, help="output trajectory CSV path")
     sv.add_argument("--model", default=None, help="trained kernel JSON; omit for ground truth")
     sv.add_argument("--kernel", choices=[k.value for k in KernelKind], default=None)

@@ -8,7 +8,7 @@ strongly correlated norms, while selection flicker destroys them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,7 +69,7 @@ def autocorr(series: Sequence[float], lag: int) -> float:
     return num / denom
 
 
-def con_acc(error_norms: Sequence[float], lag: int = CONSISTENCY_LAG) -> float:
+def con_acc(error_norms: Sequence[float]) -> float:
     """Consistency accuracy: lag-2 autocorrelation of winner error norms.
 
     A perfectly steady (zero-variance) error series counts as fully
@@ -79,7 +79,7 @@ def con_acc(error_norms: Sequence[float], lag: int = CONSISTENCY_LAG) -> float:
     if x.size < 3:
         raise MetricError("consistency needs at least 3 frames")
     try:
-        return autocorr(x, lag)
+        return autocorr(x, CONSISTENCY_LAG)
     except ZeroVarianceError:
         return 1.0
 
@@ -96,9 +96,9 @@ class EvalReport:
     con_acc: float | None
     n_frames: int
     per_frame_winners: list[tuple[int, ...] | None]
-    per_frame_error_norms: list[float | None] = field(default_factory=list)
-    per_frame_correct: list[bool | None] = field(default_factory=list)
-    ground_truth: tuple[int, ...] = ()
+    per_frame_error_norms: list[float | None]
+    per_frame_correct: list[bool | None]
+    ground_truth: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {

@@ -72,16 +72,22 @@ class PerturbationSetting:
     displacement of the target (1.0 is roughly 120 px), change_camera
     scales the camera rotation/translation (1.0 is 3 degrees, 2 cm),
     occlusion and outside_fov give the fraction of frames affected, and
-    change_illumination is the descriptor noise sigma.
+    change_illumination is the descriptor noise sigma. A magnitude left
+    at None takes its kind's default: 0.1 for change_illumination, whose
+    descriptors are drawn from U(0, 1), and 1.0 for the other kinds.
     """
 
     kind: PerturbationKind
-    magnitude: float = 1.0
+    magnitude: float | None = None
 
     def __post_init__(self) -> None:
+        self.kind = PerturbationKind(self.kind)
+        if self.magnitude is None:
+            self.magnitude = 0.1 if self.kind is PerturbationKind.CHANGE_ILLUMINATION else 1.0
         if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
-            kind = PerturbationKind(self.kind).value
-            raise SceneError(f"{kind} magnitude must be finite and >= 0, got {self.magnitude!r}")
+            raise SceneError(
+                f"{self.kind.value} magnitude must be finite and >= 0, got {self.magnitude!r}"
+            )
 
 
 @dataclass
@@ -301,11 +307,14 @@ class DemoSequence:
     config: DemoConfig | None = None
     world_tracks: np.ndarray | None = None
     mover_ids: tuple[int, ...] = ()
-    target_ids: tuple[int, ...] = ()
 
     @property
     def n_frames(self) -> int:
         return len(self.frames)
+
+    @property
+    def target_ids(self) -> tuple[int, ...]:
+        return self.ground_truth[len(self.mover_ids):]
 
     def gt_visible(self, frame_index: int) -> bool:
         frame = self.frames[frame_index]
@@ -371,9 +380,8 @@ def _place(
     lo: np.ndarray,
     hi: np.ndarray,
     keep_away: Sequence[tuple[np.ndarray, float]],
-    tries: int = 400,
 ) -> np.ndarray:
-    for _ in range(tries):
+    for _ in range(400):
         cand = rng.uniform(lo, hi)
         if all(np.linalg.norm(cand - c) >= d for c, d in keep_away):
             return cand
@@ -425,11 +433,7 @@ class _Layout:
     tracks_px: list[np.ndarray] = field(default_factory=list)
     classes: list[FeatureClass] = field(default_factory=list)
     mover_ids: tuple[int, ...] = ()
-    target_ids: tuple[int, ...] = ()
-
-    @property
-    def ground_truth(self) -> tuple[int, ...]:
-        return self.mover_ids + self.target_ids
+    ground_truth: tuple[int, ...] = ()
 
     def add_task(
         self, kind: KernelKind, movers: Sequence[np.ndarray], targets: Sequence[np.ndarray]
@@ -437,7 +441,7 @@ class _Layout:
         """The mover's and the target's tracks, as the classes ``kind`` associates."""
         mover_class, target_class = KIND_ENTITIES[kind]
         self.mover_ids = self.add(mover_class, *movers)
-        self.target_ids = self.add(target_class, *targets)
+        self.ground_truth = self.mover_ids + self.add(target_class, *targets)
 
     def add(self, feature_class: FeatureClass, *tracks: np.ndarray) -> tuple[int, ...]:
         first = len(self.tracks_px)
@@ -711,7 +715,6 @@ def gen_demo(config: DemoConfig) -> DemoSequence:
         config=config,
         world_tracks=world_tracks,
         mover_ids=layout.mover_ids,
-        target_ids=layout.target_ids,
     )
     if not demo.gt_visible(0):
         raise SceneError("generated demo does not show the ground truth in frame 1")
@@ -733,7 +736,7 @@ def _reproject(
 
 def _window(magnitude: float, n_frames: int) -> tuple[int, int]:
     """Centered frame window covering a magnitude fraction of the demo."""
-    span = int(round(min(max(magnitude, 0.0), 1.0) * n_frames))
+    span = int(round(min(magnitude, 1.0) * n_frames))
     span = min(span, n_frames - 2)
     start = max(1, (n_frames - span) // 2)
     return start, start + span
@@ -748,7 +751,7 @@ def apply_perturbation(
     re-render from the stored world tracks, so they require a demo that
     still carries them (i.e. generated in-process, not loaded from JSON).
     """
-    kind = PerturbationKind(setting.kind)
+    kind = setting.kind
     rng = np.random.default_rng([seed, _TAG_PERTURB[kind.value]])
 
     if kind is PerturbationKind.OCCLUSION:
@@ -790,7 +793,7 @@ def apply_perturbation(
     scale = DESK_DEPTH_M / demo.camera.f
     cfg = demo.config
     w, h = cfg.image_size
-    gt_ids = sorted(set(demo.mover_ids) | set(demo.target_ids))
+    gt_ids = sorted(demo.ground_truth)
     anchor = np.concatenate([demo.world_tracks[0, list(demo.target_ids), :2].mean(axis=0), [0.0]])
     for attempt in range(200):
         angle = rng.uniform(-0.6, 0.6) * min(setting.magnitude, 2.0)
@@ -947,7 +950,7 @@ class SimWorld:
     mover_ids: tuple[int, ...]
     ground_truth: tuple[int, ...]
     kernel_kind: KernelKind
-    image_size: tuple[int, int] = IMAGE_SIZE
+    image_size: tuple[int, int]
 
     def render(self) -> Frame:
         return observe(self.positions[None], self.classes, self.bases, self.camera, self.image_size)[0]

@@ -131,17 +131,12 @@ class LinearPlant:
 
     matrix: np.ndarray
     offset: np.ndarray
-    q0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=float)
         self.offset = np.asarray(self.offset, dtype=float).ravel()
-        self._q = (
-            np.zeros(self.matrix.shape[1])
-            if self.q0 is None
-            else np.asarray(self.q0, dtype=float).ravel().copy()
-        )
         self.dof = self.matrix.shape[1]
+        self._q = np.zeros(self.dof)
 
     @property
     def q(self) -> np.ndarray:

@@ -18,11 +18,11 @@ feature is encoded once, every line or conic entity is fitted once, and
 all candidates' errors come from one batched ``geometry`` call. Candidates
 are grouped into entities from all of a frame's features and count on the
 frame only if every member is visible and the geometry is non-degenerate.
-``prepare_candidates`` enumerates a demo's candidates once, from the
-features of all its frames, and runs ``_frame_batch`` on every frame
-against that one layout to get the per-frame node rows and errors that
-training packs; ``infer`` scores one frame's arrays in one forward pass,
-and ``association_error`` measures one fixed association with them.
+A feature list's candidates form one cached table, ``_Layout``.
+``prepare_candidates`` takes the table of all a demo's features and runs
+``_frame_batch`` on every frame against it to get the per-frame node rows
+and errors that training packs; ``infer`` scores one frame's arrays in one
+forward pass, and ``association_error`` measures one fixed association.
 """
 
 from __future__ import annotations
@@ -133,31 +133,33 @@ class CandidateInstance:
 
 def _group_entities(
     ids: Sequence[int], classes: Sequence[FeatureClass]
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Split features into entities, one tuple of them per class of ``ENTITY_SIZE``.
+) -> dict[FeatureClass, list[tuple[int, ...]]]:
+    """Split features into entities, a list of them per class of ``ENTITY_SIZE``.
 
     A class's sorted ids form runs of its entity size, each run on
     consecutive ids, matching the generator's allocation. Callers pass
     every feature of a frame, visible or not, so a hidden endpoint or
     sample cannot shift the grouping of the others.
     """
-    grouping = []
+    grouping = {}
     for cls, size in ENTITY_SIZE.items():
         ids_of = sorted(fid for fid, c in zip(ids, classes) if c is cls)
-        runs = tuple(tuple(ids_of[i : i + size]) for i in range(0, len(ids_of), size))
-        for run in runs:
+        grouping[cls] = [tuple(ids_of[i : i + size]) for i in range(0, len(ids_of), size)]
+        for run in grouping[cls]:
             if run != tuple(range(run[0], run[0] + size)):
                 raise TrainingError(
                     f"{cls.value} ids {list(run)} do not form one entity of {size} consecutive ids"
                 )
-        grouping.append(runs)
-    return tuple(grouping)
+    return grouping
 
 
 @dataclass(frozen=True)
 class _Layout:
-    """A candidate list as arrays: everything that stays fixed from frame to frame.
+    """One candidate table: a feature list's candidates, fixed from frame to frame.
 
+    entities:  (C,) sorted entity tuples, e.g. ((5,), (1, 2)) for point 5
+               against segment (1, 2).
+    edges:     (E, 2) graph wiring every candidate shares (``entity_wiring``).
     members:   (C, n) feature ids of each candidate, entity by entity.
     fitted:    (U, k) feature ids of each distinct last entity, the one
                p2l, l2l and p2c fit a line or conic through.
@@ -165,7 +167,8 @@ class _Layout:
     """
 
     kind: KernelKind
-    sizes: tuple[int, ...]
+    entities: tuple[tuple[tuple[int, ...], ...], ...]
+    edges: np.ndarray
     members: np.ndarray
     fitted: np.ndarray
     fitted_of: np.ndarray
@@ -173,16 +176,16 @@ class _Layout:
 
 @functools.lru_cache(maxsize=64)
 def _enumerate(
-    kind: KernelKind, grouping: tuple[tuple[tuple[int, ...], ...], ...]
-) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], _Layout]:
-    """Every candidate of one entity grouping, sorted, and its layout.
+    kind: KernelKind, ids: tuple[int, ...], classes: tuple[FeatureClass, ...]
+) -> _Layout:
+    """The candidate table of one feature list, ``ids`` with their ``classes``.
 
     A candidate pairs one entity of each class ``kind`` associates: two
     distinct entities when both classes are the same, any two otherwise.
-    Frames of one scene share their grouping, so per-frame inference
-    finds both here after its first frame.
+    Frames of one scene list the same features, so per-frame inference
+    finds their table here after its first frame.
     """
-    entities = dict(zip(ENTITY_SIZE, grouping))
+    entities = _group_entities(ids, classes)
     first, second = KIND_ENTITIES[kind]
     if first is second:
         combos = list(itertools.combinations(entities[first], 2))
@@ -201,7 +204,7 @@ def _enumerate(
     for arr in arrays:
         arr.flags.writeable = False
     # Every candidate of one kind has the same entity sizes.
-    return tuple(combos), _Layout(kind, tuple(len(e) for e in combos[0]), *arrays)
+    return _Layout(kind, tuple(combos), entity_wiring(tuple(map(len, combos[0]))), *arrays)
 
 
 @dataclass
@@ -287,9 +290,9 @@ def association_error(
     kind = KernelKind(kind)
     wanted = frozenset(ids)
     rows = np.flatnonzero(np.isin(frame.ids, list(wanted)))
-    classes = [frame.classes[i] for i in rows]
-    combos, layout = _enumerate(kind, _group_entities(frame.ids[rows].tolist(), classes))
-    if len(combos) != 1 or layout.members.shape[1] != len(wanted):
+    classes = tuple(frame.classes[i] for i in rows)
+    layout = _enumerate(kind, tuple(frame.ids[rows].tolist()), classes)
+    if len(layout.entities) != 1 or layout.members.shape[1] != len(wanted):
         raise TrainingError(f"feature ids {sorted(wanted)} do not form one {kind.value} candidate")
     hidden = sorted(frame.ids[rows[~frame.visible[rows]]].tolist())
     if hidden:
@@ -301,7 +304,7 @@ def association_error(
         raise NoVisibleCandidatesError(
             f"association {sorted(wanted)} has degenerate geometry on this frame"
         )
-    return batch.errors[0], combos[0]
+    return batch.errors[0], layout.entities[0]
 
 
 def quality_score(
@@ -534,10 +537,8 @@ def write_loss_csv(trained: TrainedKernel, path: str) -> None:
             fh.write(f"{epoch},{cells}\n")
 
 
-def enumerate_candidates(
-    demo: DemoSequence, kind: KernelKind
-) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], _Layout]:
-    """Every candidate of ``kind`` over the features of all demo frames, and their layout.
+def enumerate_candidates(demo: DemoSequence, kind: KernelKind) -> _Layout:
+    """The candidate table of ``kind`` over the features of all demo frames.
 
     A feature absent from some frames still takes part. A feature id
     observed with two feature classes raises TrainingError, and a demo
@@ -553,7 +554,7 @@ def enumerate_candidates(
                     f"feature id {fid} is observed both as {seen.value} and as {cls.value}"
                 )
     try:
-        return _enumerate(KernelKind(kind), _group_entities(list(first), list(first.values())))
+        return _enumerate(KernelKind(kind), tuple(first), tuple(first.values()))
     except TooFewFeaturesError as exc:
         held = ", ".join(sorted({cls.value for cls in first.values()})) or "no"
         raise TooFewFeaturesError(f"the demo holds {held} features only, so {exc}") from exc
@@ -564,14 +565,14 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
 
     Candidates are enumerated once, from the features of all frames, so a
     feature missing from the first frame still takes part. Each frame is
-    then measured against that one layout: a candidate gets None on a
+    then measured against that one table: a candidate gets None on a
     frame where a member is missing or invisible or its geometry
     degenerates, and on an empty frame.
     """
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
-    combos, layout = enumerate_candidates(demo, kind)
-    candidates = [CandidateInstance(ent) for ent in combos]
+    layout = enumerate_candidates(demo, kind)
+    candidates = [CandidateInstance(ent) for ent in layout.entities]
     for frame in demo.frames:
         if not frame.ids.size:
             for cand in candidates:
@@ -670,12 +671,15 @@ class InferenceResult:
     geometric error on the frame.
     """
 
-    winner_ids: frozenset[int]
     winner_entities: tuple[tuple[int, ...], ...]
     weights: np.ndarray
     candidates: list[tuple[tuple[int, ...], ...]]
     error: np.ndarray
     low_confidence: bool
+
+    @property
+    def winner_ids(self) -> frozenset[int]:
+        return frozenset(fid for ent in self.winner_entities for fid in ent)
 
 
 def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
@@ -697,7 +701,7 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
         raise NoVisibleCandidatesError("no visible features on this frame")
     kind = trained.kernel_kind
     try:
-        combos, layout = _enumerate(kind, _group_entities(frame.ids.tolist(), frame.classes))
+        layout = _enumerate(kind, tuple(frame.ids.tolist()), frame.classes)
     except TrainingError as exc:
         raise NoVisibleCandidatesError(str(exc)) from exc
     batch = _frame_batch(layout, frame, trained.image_size)
@@ -716,16 +720,13 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
     hidden, rounds = trained.params.hidden, trained.config.rounds
     ws = trained._workspace
     if ws is None or ws.key != (*nodes.shape, hidden, rounds):
-        wiring = entity_wiring(layout.sizes)
-        ws = trained._workspace = network.Workspace(*nodes.shape, wiring, hidden, rounds)
+        ws = trained._workspace = network.Workspace(*nodes.shape, layout.edges, hidden, rounds)
     scores = network.forward_batch(nodes, trained.params, ws)
     g, winner = select_out(scores, trained.config.alpha_conf)
-    candidates = [combos[j] for j in usable]
-    entities = candidates[winner]
+    candidates = [layout.entities[j] for j in usable]
     m = usable.size
     return InferenceResult(
-        winner_ids=frozenset(fid for ent in entities for fid in ent),
-        winner_entities=entities,
+        winner_entities=candidates[winner],
         weights=g,
         candidates=candidates,
         error=batch.errors[usable[winner]],

@@ -85,7 +85,6 @@ def toy_demo(n_frames=20, seed=0):
         seed=seed,
         kernel_kind=KernelKind.P2P,
         mover_ids=(0,),
-        target_ids=(1,),
     )
 
 

@@ -195,6 +195,23 @@ def test_bad_perturbation_magnitude_names_the_flag(tmp_path, capsys, perturb, ma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("perturb, default", [
+    ("change_illumination", "0.1"),
+    ("random_target", "1.0"),
+    ("change_camera", "1.0"),
+    ("occlusion", "1.0"),
+    ("outside_fov", "1.0"),
+])
+def test_default_magnitude_per_perturbation(tmp_path, perturb, default):
+    # change_illumination's descriptor noise defaults to sigma 0.1, the
+    # other kinds to magnitude 1; the demo stays the same byte for byte
+    argv = ["gen", "--seed", "0", "--n-frames", "6", "--n-distractors", "2", "--perturb", perturb]
+    plain, given = tmp_path / "plain.json", tmp_path / "given.json"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--magnitude", default, "--out", str(given)]) == 0
+    assert plain.read_bytes() == given.read_bytes()
+
+
 @pytest.mark.parametrize("start_error_px", ["nan", "inf", "0", "-5"])
 def test_bad_servo_start_error_names_the_flag(tmp_path, capsys, start_error_px):
     out = tmp_path / "traj.csv"

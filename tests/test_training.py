@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from geomimic.scene import (
     FeatureClass,
     demo_to_json_dict,
     gen_demo,
+    load_demo,
     save_demo,
 )
 from geomimic.training import (
@@ -32,6 +34,7 @@ from geomimic.training import (
     TrainedKernel,
     TrainingError,
     association_error,
+    enumerate_candidates,
     infer,
     load_trained,
     prepare_candidates,
@@ -40,7 +43,7 @@ from geomimic.training import (
     select_out,
     train,
 )
-from geomimic.training import _objective, _pack_candidates
+from geomimic.training import _enumerate, _objective, _pack_candidates
 
 from conftest import hide, make_frame, move, pixel_of, take, toy_demo
 from reference import loss_and_grads
@@ -707,12 +710,35 @@ class TestCandidatesFromAllFrames:
             prepare_candidates(demo, KernelKind.P2P)
 
     def test_unchanged_when_every_frame_lists_every_feature(self):
-        for kind, n_frames in (("p2p", 20), ("l2l", 12), ("p2c", 12)):
-            demo = gen_demo(DemoConfig(kernel_kind=KernelKind(kind), seed=0, n_frames=n_frames,
-                                       n_distractors=2))
+        # the demo's table lists the reference's candidates of a frame that
+        # shows every feature, also when a later frame hides a target
+        # endpoint or sample (a point for p2p) or does not list one at all
+        for kind in KernelKind:
+            demo = gen_demo(DemoConfig(kernel_kind=kind, seed=0, n_frames=6, n_distractors=2))
             from_first = reference.candidate_entities(demo.frames[0], kind)
-            cands = prepare_candidates(demo, KernelKind(kind))
-            assert [c.entities for c in cands] == from_first
+            hidden, missing = demo.target_ids[0], demo.target_ids[-1]
+            frames = list(demo.frames)
+            frames[2] = hide(frames[2], {hidden})
+            frames[3] = take(frames[3], frames[3].ids != missing)
+            for variant in (demo, replace(demo, frames=frames)):
+                assert list(enumerate_candidates(variant, kind).entities) == from_first
+                cands = prepare_candidates(variant, kind)
+                assert [c.entities for c in cands] == from_first
+            for cand in cands:
+                assert (cand.graphs[2] is None) == (hidden in cand.feature_ids)
+                assert (cand.graphs[3] is None) == (missing in cand.feature_ids)
+
+    def test_frames_of_one_scene_share_one_table(self, tmp_path):
+        # generated and loaded frames list the same features, so every
+        # frame, and the demo as a whole, finds the one cached table
+        kind = KernelKind.L2L
+        demo = gen_demo(DemoConfig(kernel_kind=kind, seed=0, n_frames=4, n_distractors=2))
+        save_demo(demo, str(tmp_path / "demo.json"))
+        loaded = load_demo(str(tmp_path / "demo.json"))
+        table = enumerate_candidates(demo, kind)
+        for frame in demo.frames + loaded.frames:
+            assert _enumerate(kind, tuple(frame.ids.tolist()), frame.classes) is table
+        assert enumerate_candidates(loaded, kind) is table
 
 
 def workspaces(trained):
