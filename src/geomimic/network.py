@@ -36,13 +36,15 @@ reverse pass, and both gates' sigmoid slopes come from one call. Each
 round's (H, H) weight gradients go into one contiguous stack that sums
 over the rounds and is written into the parameter blocks once per call.
 
-``NetParams`` keeps every block as a view into one flat float64 vector,
-so a gradient step, the clip norm and a snapshot are one vector op each.
+``NetParams`` keeps every block as a view into one flat vector, so a
+gradient step, the clip norm and a snapshot are one vector op each.
 
-A ``Workspace`` holds every array of one batch shape, wiring and round
-count: forward cache, reverse-pass temporaries and gradient. Training
-passes one to every epoch, which writes into it instead of allocating;
-inference keeps one forward-only one per trained kernel.
+A ``Workspace`` holds every array of one batch shape, wiring, round count
+and dtype: forward cache, reverse-pass temporaries and gradient. Training
+passes a float32 one to every epoch, which writes into it instead of
+allocating; inference keeps one forward-only float64 one per trained
+kernel. The passes compute in the workspace's dtype, so float32 and
+float64 run the same code.
 
 Apart from writing into the workspace they are given, the functions are
 pure, so results do not depend on call order.
@@ -113,11 +115,12 @@ class NetParams:
     w_z, w_r, w_h:  GRU update/reset/candidate gates on concat(h, m).
     w_read*/b_read*: readout MLP on the summed final node states.
 
-    Every block is a view into one float64 vector, ``vector``, laid out in
-    field order and row-major within a block, so a whole-model update is
-    one vector op. Construction copies the given arrays into a new vector;
-    write blocks in place, since assigning a new array to a field detaches
-    it from the vector.
+    Every block is a view into one vector, ``vector``, laid out in field
+    order and row-major within a block, so a whole-model update is one
+    vector op. Construction copies the given arrays into a new vector of
+    their common float dtype (float32 blocks stay float32, anything wider
+    or integer becomes float64); write blocks in place, since assigning a
+    new array to a field detaches it from the vector.
     """
 
     w_in: np.ndarray
@@ -138,8 +141,9 @@ class NetParams:
     b_read2: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = [np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)]
-        self.vector = np.concatenate([a.ravel() for a in arrays])
+        arrays = [np.asarray(getattr(self, f.name)) for f in fields(self)]
+        dtype = np.result_type(np.float32, *arrays)
+        self.vector = np.concatenate([a.ravel() for a in arrays], dtype=dtype)
         offset = 0
         for f, a in zip(fields(self), arrays):
             setattr(self, f.name, self.vector[offset : offset + a.size].reshape(a.shape))
@@ -153,27 +157,19 @@ class NetParams:
     def input_dim(self) -> int:
         return self.w_in.shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.vector.dtype
+
     @classmethod
-    def zeros(cls, hidden: int, input_dim: int) -> "NetParams":
+    def zeros(cls, hidden: int, input_dim: int, dtype=np.float64) -> "NetParams":
         h, f = hidden, input_dim
-        return cls(
-            w_in=np.zeros((h, f)),
-            b_in=np.zeros(h),
-            w_msg1=np.zeros((h, 2 * h)),
-            b_msg1=np.zeros(h),
-            w_msg2=np.zeros((h, h)),
-            b_msg2=np.zeros(h),
-            w_z=np.zeros((h, 2 * h)),
-            b_z=np.zeros(h),
-            w_r=np.zeros((h, 2 * h)),
-            b_r=np.zeros(h),
-            w_h=np.zeros((h, 2 * h)),
-            b_h=np.zeros(h),
-            w_read1=np.zeros((h, h)),
-            b_read1=np.zeros(h),
-            w_read2=np.zeros((1, h)),
-            b_read2=np.zeros(1),
+        shapes = dict(
+            w_in=(h, f), b_in=h, w_msg1=(h, 2 * h), b_msg1=h, w_msg2=(h, h), b_msg2=h,
+            w_z=(h, 2 * h), b_z=h, w_r=(h, 2 * h), b_r=h, w_h=(h, 2 * h), b_h=h,
+            w_read1=(h, h), b_read1=h, w_read2=(1, h), b_read2=1,
         )
+        return cls(**{name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()})
 
     @classmethod
     def init_random(
@@ -191,6 +187,10 @@ class NetParams:
 
     def copy(self) -> "NetParams":
         return NetParams(**self.blocks())
+
+    def astype(self, dtype) -> "NetParams":
+        """A copy with every block in ``dtype``."""
+        return NetParams(**{name: arr.astype(dtype) for name, arr in self.blocks().items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,7 +247,7 @@ _FORWARD_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0])[:, None,
 
 class Workspace:
     """Every array one batch shape needs: forward cache, reverse-pass
-    temporaries and the gradient.
+    temporaries and the gradient, all in ``dtype``.
 
     States are node-major (n*B, H) matrices: row i*B + b holds node i of
     graph b. The shape (B, n, F, H, rounds) and the wiring fix every array
@@ -256,7 +256,9 @@ class Workspace:
     calls on fresh workspaces. Each call overwrites what the previous call
     returned from it (scores, gradient). The reverse-pass arrays and the
     gradient are allocated by the first backward_batch call, so a
-    workspace that only scores holds the forward arrays alone.
+    workspace that only scores holds the forward arrays alone. The passes
+    take params of the workspace's dtype and cast nodes and upstream
+    gradients to it, so a float32 workspace computes in float32 throughout.
     """
 
     def __init__(
@@ -267,6 +269,7 @@ class Workspace:
         edges: np.ndarray,
         hidden: int,
         rounds: int,
+        dtype=np.float64,
     ) -> None:
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
@@ -274,9 +277,10 @@ class Workspace:
         b, n, k, r, e = batch, n_nodes, hidden, rounds, len(edges)
         nb = n * b
         self.key = (b, n, input_dim, k, r)
+        self.dtype = dt = np.dtype(dtype)
         # 0/1 incidence. Row e of `gather` adds edge e's src projection
         # (column src) to its dst projection (column n + dst).
-        self.gather = np.zeros((e, 2 * n))
+        self.gather = np.zeros((e, 2 * n), dtype=dt)
         self.gather[np.arange(e), edges[:, 0]] = 1.0
         self.gather[np.arange(e), n + edges[:, 1]] = 1.0
         self.scatter = np.ascontiguousarray(self.gather.T)
@@ -287,71 +291,78 @@ class Workspace:
         # blocks, transposed and signed in the forward pass, as stored in
         # the reverse pass; and the products of the aggregate-side gate
         # blocks with the second message layer.
-        self.w_blocks = np.empty((8, k, k))
-        self.w_on_agg = np.empty((3, k, k))
-        self.agg_bias = np.empty((3, k))
-        self.b_gates = np.empty((3, 1, 1, k))
-        self.gate_bias = np.empty((3, n, 1, k))
+        self.w_blocks = self._empty(8, k, k)
+        self.w_on_agg = self._empty(3, k, k)
+        self.agg_bias = self._empty(3, k)
+        self.b_gates = self._empty(3, 1, 1, k)
+        self.gate_bias = self._empty(3, n, 1, k)
         # Forward cache; h[0] is the embedding, h[t + 1] the state after
         # round t, step[t] = h_cand[t] - h[t].
-        self.x = np.empty((n, b, input_dim))
-        self.h = np.empty((r + 1, nb, k))
-        self.a1 = np.empty((r, e, b * k))
-        self.a1_in = np.empty((r, nb, k))
-        self.zr = np.empty((r, 2, nb, k))
-        self.rh = np.empty((r, nb, k))
-        self.h_cand = np.empty((r, nb, k))
-        self.step = np.empty((r, nb, k))
-        self.pooled = np.empty((b, k))
-        self.read_act = np.empty((b, k))
+        self.x = self._empty(n, b, input_dim)
+        self.h = self._empty(r + 1, nb, k)
+        self.a1 = self._empty(r, e, b * k)
+        self.a1_in = self._empty(r, nb, k)
+        self.zr = self._empty(r, 2, nb, k)
+        self.rh = self._empty(r, nb, k)
+        self.h_cand = self._empty(r, nb, k)
+        self.step = self._empty(r, nb, k)
+        self.pooled = self._empty(b, k)
+        self.read_act = self._empty(b, k)
         # Readout before b_read2 is added. Objectives that ignore a uniform
         # shift of the scores read this, so b_read2 drops out of them exactly.
-        self.raw_scores = np.empty(b)
-        self.scores = np.empty(b)
+        self.raw_scores = self._empty(b)
+        self.scores = self._empty(b)
         # Products of the stacked weights; the reverse pass reuses them as
         # temporaries.
-        self.proj_h = np.empty((4, nb, k))
-        self.proj_agg = np.empty((3, nb, k))
+        self.proj_h = self._empty(4, nb, k)
+        self.proj_agg = self._empty(3, nb, k)
         self.grads: NetParams | None = None
+
+    def _empty(self, *shape: int) -> np.ndarray:
+        return np.empty(shape, dtype=self.dtype)
 
     def _allocate_reverse(self) -> None:
         b, n, f, k, r = self.key
         nb, e = n * b, len(self.gather)
         # Pre-activation gradients of one round: message src half, dst
         # half, update, reset, candidate.
-        self.du = np.empty((5, nb, k))
+        self.du = self._empty(5, nb, k)
         # Row weights of the bias sums: 1, and the in-degree of the row's node.
-        self.row_weights = np.stack([np.ones(nb), np.repeat(self.in_degree, b)])
+        degree = np.repeat(self.in_degree, b)
+        self.row_weights = np.stack([np.ones_like(degree), degree])
         # Sums over the rounds, in _halves order: the weight gradients of
         # the h-side blocks and of the candidate's r * h block, then
         # P_g = sum du_g^T a1_in for the aggregate-side gates; and the
         # bias sums. The *_round arrays hold one round's share.
-        self.g_sum, self.g_round = np.empty((8, k, k)), np.empty((8, k, k))
-        self.bias_sum, self.bias_round = np.empty((5, 2, k)), np.empty((5, 2, k))
-        self.d_a1_in = np.empty((nb, k))
-        self.d_a1 = np.empty((e, b * k))
+        self.g_sum, self.g_round = self._empty(8, k, k), self._empty(8, k, k)
+        self.bias_sum, self.bias_round = self._empty(5, 2, k), self._empty(5, 2, k)
+        self.d_a1_in = self._empty(nb, k)
+        self.d_a1 = self._empty(e, b * k)
         self.live = np.empty((e, b * k), dtype=bool)
-        self.dh, self.dh_next, self.t1, self.t2 = (np.empty((nb, k)) for _ in range(4))
-        self.d_pre = np.empty((b, k))
-        self.grads = NetParams.zeros(k, f)
+        self.dh, self.dh_next, self.t1, self.t2 = (self._empty(nb, k) for _ in range(4))
+        self.d_pre = self._empty(b, k)
+        self.grads = NetParams.zeros(k, f, self.dtype)
 
 
 def forward_batch(nodes: np.ndarray, params: NetParams, ws: Workspace) -> np.ndarray:
     """Score a batch of graphs over the workspace's wiring and rounds.
 
     Args:
-        nodes: (B, n, F) node encodings, in the shape ``ws`` was built for.
-        params: network weights of the workspace's hidden size.
+        nodes: (B, n, F) node encodings, in the shape ``ws`` was built for;
+            cast to the workspace's dtype.
+        params: network weights of the workspace's hidden size and dtype.
         ws: arrays to compute in; they cache what backward_batch needs.
 
     Returns:
         (B,) scores. They live in the workspace, so the next call with it
         overwrites them.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = np.asarray(nodes, dtype=ws.dtype)
     b_sz, n, f, k, rounds = ws.key
-    if nodes.shape != (b_sz, n, f) or params.hidden != k:
-        raise ValueError(f"workspace wants ({b_sz}, {n}, {f}) nodes and hidden size {k}")
+    if nodes.shape != (b_sz, n, f) or params.hidden != k or params.dtype != ws.dtype:
+        raise ValueError(
+            f"workspace wants ({b_sz}, {n}, {f}) nodes and {ws.dtype} params of hidden size {k}"
+        )
     p = params
     w = ws.w_blocks
     for dst, block in zip(w, _halves(p)):
@@ -416,7 +427,8 @@ def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) ->
 
     Args:
         cache: the workspace of a forward_batch call with the same params.
-        upstream: (B,) gradient of the objective w.r.t. each score.
+        upstream: (B,) gradient of the objective w.r.t. each score; cast
+            to the workspace's dtype.
 
     Returns:
         Parameter gradients, summed over the batch. They live in the
@@ -433,7 +445,7 @@ def backward_batch(cache: Workspace, params: NetParams, upstream: np.ndarray) ->
     w_on_h, w_hh, w_agg = w[:4], w[4], w[5:]
     np.matmul(w_agg, p.w_msg2, out=ws.w_on_agg)
 
-    d_score = np.asarray(upstream, dtype=float)
+    d_score = np.asarray(upstream, dtype=ws.dtype)
     np.matmul(d_score, ws.read_act, out=g.w_read2[0])
     g.b_read2[0] = d_score.sum()
     d_pre = ws.d_pre

@@ -11,7 +11,9 @@ entropy-style regularizer).
 A training epoch scores every (candidate, frame) graph with
 ``network.forward_batch``, turns the scores into the loss and its
 gradient per score in closed form (``_objective``), and carries that
-gradient into the parameters with ``network.backward_batch``.
+gradient into the parameters with ``network.backward_batch``. The two
+passes and the gradient step run in ``TRAIN_DTYPE`` (float32), the loss
+in float64, and the trained params are returned in float64.
 
 One frame becomes a candidate batch in one place, ``_frame_batch``: every
 feature is encoded once, every line or conic entity is fitted once, and
@@ -587,6 +589,11 @@ def prepare_candidates(demo: DemoSequence, kind: KernelKind) -> list[CandidateIn
     return candidates
 
 
+# The forward pass, the reverse pass and the gradient step run in this
+# dtype; the objective, the clip norm and the returned params are float64
+# (mixed-precision training, Micikevicius et al. 2018).
+TRAIN_DTYPE = np.float32
+
 # Update steps are clipped to this global gradient norm. The objective
 # sums over frames, so raw gradients scale with demo length and a fixed
 # learning rate can catapult the params out of a good basin.
@@ -611,18 +618,25 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     as ``epochs``, so training again with it rebuilds the same kernel.
     The stop rules run between the objective and the reverse pass, so the
     epoch that stops training takes no reverse pass and no step.
-    Deterministic for a fixed config: init, packing order and the
-    single-threaded numpy math are all seed-driven.
+
+    The passes and the step run in ``TRAIN_DTYPE``; the objective reads
+    the float32 scores widened to float64, and the returned params are
+    the float32 best iterate widened to float64, which is exact. Init
+    and packing order are seed-driven, and the clip norm is a fixed-order
+    float64 sum, so a fixed config gives the same kernel on every run.
+    At another BLAS thread count the float32 GEMMs may sum in another
+    order (README, "Conventions").
     """
     kind = KernelKind(kind)
     size = demo.config.image_size if demo.config else IMAGE_SIZE
     candidates = prepare_candidates(demo, kind)
     pack = _pack_candidates(candidates, config)
-    b_sz, n_nodes, input_dim = pack.nodes.shape
+    nodes = pack.nodes.astype(TRAIN_DTYPE)
+    b_sz, n_nodes, input_dim = nodes.shape
     rng = np.random.default_rng([config.seed, 51])
-    params = NetParams.init_random(config.hidden, input_dim, rng)
+    params = NetParams.init_random(config.hidden, input_dim, rng).astype(TRAIN_DTYPE)
     workspace = network.Workspace(
-        b_sz, n_nodes, input_dim, pack.edges, config.hidden, config.rounds
+        b_sz, n_nodes, input_dim, pack.edges, config.hidden, config.rounds, TRAIN_DTYPE
     )
 
     trace = np.empty((config.epochs, 5))
@@ -630,8 +644,8 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     best_loss = math.inf
     best_params = params.copy()
     for epoch in range(config.epochs):
-        network.forward_batch(pack.nodes, params, workspace)
-        breakdown, d_scores = _objective(pack, workspace.raw_scores, config)
+        network.forward_batch(nodes, params, workspace)
+        breakdown, d_scores = _objective(pack, workspace.raw_scores.astype(float), config)
         if breakdown.value < best_loss:
             best_loss = breakdown.value
             np.copyto(best_params.vector, params.vector)
@@ -650,7 +664,9 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
             if before - best_loss <= PLATEAU_RTOL * abs(before):
                 break
         grads = network.backward_batch(workspace, params, d_scores)
-        gnorm = float(np.linalg.norm(grads.vector))
+        # A float64 sum in numpy's fixed pairwise order, not BLAS's, so
+        # the norm does not depend on the BLAS thread count.
+        gnorm = math.sqrt(float(np.sum(np.square(grads.vector, dtype=np.float64))))
         scale = -config.lr
         if gnorm > GRAD_CLIP_NORM:
             scale *= GRAD_CLIP_NORM / gnorm
@@ -658,7 +674,9 @@ def train(demo: DemoSequence, kind: KernelKind, config: TrainConfig) -> TrainedK
     trace = trace[: epoch + 1]
     if not np.isfinite(trace[:, 1]).all():
         raise TrainingError("training diverged: non-finite loss")
-    return TrainedKernel(kind, best_params, replace(config, epochs=len(trace)), trace, size)
+    return TrainedKernel(
+        kind, best_params.astype(np.float64), replace(config, epochs=len(trace)), trace, size
+    )
 
 
 @dataclass

@@ -25,6 +25,7 @@ from geomimic.network import NetParams
 from geomimic.scene import CameraModel, rodrigues
 from geomimic.training import (
     GRAD_CLIP_NORM,
+    TRAIN_DTYPE,
     _objective,
     _pack_candidates,
     prepare_candidates,
@@ -224,41 +225,43 @@ def loss_and_grads(pack, params, config, workspace=None):
     """One epoch's forward pass, objective and backward pass, as ``train``
     runs them: the loss breakdown and the parameter gradients.
 
+    The passes run in the params' dtype and the objective in float64.
     Without a workspace a fresh one is built, so the gradients stay valid
     across calls.
     """
     if workspace is None:
         workspace = network.Workspace(*pack.nodes.shape, pack.edges, params.hidden,
-                                      config.rounds)
+                                      config.rounds, params.dtype)
     network.forward_batch(pack.nodes, params, workspace)
-    breakdown, d_scores = _objective(pack, workspace.raw_scores, config)
+    breakdown, d_scores = _objective(pack, workspace.raw_scores.astype(float), config)
     return breakdown, network.backward_batch(workspace, params, d_scores)
 
 
 def train_fixed_epochs(demo, kind, config):
     """The training loop before the plateau stop: exactly ``config.epochs``
-    clipped gradient steps.
+    clipped gradient steps, at the trainer's precision: passes and steps in
+    ``TRAIN_DTYPE``, the objective and the clip norm in float64.
 
     Returns the (epochs, 5) loss trace and the lowest-loss iterate's param
-    vector.
+    vector, widened to float64.
     """
     pack = _pack_candidates(prepare_candidates(demo, kind), config)
     b_sz, n_nodes, input_dim = pack.nodes.shape
     params = NetParams.init_random(
         config.hidden, input_dim, np.random.default_rng([config.seed, 51])
-    )
+    ).astype(TRAIN_DTYPE)
     workspace = network.Workspace(
-        b_sz, n_nodes, input_dim, pack.edges, config.hidden, config.rounds
+        b_sz, n_nodes, input_dim, pack.edges, config.hidden, config.rounds, TRAIN_DTYPE
     )
     trace = np.empty((config.epochs, 5))
     best_loss = math.inf
-    best_params = params.vector.copy()
+    best_params = params.vector.astype(np.float64)
     for epoch in range(config.epochs):
         breakdown, grads = loss_and_grads(pack, params, config, workspace)
         if breakdown.value < best_loss:
             best_loss = breakdown.value
-            best_params = params.vector.copy()
-        gnorm = float(np.linalg.norm(grads.vector))
+            best_params = params.vector.astype(np.float64)
+        gnorm = math.sqrt(float(np.sum(np.square(grads.vector, dtype=np.float64))))
         scale = -config.lr
         if gnorm > GRAD_CLIP_NORM:
             scale *= GRAD_CLIP_NORM / gnorm

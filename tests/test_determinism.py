@@ -2,7 +2,8 @@
 
 Identical seeds give byte-identical artifacts at a fixed BLAS thread
 count. At another count BLAS may sum in another order, so trained params
-differ in the last bits; this pins how far, on the bench l2l demo.
+could differ in the last bits; this pins how far, on the bench l2l demo,
+and that the walkthrough p2p models come out byte-identical.
 """
 
 import json
@@ -16,10 +17,11 @@ import geomimic
 
 # README "Conventions" states this bound: 40 epochs, and a default run to
 # its plateau stop, on the bench l2l demo at 1 and at 2 BLAS threads.
-# Measured differences at 40 epochs were 1e-14 or less on seeds 0-2 and
-# 4e-11 on seed 3. Default runs of seeds 0 and 1 stop after 65 and 68
-# epochs on both counts and end 1.2e-14 and 9.6e-13 apart; seed 3, left
-# out, stops after 82 on both but ends 1.8e-5 apart.
+# With float32 training passes and a float64 clip norm summed outside
+# BLAS, seeds 0-3 gave bit-identical params at 40 epochs and in default
+# runs, which stop after 64, 149, 72 and 86 epochs on both counts. The
+# float64 trainer before them differed by up to 7.5e-10 at 40 epochs, and
+# its default run of seed 3 ended 1.3e-3 apart.
 BLAS_THREADS_PARAM_TOL = 1e-9
 
 _TRAIN_AND_EVAL = """
@@ -50,15 +52,30 @@ print(json.dumps(out))
 """
 
 
-def _run(threads: int) -> list[dict]:
+# Default runs on the README walkthrough's p2p demo (12 frames, 2
+# distractors), each model saved to the directory in argv[1].
+_TRAIN_WALKTHROUGH = """
+import os, sys
+from geomimic import scene, training
+from geomimic.geometry import KernelKind
+
+for seed in (0, 1, 3):
+    demo = scene.gen_demo(scene.DemoConfig(
+        kernel_kind=KernelKind.P2P, seed=seed, n_frames=12, n_distractors=2))
+    trained = training.train(demo, KernelKind.P2P, training.TrainConfig(seed=seed))
+    training.save_trained(trained, os.path.join(sys.argv[1], f"model_{seed}.json"))
+"""
+
+
+def _run(threads: int, script: str = _TRAIN_AND_EVAL, *args: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(geomimic.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", _TRAIN_AND_EVAL],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
-    return json.loads(done.stdout)
+    return done.stdout
 
 
 def _params(hexes: list[str]) -> np.ndarray:
@@ -66,9 +83,20 @@ def _params(hexes: list[str]) -> np.ndarray:
 
 
 def test_one_and_two_blas_threads_agree():
-    one, two = _run(1), _run(2)
+    one, two = json.loads(_run(1)), json.loads(_run(2))
     for a, b in zip(one, two):
         for key in ("params", "full_params"):
             assert np.max(np.abs(_params(a[key]) - _params(b[key]))) <= BLAS_THREADS_PARAM_TOL
         assert a["full_epochs"] == b["full_epochs"] < 300
         assert a["winners"] == b["winners"]
+
+
+def test_walkthrough_models_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    models = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        _run(threads, _TRAIN_WALKTHROUGH, str(out))
+        models[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(models[1]) == ["model_0.json", "model_1.json", "model_3.json"]
+    assert models[1] == models[2]

@@ -366,11 +366,39 @@ class TestWorkspace:
             forward_batch(nodes[:4], params, ws)
         with pytest.raises(ValueError, match="workspace wants"):
             forward_batch(nodes, random_params(rng, hidden=HIDDEN + 1), ws)
+        with pytest.raises(ValueError, match="workspace wants"):
+            forward_batch(nodes, params.astype(np.float32), ws)
         with pytest.raises(ValueError, match="rounds must be >= 0"):
             Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, -1)
 
 
+    def test_float32_workspace_holds_no_float64_array(self):
+        # float64 nodes and upstream are cast where they enter; a float64
+        # array anywhere in the workspace would upcast the float32 GEMMs
+        rng = np.random.default_rng(35)
+        nodes, edges = self.batch(rng)
+        params = random_params(rng).astype(np.float32)
+        ws = Workspace(len(nodes), nodes.shape[1], DIM, edges, HIDDEN, 3, np.float32)
+        forward_batch(nodes, params, ws)
+        backward_batch(ws, params, rng.normal(size=len(nodes)))
+        arrays = {name: a for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        arrays["grads"] = ws.grads.vector
+        assert len(arrays) > 30
+        assert {name: a.dtype for name, a in arrays.items() if a.dtype != np.float32} == {
+            "live": np.dtype(bool)
+        }
+
+
 class TestParamsIO:
+    def test_astype_rounds_to_float32_and_widens_exactly(self):
+        double = NetParams.init_random(HIDDEN, DIM, np.random.default_rng(36))
+        single = double.astype(np.float32)
+        assert single.dtype == np.float32 and double.dtype == np.float64
+        assert np.array_equal(single.vector, double.vector.astype(np.float32))
+        assert np.shares_memory(single.w_in, single.vector)
+        assert single.copy().dtype == np.float32
+        assert np.array_equal(single.astype(np.float64).vector, single.vector)
+
     def test_copy_is_deep(self):
         rng = np.random.default_rng(18)
         params = random_params(rng)

@@ -487,6 +487,49 @@ class TestTrain:
             TrainedKernel.from_json_dict(payload)
 
 
+
+# The bench demo sizes: p2p at 20 frames and 3 distractors, the other
+# kinds at 12 and 2.
+BENCH_SIZES = {KernelKind.P2P: (20, 3), KernelKind.L2L: (12, 2), KernelKind.P2C: (12, 2)}
+
+# The float32 reverse pass against the float64 one at the same params and
+# upstream gradient. Measured on the seed-0 bench demos of the three kinds
+# (random init): the worst entry is off by at most 4.7e-7 of the float64
+# gradient's largest entry, and the vector by at most 4.5e-7 relative in
+# the 2-norm; over seeds 0-5, by at most 1.2e-6 and 6.7e-7. The bound is
+# about 80 float32 epsilons (1.2e-7).
+FLOAT32_GRAD_TOL = 1e-5
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("kind", list(BENCH_SIZES))
+    def test_reverse_pass_matches_float64(self, kind):
+        n_frames, n_distractors = BENCH_SIZES[kind]
+        demo = gen_demo(DemoConfig(kernel_kind=kind, seed=0, n_frames=n_frames,
+                                   n_distractors=n_distractors))
+        config = TrainConfig(seed=0)
+        pack = _pack_candidates(prepare_candidates(demo, kind), config)
+        single = NetParams.init_random(32, pack.nodes.shape[2],
+                                       np.random.default_rng(0)).astype(np.float32)
+        double = single.astype(np.float64)
+        # Both passes get the float64 pass's upstream gradient, so they
+        # differ by the arithmetic's precision alone.
+        ws64 = network.Workspace(*pack.nodes.shape, pack.edges, 32, config.rounds)
+        network.forward_batch(pack.nodes, double, ws64)
+        _, upstream = _objective(pack, ws64.raw_scores, config)
+        g64 = network.backward_batch(ws64, double, upstream).vector
+        ws32 = network.Workspace(*pack.nodes.shape, pack.edges, 32, config.rounds, np.float32)
+        network.forward_batch(pack.nodes, single, ws32)
+        g32 = network.backward_batch(ws32, single, upstream).vector
+        assert np.max(np.abs(g32 - g64)) <= FLOAT32_GRAD_TOL * np.max(np.abs(g64))
+        assert np.linalg.norm(g32 - g64) <= FLOAT32_GRAD_TOL * np.linalg.norm(g64)
+
+    def test_returns_float64_params_exact_in_float32(self, toy_trained):
+        vector = toy_trained.params.vector
+        assert vector.dtype == np.float64
+        assert np.array_equal(vector.astype(np.float32).astype(np.float64), vector)
+
+
 def p2l_frame(n_segments):
     """One point against n_segments segments: n_segments candidates."""
     rng = np.random.default_rng(24)
