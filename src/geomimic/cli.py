@@ -27,6 +27,7 @@ from .scene import (
     gen_demo,
     load_demo,
     make_servo_world,
+    read_json,
     save_demo,
 )
 from .servo import ServoConfig, ServoError, closed_loop
@@ -55,14 +56,9 @@ def _load(loader, path: str, what: str):
         raise CliError(f"{what} file {path} is invalid: {exc}") from exc
 
 
-def _read_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _merged_config(cls, args: argparse.Namespace):
     """The --config file's fields, overridden by each set flag whose dest is a field of `cls`."""
-    merged = {} if args.config is None else _load(_read_json, args.config, "config")
+    merged = {} if args.config is None else _load(read_json, args.config, "config")
     if not isinstance(merged, dict):
         raise CliError(f"config file {args.config} must hold a JSON object")
     names = {f.name for f in fields(cls)}
@@ -133,7 +129,7 @@ def _cmd_servo(args: argparse.Namespace) -> int:
         trained = _load(load_trained, args.model, "model")
         kind = trained.kernel_kind
         # The world renders what the model reads: its descriptor width and image size.
-        shape = {"descriptor_dim": trained.params.input_dim - 2, "image_size": trained.image_size}
+        shape = {"descriptor_dim": trained.descriptor_dim, "image_size": trained.image_size}
     else:
         kind = KernelKind(args.kernel or "p2p")
     try:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scene import DemoSequence
+from .scene import DemoSequence, write_json
 from .training import (
     NoVisibleCandidatesError,
     TooFewFeaturesError,
@@ -163,9 +163,7 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
 def save_report(report: EvalReport, path: str, config_echo: dict) -> None:
     payload = report.to_json_dict()
     payload["config"] = config_echo
-    text = json.dumps(payload)
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_json(payload, path)
 
 
 def write_frame_csv(report: EvalReport, path: str, config_echo: dict) -> None:

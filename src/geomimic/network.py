@@ -52,7 +52,6 @@ pure, so results do not depend on call order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -65,13 +64,12 @@ class GraphStructureError(ValueError):
     """Graph does not satisfy the structural rules of its kernel kind."""
 
 
-@functools.lru_cache(maxsize=64)
 def entity_wiring(sizes: tuple[int, ...]) -> np.ndarray:
     """(E, 2) edge list of every graph whose entities have these node counts.
 
     Edges run in both directions between every pair of nodes that belong
-    to different entities, sorted by (src, dst). The array is shared by
-    every caller, so it is read-only.
+    to different entities, sorted by (src, dst). The array is read-only:
+    the cached candidate tables of ``training`` share it.
     """
     group = np.repeat(np.arange(len(sizes)), sizes)
     edges = np.stack(np.nonzero(group[:, None] != group[None, :]), axis=1)

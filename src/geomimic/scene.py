@@ -212,12 +212,22 @@ class JsonConfig:
     to restore. A subclass names itself and its module's error, which an
     unknown key or a value that does not fit its field's annotation
     (``_type_fault``) raises: ``class DemoConfig(JsonConfig, name="demo",
-    error=SceneError)``.
+    error=SceneError)``. Its ``__post_init__`` calls this one first, so a
+    config built in Python is checked as a parsed one is.
     """
 
     def __init_subclass__(cls, name: str, error: type[Exception], **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._json_name, cls._json_error = name, error
+
+    def __post_init__(self) -> None:
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            fault = _type_fault(value, hints[f.name])
+            if fault:
+                what = f"{self._json_name} config field {f.name}"
+                raise self._json_error(f"{what} must be {fault}, got {value!r}")
 
     def to_json_dict(self) -> dict:
         payload = {}
@@ -235,12 +245,6 @@ class JsonConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise cls._json_error(f"unknown {cls._json_name} config keys: {sorted(unknown)}")
-        hints = get_type_hints(cls)
-        for name, value in payload.items():
-            fault = _type_fault(value, hints[name])
-            if fault:
-                what = f"{cls._json_name} config field {name}"
-                raise cls._json_error(f"{what} must be {fault}, got {value!r}")
         return cls(**payload)
 
 
@@ -268,8 +272,9 @@ class DemoConfig(JsonConfig, name="demo", error=SceneError):
     image_size: tuple[int, int] = IMAGE_SIZE
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         self.kernel_kind = KernelKind(self.kernel_kind)
-        self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
+        self.image_size = tuple(self.image_size)
         if min(self.image_size) <= 0:
             raise SceneError(f"image_size entries must be > 0, got {list(self.image_size)}")
         if self.n_frames < 2:
@@ -921,16 +926,25 @@ def demo_from_json_dict(payload: dict) -> DemoSequence:
     )
 
 
-def save_demo(demo: DemoSequence, path: str) -> None:
-    # json.dumps runs the C encoder; json.dump would run the Python one.
-    text = json.dumps(demo_to_json_dict(demo))
+def write_json(payload, path: str) -> None:
+    # Encoded first, then written at once: json.dumps runs the C encoder,
+    # json.dump would run the Python one.
+    text = json.dumps(payload)
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def load_demo(path: str) -> DemoSequence:
+def read_json(path: str):
     with open(path) as fh:
-        return demo_from_json_dict(json.load(fh))
+        return json.load(fh)
+
+
+def save_demo(demo: DemoSequence, path: str) -> None:
+    write_json(demo_to_json_dict(demo), path)
+
+
+def load_demo(path: str) -> DemoSequence:
+    return demo_from_json_dict(read_json(path))
 
 
 @dataclass

@@ -55,6 +55,7 @@ class ServoConfig(JsonConfig, name="servo", error=ServoError):
     explore_step: float = 1e-4
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mode not in ("ibvs", "uvs"):
             raise ServoError(f"unknown servo mode {self.mode!r}")
         if self.gain <= 0:
@@ -125,30 +126,6 @@ class Plant(Protocol):
     def apply(self, dq: np.ndarray) -> None: ...
 
 
-@dataclass
-class LinearPlant:
-    """e(q) = A q + offset; the minimal test harness for UVS."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.offset = np.asarray(self.offset, dtype=float).ravel()
-        self.dof = self.matrix.shape[1]
-        self._q = np.zeros(self.dof)
-
-    @property
-    def q(self) -> np.ndarray:
-        return self._q.copy()
-
-    def observe(self) -> np.ndarray:
-        return self.matrix @ self._q + self.offset
-
-    def apply(self, dq: np.ndarray) -> None:
-        self._q = self._q + np.asarray(dq, dtype=float).ravel()
-
-
 class ScenePlant:
     """Adapter: render the world, infer the constraint, expose its error.
 
@@ -167,9 +144,9 @@ class ScenePlant:
     def __init__(
         self,
         world: SimWorld,
-        trained: TrainedKernel | None = None,
-        mode: str = "ibvs",
-        association: tuple[int, ...] | None = None,
+        trained: TrainedKernel | None,
+        mode: str,
+        association: tuple[int, ...] | None,
     ) -> None:
         if mode not in ("ibvs", "uvs"):
             raise ServoError(f"unknown plant mode {mode!r}")
@@ -285,9 +262,8 @@ class ServoTrajectory:
 
 
 def estimate_jacobian(plant: Plant, step: float, e0: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian about the current error e0, one exploratory motion per dof."""
-    if step <= 0:
-        raise ServoError("exploratory step must be positive")
+    """Forward-difference Jacobian about the current error e0, one exploratory
+    motion of ``step`` (> 0, as ``ServoConfig.explore_step``) per dof."""
     cols = []
     for d in range(plant.dof):
         dq = np.zeros(plant.dof)
@@ -351,7 +327,7 @@ def closed_loop(
     world: SimWorld,
     trained: TrainedKernel | None,
     config: ServoConfig,
-    association: tuple[int, ...] | None = None,
+    association: tuple[int, ...] | None,
 ) -> ServoTrajectory:
     """Render, infer, and act until the selected constraint is satisfied."""
     plant = ScenePlant(world, trained, config.mode, association)

@@ -65,7 +65,7 @@ from .geometry import (  # noqa: F401
 )
 from .network import graph_from_entities  # noqa: F401
 from .network import NetParams, entity_wiring
-from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE, JsonConfig
+from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE, JsonConfig, read_json, write_json
 
 QUALITY_EPS = 1e-6
 
@@ -103,6 +103,7 @@ class TrainConfig(JsonConfig, name="train", error=TrainingError):
     rounds: int = 3
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.alpha_conf <= 0:
             raise TrainingError("alpha_conf must be positive")
         if self.epochs < 1 or self.hidden < 1 or self.rounds < 0:
@@ -470,10 +471,15 @@ class TrainedKernel:
     params: NetParams
     config: TrainConfig
     loss_trace: np.ndarray  # columns: epoch, loss, gcr_term, rsw_term, expected_quality
-    image_size: tuple[int, int] = IMAGE_SIZE
+    image_size: tuple[int, int]
     _workspace: network.Workspace | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def descriptor_dim(self) -> int:
+        """Descriptor width the model reads; ``_frame_batch`` appends two pixel coordinates."""
+        return self.params.input_dim - 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -486,10 +492,11 @@ class TrainedKernel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TrainedKernel":
-        """Rebuild a kernel. An image_size that is not two positive ints,
-        a params block of the wrong shape, params holding NaN or inf and
-        a config whose hidden size is not the params' are rejected, each
-        naming its field or block."""
+        """Rebuild a kernel. A missing field raises KeyError; an
+        image_size that is not two positive ints, a params block of the
+        wrong shape, params holding NaN or inf and a config whose hidden
+        size is not the params' are rejected, each naming its field or
+        block."""
         params = NetParams.from_json_dict(payload["params"])
         for name, block in params.blocks().items():
             if not np.isfinite(block).all():
@@ -500,7 +507,7 @@ class TrainedKernel:
                 f"model field config.hidden is {config.hidden}, "
                 f"but the params have hidden size {params.hidden}"
             )
-        size = payload.get("image_size", IMAGE_SIZE)
+        size = payload["image_size"]
         if not (
             isinstance(size, (list, tuple))
             and len(size) == 2
@@ -519,14 +526,11 @@ class TrainedKernel:
 
 
 def save_trained(trained: TrainedKernel, path: str) -> None:
-    text = json.dumps(trained.to_json_dict())
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_json(trained.to_json_dict(), path)
 
 
 def load_trained(path: str) -> TrainedKernel:
-    with open(path) as fh:
-        return TrainedKernel.from_json_dict(json.load(fh))
+    return TrainedKernel.from_json_dict(read_json(path))
 
 
 def write_loss_csv(trained: TrainedKernel, path: str) -> None:

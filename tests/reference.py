@@ -3,7 +3,8 @@ geometry and array inference replaced, the fixed-epoch training loop the
 plateau stop replaced, the per-feature observation loop that
 ``scene.observe`` replaced, the per-feature servo-world moves and the
 field-by-field camera moves that stacked matvecs and ``dataclasses.replace``
-replaced, and the single-sample building blocks of the scorer.
+replaced, a linear servo plant, and the single-sample building blocks of
+the scorer.
 
 The tests compare the production geometry, inference and training against
 these bit for bit, and the batched scorer against the composed building
@@ -375,6 +376,29 @@ def carry(positions, ids, before, after):
         xc = before.rotation @ positions[fid] + before.translation
         out[fid] = after.rotation.T @ (xc - after.translation)
     return out
+
+
+# A servo plant whose error is linear in the actuator state.
+
+
+class LinearPlant:
+    """e(q) = A q + offset: the minimal ``servo.Plant`` for testing UVS loops."""
+
+    def __init__(self, matrix, offset):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.offset = np.asarray(offset, dtype=float).ravel()
+        self.dof = self.matrix.shape[1]
+        self._q = np.zeros(self.dof)
+
+    @property
+    def q(self):
+        return self._q.copy()
+
+    def observe(self):
+        return self.matrix @ self._q + self.offset
+
+    def apply(self, dq):
+        self._q = self._q + np.asarray(dq, dtype=float).ravel()
 
 
 # One graph scored through the batched scorer, for tests of single graphs.

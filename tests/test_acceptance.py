@@ -28,7 +28,6 @@ from geomimic.scene import (
     make_servo_world,
 )
 from geomimic.servo import (
-    LinearPlant,
     ServoConfig,
     broyden_update,
     closed_loop,
@@ -42,7 +41,7 @@ from geomimic.training import (
     quality_score,
     train,
 )
-from reference import loss_and_grads, score, score_grads
+from reference import LinearPlant, loss_and_grads, score, score_grads
 
 ENTITY_SHAPES = {
     KernelKind.P2P: (1, 1),

@@ -411,6 +411,7 @@ class TestServo:
             "--out", str(demo),
         ]) == 0
         assert main(["train", "--demo", str(demo), "--epochs", "5", "--out", str(model)]) == 0
+        assert load_trained(str(model)).descriptor_dim == 8
         out = tmp_path / "t.csv"
         assert main(["servo", "--model", str(model), "--out", str(out)]) == 0
         assert ", converged, " in capsys.readouterr().out
@@ -553,6 +554,15 @@ class TestBadInputFiles:
                      ["servo", "--model", str(bad)]):
             err = self.run(tmp_path, capsys, argv, bad)
             assert f"model field image_size must be two positive integers, got {size!r}" in err
+
+    def test_model_without_image_size(self, tmp_path, capsys, workdir):
+        # every model `train` writes holds image_size; one without it is refused,
+        # not read at the default 640x480
+        bad = self.edited_model(tmp_path, workdir, lambda p: p.pop("image_size"))
+        for argv in (["eval", "--demo", str(workdir["demo"]), "--model", str(bad)],
+                     ["servo", "--model", str(bad)]):
+            err = self.run(tmp_path, capsys, argv, bad)
+            assert f"model file {bad} lacks the field 'image_size'" in err
 
     @pytest.mark.parametrize("block, shape, n_values", [
         ("w_msg2", [16, 64], 1024),  # all 32 x 32 values, declared 16 x 64

@@ -111,6 +111,21 @@ def test_unknown_config_keys_raise_the_modules_error(cls, error, name):
     assert str(info.value) == f"unknown {name} config keys: ['alpha', 'zeta']"
 
 
+@pytest.mark.parametrize(
+    "cls, error, name, field",
+    [(DemoConfig, SceneError, "demo", "noise_px"), (TrainConfig, TrainingError, "train", "lr"),
+     (ServoConfig, ServoError, "servo", "tol")],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_values_are_refused_in_python_as_in_json(cls, error, name, field, value):
+    # NaN fails every `> 0` guard of __post_init__ silently; one type check serves both paths
+    want = f"{name} config field {field} must be a finite number, got {value!r}"
+    for build in (lambda: cls(**{field: value}), lambda: cls.from_json_dict({field: value})):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == want
+
+
 @st.composite
 def demos(draw):
     n_features = draw(st.integers(1, 6))

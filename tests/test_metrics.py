@@ -132,7 +132,8 @@ class TestEvaluate:
 
     def test_kind_the_demo_cannot_build_is_rejected(self, toy_trained, toy_demo_20):
         p2l = TrainedKernel(
-            KernelKind.P2L, toy_trained.params, toy_trained.config, toy_trained.loss_trace
+            KernelKind.P2L, toy_trained.params, toy_trained.config, toy_trained.loss_trace,
+            toy_trained.image_size,
         )
         with pytest.raises(TrainingError, match="p2l model .* holds point features only"):
             evaluate(toy_demo_20, p2l)

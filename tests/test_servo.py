@@ -8,7 +8,6 @@ from geomimic.geometry import KernelKind
 from geomimic.scene import make_servo_world
 from geomimic.servo import (
     DivergenceError,
-    LinearPlant,
     ScenePlant,
     ServoConfig,
     ServoError,
@@ -143,7 +142,7 @@ class TestConfig:
 
 class TestLinearPlantLoop:
     def test_known_jacobian_converges_fast(self):
-        plant = LinearPlant(2.0 * np.eye(2), [-2.0, -2.0])
+        plant = reference.LinearPlant(2.0 * np.eye(2), [-2.0, -2.0])
         cfg = ServoConfig(mode="uvs", gain=0.5, tol=1e-3, max_steps=50)
         traj = run_loop(plant, cfg, j0=np.eye(2))
         assert traj.converged
@@ -152,7 +151,7 @@ class TestLinearPlantLoop:
         assert plant.q == pytest.approx([1.0, 1.0], abs=1e-3)
 
     def test_exploratory_jacobian_converges(self):
-        plant = LinearPlant([[1.5, 0.2], [-0.3, 2.0]], [4.0, -1.0])
+        plant = reference.LinearPlant([[1.5, 0.2], [-0.3, 2.0]], [4.0, -1.0])
         cfg = ServoConfig(mode="uvs", gain=0.5, tol=1e-6, max_steps=100)
         traj = run_loop(plant, cfg)
         assert traj.converged
@@ -160,12 +159,12 @@ class TestLinearPlantLoop:
 
     def test_estimate_jacobian_recovers_matrix(self):
         matrix = np.array([[2.0, 0.5], [0.1, -1.5]])
-        plant = LinearPlant(matrix, [1.0, 1.0])
+        plant = reference.LinearPlant(matrix, [1.0, 1.0])
         assert estimate_jacobian(plant, 1e-4, plant.observe()) == pytest.approx(matrix, abs=1e-6)
         assert plant.q == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_small_gain_monotone(self):
-        plant = LinearPlant([[1.0, 0.3], [0.0, 2.0]], [5.0, -3.0])
+        plant = reference.LinearPlant([[1.0, 0.3], [0.0, 2.0]], [5.0, -3.0])
         cfg = ServoConfig(mode="uvs", gain=0.2, tol=1e-4, max_steps=200)
         traj = run_loop(plant, cfg, j0=plant.matrix)
         assert traj.converged
@@ -175,13 +174,13 @@ class TestLinearPlantLoop:
         assert np.all(np.diff(norms) < 0)
 
     def test_tol_met_at_start(self):
-        plant = LinearPlant(np.eye(2), [0.0, 0.0])
+        plant = reference.LinearPlant(np.eye(2), [0.0, 0.0])
         traj = run_loop(plant, ServoConfig(mode="uvs", tol=1e-6))
         assert traj.converged
         assert traj.n_steps == 0
 
     def test_max_steps_zero(self):
-        plant = LinearPlant(np.eye(2), [5.0, 5.0])
+        plant = reference.LinearPlant(np.eye(2), [5.0, 5.0])
         traj = run_loop(plant, ServoConfig(mode="uvs", max_steps=0))
         assert not traj.converged
         assert traj.n_steps == 0
@@ -189,14 +188,14 @@ class TestLinearPlantLoop:
     def test_overshoot_gain_diverges(self):
         # exact Jacobian with gain 4 triples the error every step, and
         # the secant condition keeps Broyden from correcting anything
-        plant = LinearPlant(2.0 * np.eye(2), [5.0, 5.0])
+        plant = reference.LinearPlant(2.0 * np.eye(2), [5.0, 5.0])
         cfg = ServoConfig(mode="uvs", gain=4.0, max_steps=50)
         with pytest.raises(DivergenceError):
             run_loop(plant, cfg, j0=2.0 * np.eye(2))
 
     @pytest.mark.parametrize("j0", [None, np.zeros((2, 2))])
     def test_error_that_ignores_the_actuator(self, j0):
-        plant = LinearPlant(np.zeros((2, 2)), [5.0, -3.0])
+        plant = reference.LinearPlant(np.zeros((2, 2)), [5.0, -3.0])
         cfg = ServoConfig(mode="uvs", gain=0.3)
         with pytest.raises(SingularityError, match="does not move with the actuator"):
             run_loop(plant, cfg, j0=j0)
@@ -207,12 +206,12 @@ class TestScenePlant:
     def test_ibvs_requires_point_task(self):
         world = make_servo_world(KernelKind.L2L, seed=0)
         with pytest.raises(ServoError):
-            ScenePlant(world, mode="ibvs", association=world.ground_truth)
+            ScenePlant(world, None, mode="ibvs", association=world.ground_truth)
 
     def test_needs_kernel_or_association(self):
         world = make_servo_world(seed=0)
         with pytest.raises(ServoError):
-            ScenePlant(world, mode="ibvs")
+            ScenePlant(world, None, mode="ibvs", association=None)
 
     @pytest.mark.parametrize(
         "kind, association, need",
@@ -229,56 +228,56 @@ class TestScenePlant:
     def test_association_size_checked_at_construction(self, kind, association, need):
         world = make_servo_world(kind, seed=0)
         with pytest.raises(ServoError, match=f"{kind.value} association needs {need} distinct"):
-            ScenePlant(world, mode="uvs", association=association)
+            ScenePlant(world, None, mode="uvs", association=association)
 
     def test_hidden_association_member(self):
         world = make_servo_world(KernelKind.L2L, seed=0)
         world.positions[3] = world.positions[3] + np.array([5.0, 0.0, 0.0])
-        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError, match=r"\[3\] of association \[0, 1, 2, 3\]"):
             plant.observe()
 
     def test_degenerate_association(self):
         world = make_servo_world(KernelKind.L2L, seed=0)
         world.positions[1] = world.positions[0].copy()
-        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError, match="degenerate"):
             plant.observe()
 
     def test_association_is_an_id_set(self):
         world = make_servo_world(KernelKind.P2P, seed=0)
-        ordered = ScenePlant(world, mode="ibvs", association=(0, 1))
-        reordered = ScenePlant(world, mode="ibvs", association=(1, 0))
+        ordered = ScenePlant(world, None, mode="ibvs", association=(0, 1))
+        reordered = ScenePlant(world, None, mode="ibvs", association=(1, 0))
         assert np.array_equal(ordered.observe(), reordered.observe())
         assert np.array_equal(ordered.interaction(), reordered.interaction())
 
     def test_dof_by_mode(self):
         p2p = make_servo_world(KernelKind.P2P, seed=0)
         l2l = make_servo_world(KernelKind.L2L, seed=0)
-        assert ScenePlant(p2p, mode="ibvs", association=p2p.ground_truth).dof == 6
-        assert ScenePlant(p2p, mode="uvs", association=p2p.ground_truth).dof == 2
-        assert ScenePlant(l2l, mode="uvs", association=l2l.ground_truth).dof == 3
+        assert ScenePlant(p2p, None, mode="ibvs", association=p2p.ground_truth).dof == 6
+        assert ScenePlant(p2p, None, mode="uvs", association=p2p.ground_truth).dof == 2
+        assert ScenePlant(l2l, None, mode="uvs", association=l2l.ground_truth).dof == 3
 
     def test_wrong_command_shape(self):
         world = make_servo_world(seed=0)
-        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError):
             plant.apply(np.zeros(6))
 
     def test_interaction_is_ibvs_only(self):
         world = make_servo_world(seed=0)
-        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError):
             plant.interaction()
 
     def test_observe_matches_layout(self):
         world = make_servo_world(seed=0, start_error_px=60.0)
-        plant = ScenePlant(world, mode="uvs", association=world.ground_truth)
+        plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         assert np.linalg.norm(plant.observe()) == pytest.approx(60.0, abs=1e-9)
 
     def test_held_feature_tracks_camera(self):
         world = make_servo_world(seed=0)
-        plant = ScenePlant(world, mode="ibvs", association=world.ground_truth)
+        plant = ScenePlant(world, None, mode="ibvs", association=world.ground_truth)
         # a servo world renders feature i on row i
         before = world.render().pixels
         camera, positions = world.camera, world.positions.copy()

@@ -19,6 +19,7 @@ from geomimic.scene import (
     CameraModel,
     DemoConfig,
     DemoSequence,
+    IMAGE_SIZE,
     FeatureClass,
     demo_to_json_dict,
     gen_demo,
@@ -561,7 +562,7 @@ class TestInferConfidence:
         scores = np.log(weights)
         monkeypatch.setattr(network, "forward_batch", lambda nodes, *a, **kw: scores)
         trained = TrainedKernel(KernelKind.P2L, NetParams.zeros(4, 10), TrainConfig(),
-                                np.zeros((0, 5)))
+                                np.zeros((0, 5)), IMAGE_SIZE)
         result = infer(p2l_frame(len(weights)), trained)
         assert len(result.candidates) == len(weights)
         assert result.weights == pytest.approx(weights, abs=1e-12)
@@ -611,7 +612,9 @@ def random_kernel(kind, frame):
     """An untrained scorer: weights that give distinct, uneven scores."""
     input_dim = frame.descriptors.shape[1] + 2
     params = NetParams.init_random(8, input_dim, np.random.default_rng(0))
-    return TrainedKernel(KernelKind(kind), params, TrainConfig(hidden=8), np.zeros((0, 5)))
+    return TrainedKernel(
+        KernelKind(kind), params, TrainConfig(hidden=8), np.zeros((0, 5)), IMAGE_SIZE
+    )
 
 
 def scene_frame(kind):
@@ -802,7 +805,8 @@ class TestInferWorkspaces:
             reused = self.results(trained, frames)
             fresh = [
                 self.results(TrainedKernel(trained.kernel_kind, trained.params.copy(),
-                                           trained.config, trained.loss_trace), [f])[0]
+                                           trained.config, trained.loss_trace,
+                                           trained.image_size), [f])[0]
                 for f in frames
             ]
             for (w, win), (w_fresh, win_fresh) in zip(reused, fresh):
