@@ -128,6 +128,11 @@ def _cmd_servo(args: argparse.Namespace) -> int:
     if args.model:
         trained = _load(load_trained, args.model, "model")
         kind = trained.kernel_kind
+        if args.kernel not in (None, kind.value):
+            raise CliError(
+                f"--kernel {args.kernel} contradicts model file {args.model}, "
+                f"whose kind is {kind.value}"
+            )
         # The world renders what the model reads: its descriptor width and image size.
         shape = {"descriptor_dim": trained.descriptor_dim, "image_size": trained.image_size}
     else:

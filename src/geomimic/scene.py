@@ -309,7 +309,7 @@ class DemoSequence:
     camera: CameraModel
     seed: int
     kernel_kind: KernelKind
-    config: DemoConfig | None = None
+    config: DemoConfig | None
     world_tracks: np.ndarray | None = None
     mover_ids: tuple[int, ...] = ()
 
@@ -748,7 +748,7 @@ def _window(magnitude: float, n_frames: int) -> tuple[int, int]:
 
 
 def apply_perturbation(
-    demo: DemoSequence, setting: PerturbationSetting, seed: int = 0
+    demo: DemoSequence, setting: PerturbationSetting, seed: int
 ) -> DemoSequence:
     """Return a perturbed copy of a demonstration.
 

@@ -137,7 +137,8 @@ class ScenePlant:
     actuator moves the mover entity in the desk plane (adding a rotation
     dof for segment alignment) and only raw pixel errors leave the plant.
 
-    A fixed association is a set of feature ids, grouped into entities as
+    It takes a trained kernel or a fixed association, never both. A fixed
+    association is a set of feature ids, grouped into entities as
     ``infer`` groups a frame.
     """
 
@@ -150,8 +151,9 @@ class ScenePlant:
     ) -> None:
         if mode not in ("ibvs", "uvs"):
             raise ServoError(f"unknown plant mode {mode!r}")
-        if trained is None and association is None:
-            raise ServoError("need a trained kernel or a fixed association")
+        if (trained is None) == (association is None):
+            given = "neither" if trained is None else "both"
+            raise ServoError(f"need a trained kernel or a fixed association, got {given}")
         if mode == "ibvs" and world.kernel_kind is not KernelKind.P2P:
             raise ServoError("analytic interaction matrices only cover point tasks; use uvs")
         self.world = world
@@ -195,11 +197,11 @@ class ScenePlant:
         return error
 
     def interaction(self) -> np.ndarray:
-        """Pixel-error interaction matrix of the current point pair."""
+        """Pixel-error interaction matrix of the point pair the last observe found."""
         if self.mode != "ibvs":
             raise ServoError("interaction matrices are an ibvs-mode facility")
         if self._entities is None:
-            self.observe()
+            raise ServoError("observe the plant before asking for its interaction matrix")
         cam = self.world.camera
         rows = []
         # Entity order: the error is p_first - p_second.
@@ -274,15 +276,13 @@ def estimate_jacobian(plant: Plant, step: float, e0: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def run_loop(
-    plant: Plant, config: ServoConfig, j0: np.ndarray | None = None
-) -> ServoTrajectory:
+def run_loop(plant: Plant, config: ServoConfig) -> ServoTrajectory:
     """Drive a plant until its error norm drops below tol.
 
-    In uvs mode the Jacobian starts from ``j0`` when given, otherwise
-    from exploratory motions, and is Broyden-updated after every step.
-    Raises SingularityError when that starting Jacobian is all zero, and
-    DivergenceError when the error norm exceeds 10x its start.
+    In uvs mode the Jacobian starts from exploratory motions and is
+    Broyden-updated after every step. Raises SingularityError when that
+    starting Jacobian is all zero, and DivergenceError when the error
+    norm exceeds 10x its start.
     """
     error = np.asarray(plant.observe(), dtype=float)
     start_norm = float(np.linalg.norm(error))
@@ -292,11 +292,7 @@ def run_loop(
 
     jacobian = None
     if config.mode == "uvs":
-        jacobian = (
-            np.asarray(j0, dtype=float)
-            if j0 is not None
-            else estimate_jacobian(plant, config.explore_step, error)
-        )
+        jacobian = estimate_jacobian(plant, config.explore_step, error)
         if not jacobian.any():
             raise SingularityError(
                 "the servoed error does not move with the actuator: every entry of "

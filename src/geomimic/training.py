@@ -65,7 +65,9 @@ from .geometry import (  # noqa: F401
 )
 from .network import graph_from_entities  # noqa: F401
 from .network import NetParams, entity_wiring
-from .scene import DemoSequence, FeatureClass, Frame, IMAGE_SIZE, JsonConfig, read_json, write_json
+from .scene import (
+    DemoSequence, FeatureClass, Frame, IMAGE_SIZE, JsonConfig, _type_fault, read_json, write_json,
+)
 
 QUALITY_EPS = 1e-6
 
@@ -331,7 +333,7 @@ def quality_score(
     return float(lambda_dec * dec + lambda_smooth * smooth)
 
 
-def select_out(b: np.ndarray, alpha_conf: float = 1.0) -> tuple[np.ndarray, int]:
+def select_out(b: np.ndarray, alpha_conf: float) -> tuple[np.ndarray, int]:
     """Softmax selection over candidate scores.
 
     Returns the selection weights and the winner index (ties resolve to
@@ -508,11 +510,7 @@ class TrainedKernel:
                 f"but the params have hidden size {params.hidden}"
             )
         size = payload["image_size"]
-        if not (
-            isinstance(size, (list, tuple))
-            and len(size) == 2
-            and all(type(v) is int and v > 0 for v in size)
-        ):
+        if _type_fault(size, tuple[int, int]) or min(size) <= 0:
             raise TrainingError(
                 f"model field image_size must be two positive integers, got {size!r}"
             )

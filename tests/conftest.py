@@ -84,6 +84,7 @@ def toy_demo(n_frames=20, seed=0):
         camera=CameraModel(),
         seed=seed,
         kernel_kind=KernelKind.P2P,
+        config=None,
         mover_ids=(0,),
     )
 

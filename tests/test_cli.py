@@ -417,6 +417,22 @@ class TestServo:
         assert ", converged, " in capsys.readouterr().out
         assert out.exists()
 
+    def test_kernel_flag_must_name_the_models_kind(self, tmp_path, capsys, workdir):
+        # the model fixes the kind: a contradicting --kernel is refused before
+        # any world is built, and the model's own kind changes nothing
+        model = workdir["model"]
+        argv = ["servo", "--seed", "0", "--model", str(model), "--mode", "uvs", "--gain", "0.3"]
+        bad = tmp_path / "bad.csv"
+        assert main(argv + ["--kernel", "l2l", "--out", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --kernel l2l contradicts model file {model}, whose kind is p2p\n"
+        )
+        assert not bad.exists()
+        plain, named = tmp_path / "plain.csv", tmp_path / "named.csv"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--kernel", "p2p", "--out", str(named)]) == 0
+        assert named.read_bytes() == plain.read_bytes()
+
     def test_world_too_small_for_the_models_image(self, tmp_path, capsys, workdir):
         # the world takes the model's image size; one with no room for its
         # distractors is the model's fault, not --start-error-px's

@@ -289,7 +289,7 @@ class TestPerturbations:
         return perturb_demo
 
     def test_occlusion_zero_identity(self, demo):
-        out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OCCLUSION, 0.0))
+        out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OCCLUSION, 0.0), seed=0)
         assert demo_to_json_dict(out) == demo_to_json_dict(demo)
 
     @pytest.mark.parametrize("kind", list(PerturbationKind))
@@ -297,21 +297,22 @@ class TestPerturbations:
         assert PerturbationSetting(kind, 0.0).magnitude == 0.0
 
     def test_occlusion_hides_ground_truth_window(self, demo):
-        out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OCCLUSION, 0.3))
+        out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OCCLUSION, 0.3), seed=0)
         hidden = [t for t in range(out.n_frames) if not out.gt_visible(t)]
         assert len(hidden) == round(0.3 * demo.n_frames)
         assert hidden == list(range(hidden[0], hidden[-1] + 1))  # contiguous
         assert out.gt_visible(0) and out.gt_visible(out.n_frames - 1)
 
     def test_outside_fov_leaves_and_returns(self, demo):
-        out = apply_perturbation(demo, PerturbationSetting(PerturbationKind.OUTSIDE_FOV, 0.3))
+        setting = PerturbationSetting(PerturbationKind.OUTSIDE_FOV, 0.3)
+        out = apply_perturbation(demo, setting, seed=0)
         gone = [t for t in range(out.n_frames) if not out.gt_visible(t)]
         assert gone
         assert out.gt_visible(0) and out.gt_visible(out.n_frames - 1)
 
     def test_change_illumination_touches_descriptors_only(self, demo):
         out = apply_perturbation(
-            demo, PerturbationSetting(PerturbationKind.CHANGE_ILLUMINATION, 0.1)
+            demo, PerturbationSetting(PerturbationKind.CHANGE_ILLUMINATION, 0.1), seed=0
         )
         assert np.array_equal(out.frames[0].pixels, demo.frames[0].pixels)
         deltas = np.abs(out.frames[0].descriptors - demo.frames[0].descriptors).max(axis=1)
@@ -363,7 +364,7 @@ class TestPerturbations:
         stripped = demo_from_json_dict(demo_to_json_dict(demo))
         with pytest.raises(SceneError):
             apply_perturbation(
-                stripped, PerturbationSetting(PerturbationKind.RANDOM_TARGET, 1.0)
+                stripped, PerturbationSetting(PerturbationKind.RANDOM_TARGET, 1.0), seed=0
             )
 
 

@@ -141,15 +141,6 @@ class TestConfig:
 
 
 class TestLinearPlantLoop:
-    def test_known_jacobian_converges_fast(self):
-        plant = reference.LinearPlant(2.0 * np.eye(2), [-2.0, -2.0])
-        cfg = ServoConfig(mode="uvs", gain=0.5, tol=1e-3, max_steps=50)
-        traj = run_loop(plant, cfg, j0=np.eye(2))
-        assert traj.converged
-        assert traj.n_steps <= 3
-        assert traj.error_norms[-1] < 1e-3
-        assert plant.q == pytest.approx([1.0, 1.0], abs=1e-3)
-
     def test_exploratory_jacobian_converges(self):
         plant = reference.LinearPlant([[1.5, 0.2], [-0.3, 2.0]], [4.0, -1.0])
         cfg = ServoConfig(mode="uvs", gain=0.5, tol=1e-6, max_steps=100)
@@ -166,7 +157,7 @@ class TestLinearPlantLoop:
     def test_small_gain_monotone(self):
         plant = reference.LinearPlant([[1.0, 0.3], [0.0, 2.0]], [5.0, -3.0])
         cfg = ServoConfig(mode="uvs", gain=0.2, tol=1e-4, max_steps=200)
-        traj = run_loop(plant, cfg, j0=plant.matrix)
+        traj = run_loop(plant, cfg)
         assert traj.converged
         norms = np.array(traj.error_norms)
         start = np.linalg.norm(plant.matrix @ np.zeros(2) + plant.offset)
@@ -186,19 +177,19 @@ class TestLinearPlantLoop:
         assert traj.n_steps == 0
 
     def test_overshoot_gain_diverges(self):
-        # exact Jacobian with gain 4 triples the error every step, and
-        # the secant condition keeps Broyden from correcting anything
+        # the explored Jacobian of a linear plant is exact, gain 4 then
+        # triples the error every step, and the secant condition keeps
+        # Broyden from correcting anything
         plant = reference.LinearPlant(2.0 * np.eye(2), [5.0, 5.0])
         cfg = ServoConfig(mode="uvs", gain=4.0, max_steps=50)
         with pytest.raises(DivergenceError):
-            run_loop(plant, cfg, j0=2.0 * np.eye(2))
+            run_loop(plant, cfg)
 
-    @pytest.mark.parametrize("j0", [None, np.zeros((2, 2))])
-    def test_error_that_ignores_the_actuator(self, j0):
+    def test_error_that_ignores_the_actuator(self):
         plant = reference.LinearPlant(np.zeros((2, 2)), [5.0, -3.0])
         cfg = ServoConfig(mode="uvs", gain=0.3)
         with pytest.raises(SingularityError, match="does not move with the actuator"):
-            run_loop(plant, cfg, j0=j0)
+            run_loop(plant, cfg)
         assert not plant.q.any()
 
 
@@ -210,8 +201,19 @@ class TestScenePlant:
 
     def test_needs_kernel_or_association(self):
         world = make_servo_world(seed=0)
-        with pytest.raises(ServoError):
+        with pytest.raises(ServoError, match="got neither"):
             ScenePlant(world, None, mode="ibvs", association=None)
+
+    def test_kernel_and_association_are_exclusive(self, toy_trained):
+        # a fixed association beside a kernel would be ignored by observe
+        world = make_servo_world(seed=0)
+        camera, positions = world.camera, world.positions.copy()
+        with pytest.raises(ServoError, match="trained kernel or a fixed association, got both"):
+            ScenePlant(world, toy_trained, mode="ibvs", association=(2, 3))
+        with pytest.raises(ServoError, match="got both"):
+            closed_loop(world, toy_trained, ServoConfig(mode="ibvs"), association=(2, 3))
+        assert world.camera is camera
+        assert np.array_equal(world.positions, positions)
 
     @pytest.mark.parametrize(
         "kind, association, need",
@@ -269,6 +271,15 @@ class TestScenePlant:
         plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError):
             plant.interaction()
+
+    def test_interaction_needs_an_observation(self, monkeypatch):
+        world = make_servo_world(seed=0)
+        plant = ScenePlant(world, None, mode="ibvs", association=world.ground_truth)
+        renders = []
+        monkeypatch.setattr(world, "render", lambda: renders.append(world))
+        with pytest.raises(ServoError, match="observe the plant before"):
+            plant.interaction()
+        assert renders == []
 
     def test_observe_matches_layout(self):
         world = make_servo_world(seed=0, start_error_px=60.0)

@@ -68,7 +68,7 @@ def norms_to_errors(norms):
 
 def candidates_on(frame, kind):
     """``prepare_candidates`` on a demo of this one frame."""
-    return prepare_candidates(DemoSequence([frame], (), CameraModel(), 0, kind), kind)
+    return prepare_candidates(DemoSequence([frame], (), CameraModel(), 0, kind, None), kind)
 
 
 class TestBuildCandidates:
@@ -163,17 +163,17 @@ class TestQualityScore:
 
 class TestSelectOut:
     def test_uniform_tie_breaks_low(self):
-        g, winner = select_out(np.zeros(4))
+        g, winner = select_out(np.zeros(4), alpha_conf=1.0)
         assert g == pytest.approx([0.25] * 4)
         assert winner == 0
 
     def test_log3_pair(self):
-        g, winner = select_out(np.array([0.0, math.log(3.0)]))
+        g, winner = select_out(np.array([0.0, math.log(3.0)]), alpha_conf=1.0)
         assert g == pytest.approx([0.25, 0.75], abs=1e-12)
         assert winner == 1
 
     def test_large_scores_stable(self):
-        g, winner = select_out(np.array([1000.0, 1001.0]))
+        g, winner = select_out(np.array([1000.0, 1001.0]), alpha_conf=1.0)
         sig = 1.0 / (1.0 + math.e)
         assert g == pytest.approx([sig, 1.0 - sig])
         assert winner == 1
@@ -181,7 +181,7 @@ class TestSelectOut:
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            g, _ = select_out(rng.normal(0, 5, rng.integers(1, 40)))
+            g, _ = select_out(rng.normal(0, 5, rng.integers(1, 40)), alpha_conf=1.0)
             assert abs(g.sum() - 1.0) < 1e-12
 
     def test_confidence_is_temperature(self):
@@ -194,7 +194,7 @@ class TestSelectOut:
 
     def test_invalid_inputs(self):
         with pytest.raises(TrainingError):
-            select_out(np.array([]))
+            select_out(np.array([]), alpha_conf=1.0)
         with pytest.raises(TrainingError):
             select_out(np.array([1.0]), alpha_conf=0.0)
 
@@ -213,23 +213,23 @@ class TestSelectOutProperties:
     @given(scores, st.floats(-100.0, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_uniform_shift_invariant(self, b, shift):
-        g, _ = select_out(b)
-        g_shift, _ = select_out(b + shift)
+        g, _ = select_out(b, alpha_conf=1.0)
+        g_shift, _ = select_out(b + shift, alpha_conf=1.0)
         assert g_shift == pytest.approx(g, abs=1e-9)
 
     @given(st.lists(st.sampled_from([-1.0, 0.0, 2.5]), min_size=1, max_size=12).map(np.array))
     @settings(max_examples=200, deadline=None)
     def test_winner_is_lowest_index_of_the_max(self, b):
-        _, winner = select_out(b)
+        _, winner = select_out(b, alpha_conf=1.0)
         assert winner == min(np.flatnonzero(b == b.max()))
 
     @given(scores, st.floats(0.05, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_alpha_conf_is_a_temperature(self, b, alpha):
         g, winner = select_out(b, alpha)
-        g_scaled, _ = select_out(b / alpha)
+        g_scaled, _ = select_out(b / alpha, alpha_conf=1.0)
         assert np.array_equal(g, g_scaled)
-        assert winner == select_out(b)[1]
+        assert winner == select_out(b, alpha_conf=1.0)[1]
 
 
 @pytest.fixture(scope="module")
