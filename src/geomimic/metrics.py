@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,18 +32,6 @@ class MetricError(ValueError):
 
 class ZeroVarianceError(MetricError):
     """Autocorrelation is undefined for a constant series."""
-
-
-def accuracy(winners: Sequence[Iterable[int] | None], ground_truth: Iterable[int]) -> float:
-    """Percent of frames whose winner id-set equals the ground truth.
-
-    None entries (frames without a usable winner) count as wrong.
-    """
-    if len(winners) == 0:
-        raise MetricError("accuracy needs at least one frame")
-    gt = frozenset(ground_truth)
-    hits = sum(1 for w in winners if w is not None and frozenset(w) == gt)
-    return 100.0 * hits / len(winners)
 
 
 def autocorr(series: Sequence[float], lag: int) -> float:
@@ -145,8 +133,8 @@ def evaluate(demo: DemoSequence, trained: TrainedKernel) -> EvalReport:
             correct.append(winners[-1] is not None and frozenset(winners[-1]) == gt)
         else:
             correct.append(None)
-    seen = [w for w, hit in zip(winners, correct) if hit is not None]
-    acc = accuracy(seen, gt) if seen else 0.0
+    seen = [hit for hit in correct if hit is not None]
+    acc = 100.0 * sum(seen) / len(seen) if seen else 0.0
     usable_norms = [n for n in norms if n is not None]
     consistency = con_acc(usable_norms) if len(usable_norms) >= 3 else None
     return EvalReport(

@@ -94,9 +94,9 @@ class PerturbationSetting:
 class CameraModel:
     """Pinhole camera; `rotation`/`translation` map world to camera frame."""
 
+    cu: float
+    cv: float
     f: float = DEFAULT_FOCAL
-    cu: float = IMAGE_SIZE[0] / 2.0
-    cv: float = IMAGE_SIZE[1] / 2.0
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -326,7 +326,7 @@ class DemoSequence:
         return set(self.ground_truth) <= set(frame.ids[frame.visible].tolist())
 
 
-def base_descriptor(entity_id: int, dim: int, seed: int, tag: int = _TAG_GT_DESC) -> np.ndarray:
+def base_descriptor(entity_id: int, dim: int, seed: int, tag: int) -> np.ndarray:
     """Stable appearance vector for a feature id, i.i.d. uniform entries."""
     rng = np.random.default_rng([seed, tag, entity_id])
     return rng.uniform(0.0, 1.0, dim)
@@ -989,8 +989,8 @@ class SimWorld:
 
 
 def make_servo_world(
-    kind: KernelKind = KernelKind.P2P,
-    seed: int = 0,
+    kind: KernelKind,
+    seed: int,
     start_error_px: float = 60.0,
     descriptor_dim: int = 16,
     image_size: tuple[int, int] = IMAGE_SIZE,

@@ -15,9 +15,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .geometry import ENTITY_SIZE, KIND_ENTITIES, KernelKind
+from .geometry import KernelKind
 from .scene import JsonConfig, SimWorld
-from .training import TrainedKernel, TrainingError, association_error, infer
+from .training import TrainedKernel, TrainingError, candidate_table, frame_table, infer
 
 _SINGULAR_COND = 1e12
 
@@ -138,8 +138,10 @@ class ScenePlant:
     dof for segment alignment) and only raw pixel errors leave the plant.
 
     It takes a trained kernel or a fixed association, never both. A fixed
-    association is a set of feature ids, grouped into entities as
-    ``infer`` groups a frame.
+    association is a set of feature ids that must form one candidate of the
+    world's table, the one ``infer`` scores on every render; each
+    observation reads that candidate's row. Every fault of an observation
+    is a ServoError.
     """
 
     def __init__(
@@ -160,14 +162,19 @@ class ScenePlant:
         self.trained = trained
         self.mode = mode
         if association is not None:
-            association = frozenset(association)
-            need = sum(ENTITY_SIZE[cls] for cls in KIND_ENTITIES[world.kernel_kind])
-            if len(association) != need:
+            # A world renders feature i on row i, so every render finds this table.
+            kind, wanted = world.kernel_kind, frozenset(association)
+            try:
+                table = candidate_table(kind, tuple(range(len(world.classes))), world.classes)
+            except TrainingError as exc:
+                raise ServoError(str(exc)) from exc
+            rows = [r for r, ids in enumerate(table.members.tolist()) if frozenset(ids) == wanted]
+            if not rows:
                 raise ServoError(
-                    f"a {world.kernel_kind.value} association needs {need} distinct feature "
-                    f"ids, got {sorted(association)}"
+                    f"a {kind.value} association needs {table.members.shape[1]} distinct "
+                    f"feature ids that form one candidate of the world, got {sorted(wanted)}"
                 )
-        self.association = association
+            self._row = rows[0]
         if mode == "ibvs":
             self.dof = 6
         else:
@@ -182,19 +189,25 @@ class ScenePlant:
 
     def observe(self) -> np.ndarray:
         frame = self.world.render()
-        if self.trained is not None:
-            result = infer(frame, self.trained)
-            if result.low_confidence:
-                raise LowConfidenceError("inference does not trust any candidate")
-            self._entities = result.winner_entities
-            return result.error
         try:
-            error, self._entities = association_error(
-                frame, self.world.kernel_kind, self.association
-            )
+            if self.trained is not None:
+                result = infer(frame, self.trained)
+                if result.low_confidence:
+                    raise LowConfidenceError("inference does not trust any candidate")
+                self._entities = result.winner_entities
+                return result.error
+            table, batch = frame_table(frame, self.world.kernel_kind, self.world.image_size)
         except TrainingError as exc:
             raise ServoError(str(exc)) from exc
-        return error
+        row = self._row
+        ids = sorted(table.members[row].tolist())
+        hidden = [fid for fid in ids if not frame.visible[fid]]
+        if hidden:
+            raise ServoError(f"feature ids {hidden} of association {ids} are not visible")
+        if not batch.usable[row]:
+            raise ServoError(f"association {ids} has degenerate geometry on this frame")
+        self._entities = table.entities[row]
+        return batch.errors[row]
 
     def interaction(self) -> np.ndarray:
         """Pixel-error interaction matrix of the point pair the last observe found."""

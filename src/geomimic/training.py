@@ -20,11 +20,13 @@ feature is encoded once, every line or conic entity is fitted once, and
 all candidates' errors come from one batched ``geometry`` call. Candidates
 are grouped into entities from all of a frame's features and count on the
 frame only if every member is visible and the geometry is non-degenerate.
-A feature list's candidates form one cached table, ``_Layout``.
+A feature list's candidates form one cached table, ``candidate_table``.
 ``prepare_candidates`` takes the table of all a demo's features and runs
 ``_frame_batch`` on every frame against it to get the per-frame node rows
-and errors that training packs; ``infer`` scores one frame's arrays in one
-forward pass, and ``association_error`` measures one fixed association.
+and errors that training packs. ``frame_table`` measures one frame against
+the table of its own features: ``infer`` scores all of its rows in one
+forward pass, and a servo plant with a fixed association reads that
+association's row.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,7 +182,7 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=64)
-def _enumerate(
+def candidate_table(
     kind: KernelKind, ids: tuple[int, ...], classes: tuple[FeatureClass, ...]
 ) -> _Layout:
     """The candidate table of one feature list, ``ids`` with their ``classes``.
@@ -277,39 +279,6 @@ def _frame_batch(layout: _Layout, frame: Frame, image_size: tuple[int, int]) -> 
             errors = p2c_errors(px[:, 0], fits)[:, None]
     usable &= np.isfinite(errors).all(axis=1)
     return _FrameBatch(encodings, rows, errors, usable)
-
-
-def association_error(
-    frame: Frame,
-    kind: KernelKind,
-    ids: Iterable[int],
-) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """(d,) error and entities of the one candidate made of exactly ``ids`` on a frame.
-
-    The ids are grouped into entities as ``infer`` groups a frame, so the
-    entity order, and with it the sign of the error, is ``infer``'s.
-    Raises ``TrainingError`` when the ids do not form one candidate of
-    ``kind``, and ``NoVisibleCandidatesError`` when a member is hidden or
-    the geometry degenerates.
-    """
-    kind = KernelKind(kind)
-    wanted = frozenset(ids)
-    rows = np.flatnonzero(np.isin(frame.ids, list(wanted)))
-    classes = tuple(frame.classes[i] for i in rows)
-    layout = _enumerate(kind, tuple(frame.ids[rows].tolist()), classes)
-    if len(layout.entities) != 1 or layout.members.shape[1] != len(wanted):
-        raise TrainingError(f"feature ids {sorted(wanted)} do not form one {kind.value} candidate")
-    hidden = sorted(frame.ids[rows[~frame.visible[rows]]].tolist())
-    if hidden:
-        raise NoVisibleCandidatesError(
-            f"feature ids {hidden} of association {sorted(wanted)} are not visible"
-        )
-    batch = _frame_batch(layout, frame, IMAGE_SIZE)
-    if not batch.usable[0]:
-        raise NoVisibleCandidatesError(
-            f"association {sorted(wanted)} has degenerate geometry on this frame"
-        )
-    return batch.errors[0], layout.entities[0]
 
 
 def quality_score(
@@ -558,7 +527,7 @@ def enumerate_candidates(demo: DemoSequence, kind: KernelKind) -> _Layout:
                     f"feature id {fid} is observed both as {seen.value} and as {cls.value}"
                 )
     try:
-        return _enumerate(KernelKind(kind), tuple(first), tuple(first.values()))
+        return candidate_table(KernelKind(kind), tuple(first), tuple(first.values()))
     except TooFewFeaturesError as exc:
         held = ", ".join(sorted({cls.value for cls in first.values()})) or "no"
         raise TooFewFeaturesError(f"the demo holds {held} features only, so {exc}") from exc
@@ -702,6 +671,23 @@ class InferenceResult:
         return frozenset(fid for ent in self.winner_entities for fid in ent)
 
 
+def frame_table(
+    frame: Frame, kind: KernelKind, image_size: tuple[int, int]
+) -> tuple[_Layout, _FrameBatch]:
+    """The candidate table of a frame's features and the frame measured against it.
+
+    Raises NoVisibleCandidatesError when no feature is visible or the
+    features build no candidate of ``kind``.
+    """
+    if not frame.visible.any():
+        raise NoVisibleCandidatesError("no visible features on this frame")
+    try:
+        layout = candidate_table(kind, tuple(frame.ids.tolist()), frame.classes)
+    except TrainingError as exc:
+        raise NoVisibleCandidatesError(str(exc)) from exc
+    return layout, _frame_batch(layout, frame, image_size)
+
+
 def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
     """Select the most task-relevant association on a single frame.
 
@@ -717,14 +703,7 @@ def infer(frame: Frame, trained: TrainedKernel) -> InferenceResult:
     The kernel's one workspace is rebuilt when the number of usable
     candidates changes; the kind fixes the wiring.
     """
-    if not frame.visible.any():
-        raise NoVisibleCandidatesError("no visible features on this frame")
-    kind = trained.kernel_kind
-    try:
-        layout = _enumerate(kind, tuple(frame.ids.tolist()), frame.classes)
-    except TrainingError as exc:
-        raise NoVisibleCandidatesError(str(exc)) from exc
-    batch = _frame_batch(layout, frame, trained.image_size)
+    layout, batch = frame_table(frame, trained.kernel_kind, trained.image_size)
     width = batch.encodings.shape[1]
     if width != trained.params.input_dim:
         raise TrainingError(

@@ -81,7 +81,7 @@ def toy_demo(n_frames=20, seed=0):
     return DemoSequence(
         frames=frames,
         ground_truth=(0, 1),
-        camera=CameraModel(),
+        camera=CameraModel(cu=320.0, cv=240.0),
         seed=seed,
         kernel_kind=KernelKind.P2P,
         config=None,

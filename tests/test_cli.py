@@ -447,6 +447,25 @@ class TestServo:
         )
         assert not out.exists()
 
+    def test_model_losing_every_candidate_fails_the_loop(self, tmp_path, capsys):
+        # this small model servos a distractor pair until the camera sees
+        # only the held point: no candidate is left, a fault inside the
+        # loop, so the run exits 2 with `servo loop failed:`
+        cfg, demo, model = tmp_path / "cfg.json", tmp_path / "d.json", tmp_path / "m.json"
+        cfg.write_text(json.dumps({"hidden": 8, "seed": 33}))
+        scene = ["--kernel", "p2p", "--seed", "33", "--n-frames", "20", "--n-distractors", "3"]
+        assert main(["gen", *scene, "--out", str(demo)]) == 0
+        assert main(["train", "--demo", str(demo), "--config", str(cfg), "--out", str(model)]) == 0
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        argv = ["servo", "--model", str(model), "--seed", "33", "--mode", "ibvs"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: servo loop failed: "
+            "no candidate has every member visible and non-degenerate geometry\n"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lam": 0.2}))

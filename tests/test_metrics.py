@@ -2,26 +2,27 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from geomimic import metrics
 from geomimic.geometry import KernelKind
 from geomimic.metrics import (
     CONSISTENCY_LAG,
     EvalReport,
     MetricError,
     ZeroVarianceError,
-    accuracy,
     autocorr,
     con_acc,
     evaluate,
     save_report,
     write_frame_csv,
 )
-from geomimic.training import TrainedKernel, TrainingError
+from geomimic.training import NoVisibleCandidatesError, TrainedKernel, TrainingError
 
-from conftest import hide
+from conftest import hide, toy_demo
 
 # lag-2 autocorrelation of 50 * 0.9**t over 60 frames, frozen from the
 # biased-denominator formula computed independently
@@ -29,20 +30,37 @@ DECAY_CON_ACC = 0.794984150615351
 
 
 class TestAccuracy:
-    def test_nine_of_ten(self):
+    # evaluate's acc: the percent of frames showing the ground truth whose
+    # winner id set equals it. Inference is replaced by fixed winners.
+    @staticmethod
+    def acc(monkeypatch, trained, demo, winners):
+        """evaluate's acc when frame t's winner is ``winners[t]``, None for no winner."""
+        picks = iter(winners)
+
+        def fixed_infer(frame, trained):
+            ids = next(picks)
+            if ids is None:
+                raise NoVisibleCandidatesError("no usable candidate")
+            return SimpleNamespace(winner_ids=frozenset(ids), error=np.zeros(2))
+
+        monkeypatch.setattr(metrics, "infer", fixed_infer)
+        return evaluate(demo, trained).acc
+
+    def test_nine_of_ten(self, monkeypatch, toy_trained):
         winners = [(0, 1)] * 9 + [(0, 2)]
-        assert accuracy(winners, (0, 1)) == pytest.approx(90.0)
+        assert self.acc(monkeypatch, toy_trained, toy_demo(n_frames=10), winners) == 90.0
 
-    def test_all_correct_order_free(self):
-        assert accuracy([(1, 0), (0, 1)], (0, 1)) == pytest.approx(100.0)
+    def test_all_correct_order_free(self, monkeypatch, toy_trained):
+        demo = replace(toy_demo(n_frames=2), ground_truth=(1, 0))
+        assert self.acc(monkeypatch, toy_trained, demo, [(1, 0), (0, 1)]) == 100.0
 
-    def test_none_counts_wrong(self):
-        assert accuracy([None] * 5, (0, 1)) == pytest.approx(0.0)
-        assert accuracy([(0, 1), None], (0, 1)) == pytest.approx(50.0)
+    def test_none_counts_wrong(self, monkeypatch, toy_trained):
+        assert self.acc(monkeypatch, toy_trained, toy_demo(n_frames=5), [None] * 5) == 0.0
+        assert self.acc(monkeypatch, toy_trained, toy_demo(n_frames=2), [(0, 1), None]) == 50.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(MetricError):
-            accuracy([], (0, 1))
+    def test_empty_rejected(self, toy_trained):
+        with pytest.raises(TrainingError, match="cannot score this demo"):
+            evaluate(replace(toy_demo(n_frames=2), frames=[]), toy_trained)
 
 
 class TestAutocorr:

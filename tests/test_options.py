@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "geomimic"
-LIMIT = 60
+LIMIT = 55
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

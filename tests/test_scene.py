@@ -16,6 +16,7 @@ from geomimic.geometry import (
     p2l_errors,
 )
 from geomimic.scene import (
+    _TAG_GT_DESC,
     _TAG_JITTER,
     _TAG_NOISE,
     _TAG_PERTURB,
@@ -91,12 +92,12 @@ class TestProjection:
         assert frame.visible.tolist() == [True]
 
     def test_off_axis_point(self):
-        cam = CameraModel(f=100.0)
+        cam = CameraModel(cu=320.0, cv=240.0, f=100.0)
         frame = observe_points([[0.2, -0.1, 1.0]], cam)
         assert frame.pixels[0] == pytest.approx((340.0, 230.0))
 
     def test_point_at_or_behind_camera_plane_is_unseen(self):
-        cam = CameraModel(f=100.0)
+        cam = CameraModel(cu=320.0, cv=240.0, f=100.0)
         frame = observe_points(
             [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.1, 0.0, 0.0], [0.0, 0.0, 1e-6]], cam
         )
@@ -107,7 +108,7 @@ class TestProjection:
 
     def test_rotation_must_be_orthonormal(self):
         with pytest.raises(SceneError):
-            CameraModel(rotation=np.eye(3) * 2.0)
+            CameraModel(cu=320.0, cv=240.0, rotation=np.eye(3) * 2.0)
 
     def test_collinearity_preserved(self):
         # segment endpoints and midpoint stay collinear after projection
@@ -116,6 +117,8 @@ class TestProjection:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             cam = CameraModel(
+                cu=320.0,
+                cv=240.0,
                 rotation=rodrigues(axis * rng.uniform(0, 0.1)),
                 translation=rng.normal(0, 0.02, 3),
             )
@@ -256,20 +259,21 @@ class TestGenDemo:
 
 class TestDescriptors:
     def test_zero_jitter_is_base(self):
-        base = base_descriptor(3, 16, seed=0)
-        frame = observe_points([[0.0, 0.0, 1.0]], CameraModel(), bases=base[None])
+        base = base_descriptor(3, 16, 0, _TAG_GT_DESC)
+        camera = CameraModel(cu=320.0, cv=240.0)
+        frame = observe_points([[0.0, 0.0, 1.0]], camera, bases=base[None])
         assert frame.descriptors[0].tobytes() == base.tobytes()
 
     def test_distinct_ids_differ(self):
-        a = base_descriptor(0, 16, seed=0)
-        b = base_descriptor(1, 16, seed=0)
+        a = base_descriptor(0, 16, 0, _TAG_GT_DESC)
+        b = base_descriptor(1, 16, 0, _TAG_GT_DESC)
         assert not np.allclose(a, b)
 
     def test_nearest_neighbor_reidentification(self):
         # 100 entities, D=16, jitter 0.05: NN matching must recover the
         # id nearly always
         rng = np.random.default_rng(42)
-        bases = np.stack([base_descriptor(i, 16, seed=7) for i in range(100)])
+        bases = np.stack([base_descriptor(i, 16, 7, _TAG_GT_DESC) for i in range(100)])
         trials = 10_000
         ids = rng.integers(0, 100, size=trials)
         noisy = bases[ids] + rng.normal(0.0, 0.05, (trials, 16))

@@ -1,5 +1,7 @@
 """Interaction matrices, damped steps, Broyden updates and servo loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from geomimic.servo import (
     interaction_matrix_point,
     run_loop,
 )
+from geomimic.training import infer
 
 
 class TestInteractionMatrix:
@@ -200,13 +203,13 @@ class TestScenePlant:
             ScenePlant(world, None, mode="ibvs", association=world.ground_truth)
 
     def test_needs_kernel_or_association(self):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         with pytest.raises(ServoError, match="got neither"):
             ScenePlant(world, None, mode="ibvs", association=None)
 
     def test_kernel_and_association_are_exclusive(self, toy_trained):
         # a fixed association beside a kernel would be ignored by observe
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         camera, positions = world.camera, world.positions.copy()
         with pytest.raises(ServoError, match="trained kernel or a fixed association, got both"):
             ScenePlant(world, toy_trained, mode="ibvs", association=(2, 3))
@@ -225,12 +228,27 @@ class TestScenePlant:
             (KernelKind.P2L, (0, 1), 3),
             (KernelKind.L2L, (0, 1, 2), 4),
             (KernelKind.P2C, (0, 1, 2, 3, 4), 6),
+            (KernelKind.P2P, (0, 99), 2),
+            # three distinct ids, but points 3 and 4 are no segment
+            (KernelKind.P2L, (0, 3, 4), 3),
         ],
     )
-    def test_association_size_checked_at_construction(self, kind, association, need):
+    def test_association_size_checked_at_construction(
+        self, monkeypatch, kind, association, need
+    ):
+        # checked against the world's table, which needs no render
         world = make_servo_world(kind, seed=0)
+        renders = []
+        monkeypatch.setattr(world, "render", lambda: renders.append(world))
         with pytest.raises(ServoError, match=f"{kind.value} association needs {need} distinct"):
             ScenePlant(world, None, mode="uvs", association=association)
+        assert renders == []
+
+    def test_world_without_candidates(self):
+        # a p2p world read as p2l: its points form no segment
+        world = replace(make_servo_world(KernelKind.P2P, seed=0), kernel_kind=KernelKind.P2L)
+        with pytest.raises(ServoError, match="no p2l candidates"):
+            ScenePlant(world, None, mode="uvs", association=(0, 1, 2))
 
     def test_hidden_association_member(self):
         world = make_servo_world(KernelKind.L2L, seed=0)
@@ -245,6 +263,33 @@ class TestScenePlant:
         plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError, match="degenerate"):
             plant.observe()
+
+    @pytest.mark.parametrize(
+        "hide, match",
+        [(slice(None), "no visible features"), (slice(1, None), "no candidate has every member")],
+    )
+    def test_inference_fault_is_a_servo_error(self, toy_trained, hide, match):
+        # features moved out of view leave infer nothing to score, and the
+        # loop reports that as it reports a hidden fixed association
+        world = make_servo_world(
+            KernelKind.P2P, seed=0, descriptor_dim=toy_trained.descriptor_dim
+        )
+        world.positions[hide, 0] += 100.0
+        with pytest.raises(ServoError, match=match):
+            closed_loop(world, toy_trained, ServoConfig(mode="ibvs"), association=None)
+
+    def test_fixed_row_is_the_winners_row(self, toy_trained):
+        # a plant servoing infer's winner as a fixed association observes
+        # what the kernel's plant observes, bit for bit: both read one row
+        # of one frame table
+        world = make_servo_world(
+            KernelKind.P2P, seed=0, descriptor_dim=toy_trained.descriptor_dim
+        )
+        winner = tuple(infer(world.render(), toy_trained).winner_ids)
+        fixed = ScenePlant(world, None, mode="ibvs", association=winner)
+        learned = ScenePlant(world, toy_trained, mode="ibvs", association=None)
+        assert np.array_equal(fixed.observe(), learned.observe())
+        assert np.array_equal(fixed.interaction(), learned.interaction())
 
     def test_association_is_an_id_set(self):
         world = make_servo_world(KernelKind.P2P, seed=0)
@@ -261,19 +306,19 @@ class TestScenePlant:
         assert ScenePlant(l2l, None, mode="uvs", association=l2l.ground_truth).dof == 3
 
     def test_wrong_command_shape(self):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError):
             plant.apply(np.zeros(6))
 
     def test_interaction_is_ibvs_only(self):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         with pytest.raises(ServoError):
             plant.interaction()
 
     def test_interaction_needs_an_observation(self, monkeypatch):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         plant = ScenePlant(world, None, mode="ibvs", association=world.ground_truth)
         renders = []
         monkeypatch.setattr(world, "render", lambda: renders.append(world))
@@ -282,12 +327,12 @@ class TestScenePlant:
         assert renders == []
 
     def test_observe_matches_layout(self):
-        world = make_servo_world(seed=0, start_error_px=60.0)
+        world = make_servo_world(KernelKind.P2P, seed=0, start_error_px=60.0)
         plant = ScenePlant(world, None, mode="uvs", association=world.ground_truth)
         assert np.linalg.norm(plant.observe()) == pytest.approx(60.0, abs=1e-9)
 
     def test_held_feature_tracks_camera(self):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         plant = ScenePlant(world, None, mode="ibvs", association=world.ground_truth)
         # a servo world renders feature i on row i
         before = world.render().pixels
@@ -305,7 +350,7 @@ class TestScenePlant:
 
 class TestClosedLoop:
     def test_ibvs_monotone_to_subpixel(self):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         cfg = ServoConfig(mode="ibvs")
         traj = closed_loop(world, None, cfg, association=world.ground_truth)
         assert traj.converged
@@ -314,7 +359,7 @@ class TestClosedLoop:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_uvs_point_task(self):
-        world = make_servo_world(seed=1)
+        world = make_servo_world(KernelKind.P2P, seed=1)
         cfg = ServoConfig(mode="uvs", gain=0.3)
         traj = closed_loop(world, None, cfg, association=world.ground_truth)
         assert traj.converged
@@ -330,7 +375,7 @@ class TestClosedLoop:
     def test_deterministic(self):
         runs = []
         for _ in range(2):
-            world = make_servo_world(seed=2)
+            world = make_servo_world(KernelKind.P2P, seed=2)
             cfg = ServoConfig(mode="ibvs")
             runs.append(closed_loop(world, None, cfg, association=world.ground_truth))
         assert runs[0].error_norms == runs[1].error_norms
@@ -339,7 +384,7 @@ class TestClosedLoop:
         )
 
     def test_trajectory_csv(self, tmp_path):
-        world = make_servo_world(seed=0)
+        world = make_servo_world(KernelKind.P2P, seed=0)
         cfg = ServoConfig(mode="ibvs", max_steps=5, tol=1e-9)
         traj = closed_loop(world, None, cfg, association=world.ground_truth)
         path = tmp_path / "traj.csv"

@@ -34,8 +34,9 @@ from geomimic.training import (
     TrainConfig,
     TrainedKernel,
     TrainingError,
-    association_error,
+    candidate_table,
     enumerate_candidates,
+    frame_table,
     infer,
     load_trained,
     prepare_candidates,
@@ -44,7 +45,7 @@ from geomimic.training import (
     select_out,
     train,
 )
-from geomimic.training import _enumerate, _objective, _pack_candidates
+from geomimic.training import _objective, _pack_candidates
 
 from conftest import hide, make_frame, move, pixel_of, take, toy_demo
 from reference import loss_and_grads
@@ -68,7 +69,8 @@ def norms_to_errors(norms):
 
 def candidates_on(frame, kind):
     """``prepare_candidates`` on a demo of this one frame."""
-    return prepare_candidates(DemoSequence([frame], (), CameraModel(), 0, kind, None), kind)
+    camera = CameraModel(cu=320.0, cv=240.0)
+    return prepare_candidates(DemoSequence([frame], (), camera, 0, kind, None), kind)
 
 
 class TestBuildCandidates:
@@ -672,33 +674,44 @@ class TestInferAgainstReference:
 
 
 class TestAssociationError:
-    # The fixed-association error equals the scalar per-candidate error of
-    # tests/reference.py, bit for bit, with infer's entity order.
+    # A fixed association is measured as its row of the frame's table, the
+    # table infer scores: each row's error equals the scalar per-candidate
+    # error of tests/reference.py, bit for bit, with infer's entity order.
+    @staticmethod
+    def row_of(table, ids):
+        ids = set(ids)
+        rows = [r for r, m in enumerate(table.members.tolist()) if set(m) == ids]
+        return rows[0] if rows else None
+
     @pytest.mark.parametrize("kind", ["p2p", "p2l", "l2l", "p2c"])
     def test_matches_reference(self, kind):
         kind = KernelKind(kind)
         frame = scene_frame(kind)
         px = dict(zip(frame.ids.tolist(), frame.pixels.tolist()))
+        table, batch = frame_table(frame, kind, IMAGE_SIZE)
         for cand in candidates_on(frame, kind):
-            ids = reversed(cand.feature_ids)
-            error, entities = association_error(frame, kind, ids)
-            assert entities == cand.entities
-            assert np.array_equal(error, reference.candidate_error(kind, entities, px))
+            row = self.row_of(table, reversed(cand.feature_ids))
+            assert table.entities[row] == cand.entities and batch.usable[row]
+            want = reference.candidate_error(kind, cand.entities, px)
+            assert np.array_equal(batch.errors[row], want)
 
     def test_hidden_member(self):
         frame = hide(scene_frame("l2l"), {3})
-        with pytest.raises(NoVisibleCandidatesError, match=r"\[3\] of association \[0, 1, 2, 3\]"):
-            association_error(frame, "l2l", (0, 1, 2, 3))
+        table, batch = frame_table(frame, KernelKind.L2L, IMAGE_SIZE)
+        row = self.row_of(table, (0, 1, 2, 3))
+        assert not batch.usable[row]
+        assert frame.ids[batch.rows[row][~frame.visible[batch.rows[row]]]].tolist() == [3]
 
     def test_degenerate_geometry(self):
         frame = move(scene_frame("l2l"), {1: pixel_of(scene_frame("l2l"), 0)})
-        with pytest.raises(NoVisibleCandidatesError, match="degenerate"):
-            association_error(frame, "l2l", (0, 1, 2, 3))
+        table, batch = frame_table(frame, KernelKind.L2L, IMAGE_SIZE)
+        row = self.row_of(table, (0, 1, 2, 3))
+        assert frame.visible[batch.rows[row]].all() and not batch.usable[row]
 
     @pytest.mark.parametrize("ids", [(), (0,), (0, 1, 2), (0, 1, 99)])
     def test_not_one_candidate(self, ids):
-        with pytest.raises(TrainingError):
-            association_error(scene_frame("p2p"), "p2p", ids)
+        table, _ = frame_table(scene_frame("p2p"), KernelKind.P2P, IMAGE_SIZE)
+        assert self.row_of(table, ids) is None
 
 
 class TestInferPartlyHiddenEntities:
@@ -783,7 +796,7 @@ class TestCandidatesFromAllFrames:
         loaded = load_demo(str(tmp_path / "demo.json"))
         table = enumerate_candidates(demo, kind)
         for frame in demo.frames + loaded.frames:
-            assert _enumerate(kind, tuple(frame.ids.tolist()), frame.classes) is table
+            assert candidate_table(kind, tuple(frame.ids.tolist()), frame.classes) is table
         assert enumerate_candidates(loaded, kind) is table
 
 
